@@ -16,8 +16,10 @@ is a verification tool, not a solver.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +30,11 @@ _CHUNK_BUDGET = 4_000_000
 
 # Cache of inner-value grids keyed by (problem fingerprint, grid shape);
 # the inner value function does not depend on the perturbation, so sweeps
-# over epsilon reuse one scan.
-_VALUE_GRID_CACHE: Dict[tuple, tuple] = {}
+# over epsilon reuse one scan.  It keeps the most recently used grids only
+# and is shared by every thread of the process, hence the lock.
+_VALUE_GRID_CACHE_SIZE = 4
+_VALUE_GRID_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_VALUE_GRID_LOCK = threading.Lock()
 
 
 class _EmptyInner:
@@ -199,12 +204,20 @@ def _cached_value_grid(problem: MpecProblem, config: OracleConfig):
         config.inner_count(problem.m),
         config.outer_count(problem.n + problem.m),
     )
-    hit = _VALUE_GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
+    with _VALUE_GRID_LOCK:
+        hit = _VALUE_GRID_CACHE.get(key)
+        if hit is not None:
+            _VALUE_GRID_CACHE.move_to_end(key)
+            return hit
+    # the scan runs unlocked: two threads may compute the same grid, and
+    # the later one simply replaces an identical entry
     points = _outer_grid_points(problem, config.outer_count(problem.n + problem.m))
     values = inner_value_grid(problem, points, config)
-    _VALUE_GRID_CACHE[key] = (points, values)
+    with _VALUE_GRID_LOCK:
+        _VALUE_GRID_CACHE[key] = (points, values)
+        _VALUE_GRID_CACHE.move_to_end(key)
+        while len(_VALUE_GRID_CACHE) > _VALUE_GRID_CACHE_SIZE:
+            _VALUE_GRID_CACHE.popitem(last=False)
     return points, values
 
 

@@ -66,9 +66,6 @@ class OmegaBox:
             out.append(Polynomial.constant(variables, m) - sq)
         return out
 
-    def contains(self, point: Sequence[float], slack: float = 0.0) -> bool:
-        return all(abs(p) <= c + slack for p, c in zip(point, self.halfwidths))
-
 
 @dataclass(frozen=True)
 class MpecProblem:
@@ -130,15 +127,6 @@ class MpecProblem:
 
     def y_halfwidths(self) -> Tuple[float, ...]:
         return self.box.halfwidths[self.n :]
-
-    def y_box_polynomials_ambient(self) -> List[Polynomial]:
-        """M_i - y_i^2 over the full (x, y, v) ambient list."""
-        ambient = self.ambient_vars
-        out = []
-        for name, c in zip(self.y_vars, self.y_halfwidths()):
-            sq = Polynomial.variable(ambient, name) ** 2
-            out.append(Polynomial.constant(ambient, c * c) - sq)
-        return out
 
     def coupling_full(self) -> Polynomial:
         """phi minus the offset, over the full (x, y, v) variable list."""

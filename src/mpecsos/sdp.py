@@ -7,24 +7,29 @@ dense PSD blocks, nonnegative vectors and free (unconstrained) vectors:
     subject to  sum_B <A_iB, X_B> = b_i,   i = 1..m,
                 X_B in K_B.
 
-The solver runs the homogeneous self-dual embedding with HKM search
-directions and a Mehrotra predictor-corrector, so a run ends either at an
-optimal primal-dual pair or at a certificate of primal or dual
+The solver runs the homogeneous self-dual embedding with Nesterov-Todd
+search directions and a Mehrotra predictor-corrector, so a run ends either
+at an optimal primal-dual pair or at a certificate of primal or dual
 infeasibility (the Farkas ray needed to prove a relaxation empty).  Free
 variables are kept in the Newton system as an unrestricted block rather
 than split into differences of nonnegative parts: an elimination computed
 once per problem (an LU factorization of the free columns) separates them
 from the cone blocks.
 
-The Newton system is solved in coordinates scaled by Cholesky factors of
-the iterate, through a QR factorization of the scaled constraint matrix
-rather than a factorization of the Schur complement it squares.  Its
-condition number therefore grows like 1/mu instead of 1/mu^2, which keeps
-the last digits of the direction when the complementarity reaches 1e-9.
+Each PSD block is scaled by its NT point R, which maps both X and S to the
+same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
+so a block contributes n(n+1)/2 rows (its svec coordinates) to the scaled
+constraint matrix.  The Newton system is solved through a QR factorization
+of that matrix rather than a factorization of the Schur complement it
+squares.  Its condition number therefore grows like 1/mu instead of
+1/mu^2, which keeps the last digits of the direction when the
+complementarity reaches 1e-9.
 
-All linear algebra is dense: the moment and Gram matrices that arise here
-have at most a few dozen rows, where BLAS-backed batched products beat any
-sparse machinery.
+Constraint data are kept sparse, as coordinate triples per block (svec
+entries for PSD blocks), and every product with them goes through
+np.bincount: the Gram-form programs built here touch under 1% of the
+entries of their dense blocks.  The per-iteration work is dense: the
+scaling points, the scaled constraint matrix and its factorization.
 """
 
 from __future__ import annotations
@@ -250,19 +255,143 @@ def residuals(
 # solver internals
 
 
+class _Coo:
+    """A sparse matrix as coordinate triples; products go through bincount.
+
+    (bincount returns integers when it has no entries to weigh, hence the
+    casts.)
+    """
+
+    def __init__(self, rows, cols, vals, shape: Tuple[int, int]):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.vals = np.asarray(vals, dtype=float)
+        self.shape = shape
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """A v."""
+        return np.bincount(
+            self.rows, weights=self.vals * v[self.cols], minlength=self.shape[0]
+        ).astype(float, copy=False)
+
+    def tdot(self, v: np.ndarray) -> np.ndarray:
+        """A' v."""
+        return np.bincount(
+            self.cols, weights=self.vals * v[self.rows], minlength=self.shape[1]
+        ).astype(float, copy=False)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
+# entries of the scaled matrices formed at once: 128 KB chunks stay in
+# cache through the product that forms them and the svec gather after it
+_CHUNK = 1 << 14
+
+
+class _PsdBlock:
+    """Constraint data of one PSD block in svec coordinates.
+
+    svec stacks the upper triangle row by row with the off-diagonal entries
+    scaled by sqrt(2), so <A, X> = svec(A)'svec(X).  Column i of ``A`` is
+    svec(A_i) for the (row-scaled) constraint matrix A_i.  The coordinate
+    list of the A_i with both triangles is kept as well, in chunks of
+    constraints, for forming the scaled matrices R'A_iR.
+    """
+
+    def __init__(self, index: int, size: int, coeffs, norms, m: int, C):
+        self.index = index
+        self.size = size
+        self.iu = np.triu_indices(size)
+        self.flat = self.iu[0] * size + self.iu[1]
+        self.weight = np.where(self.iu[0] == self.iu[1], 1.0, math.sqrt(2.0))
+        self.dim = len(self.weight)
+        self.C = np.zeros((size, size)) if C is None else np.array(C)
+        self.rows = np.array(sorted(coeffs), dtype=np.intp)
+
+        # entries (local constraint, j, k, value), ordered by constraint
+        empty = np.zeros(0, np.intp)
+        local, js, ks, vals = [empty], [empty], [empty], [np.zeros(0)]
+        for li, i in enumerate(self.rows):
+            mat = coeffs[i] / norms[i]
+            j, k = np.nonzero(mat)
+            local.append(np.full(len(j), li))
+            js.append(j)
+            ks.append(k)
+            vals.append(mat[j, k])
+        local, js, ks, vals = (np.concatenate(a) for a in (local, js, ks, vals))
+
+        # svec position of an (j, k) entry with j <= k
+        position = np.zeros((size, size), dtype=np.intp)
+        position[self.iu] = np.arange(self.dim)
+        upper = js <= ks
+        pos = position[js[upper], ks[upper]]
+        self.A = _Coo(
+            pos, self.rows[local[upper]], vals[upper] * self.weight[pos], (self.dim, m)
+        )
+
+        # Per chunk of constraints, where each entry's multiple of a row of
+        # R lands in the stack of (A_i R)' (see scaled_columns).
+        width = max(1, _CHUNK // (size * size))
+        self.chunks = []
+        for lo in range(0, len(self.rows), width):
+            hi = min(lo + width, len(self.rows))
+            a, b = np.searchsorted(local, [lo, hi])
+            base = (local[a:b] - lo) * size * size + js[a:b]
+            target = (base[:, None] + size * np.arange(size)).ravel()
+            self.chunks.append((lo, hi, ks[a:b], vals[a:b], target))
+
+    def svec(self, X: np.ndarray) -> np.ndarray:
+        return X[self.iu] * self.weight
+
+    def smat(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty((self.size, self.size))
+        half = v / self.weight
+        out[self.iu] = half
+        out.T[self.iu] = half
+        return out
+
+    def combine(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i as a dense matrix."""
+        return self.smat(self.A.dot(y))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """The vector of <A_i, X>."""
+        return self.A.tdot(self.svec(X))
+
+    def scaled_columns(self, R: np.ndarray):
+        """Yield (constraints, svec(R'A_iR) as rows), chunk by chunk.
+
+        The sparse product (A_i R)' is summed into a dense stack, and one
+        matrix product with R then gives (A_i R)'R = R'A_iR for every
+        constraint of the chunk.
+        """
+        n = self.size
+        for lo, hi, ks, vals, target in self.chunks:
+            width = hi - lo
+            stack = np.bincount(
+                target, weights=(vals[:, None] * R[ks]).ravel(), minlength=width * n * n
+            ).astype(float, copy=False)
+            scaled = (stack.reshape(width * n, n) @ R).reshape(width, n * n)
+            part = np.take(scaled, self.flat, axis=1)
+            part *= self.weight
+            yield self.rows[lo:hi], part
+
+
 class _Cone:
-    """Stacked per-block constraint data used by the iteration."""
+    """Per-block constraint data, sparse, built once per problem.
+
+    PSD blocks keep their constraint matrices in svec form (`_PsdBlock`);
+    nonnegative and free blocks keep one sparse column per constraint.
+    Rows are prescaled to unit Frobenius norm.
+    """
 
     def __init__(self, problem: SdpProblem):
         blocks = problem.blocks
         m = problem.num_constraints
 
-        self.psd: List[dict] = []
-        self.nn: List[dict] = []
-        free_cols: List[np.ndarray] = []
-        free_c: List[np.ndarray] = []
-
-        # constraint-wise Frobenius prescaling to unit norm
         norms = np.zeros(m)
         for i, con in enumerate(problem.constraints):
             norms[i] = math.sqrt(
@@ -273,78 +402,88 @@ class _Cone:
         self.b = problem.rhs() / norms
         self.b_unscaled = problem.rhs()
 
+        def touching(bi):
+            return {
+                i: con.coeffs[bi]
+                for i, con in enumerate(problem.constraints)
+                if bi in con.coeffs
+            }
+
+        def vector_block(bis):
+            """Sparse data and objective of vector blocks laid end to end."""
+            empty = np.zeros(0, np.intp)
+            rows, cols, vals, c = [empty], [empty], [np.zeros(0)], [np.zeros(0)]
+            offset = 0
+            for bi in bis:
+                for i, coeff in touching(bi).items():
+                    nz = np.flatnonzero(coeff)
+                    rows.append(offset + nz)
+                    cols.append(np.full(len(nz), i))
+                    vals.append(coeff[nz] / norms[i])
+                cobj = problem.objective.get(bi)
+                c.append(np.zeros(blocks[bi].size) if cobj is None else np.array(cobj))
+                offset += blocks[bi].size
+            rows, cols, vals, c = (np.concatenate(a) for a in (rows, cols, vals, c))
+            return _Coo(rows, cols, vals, (offset, m)), c
+
+        self.psd: List[_PsdBlock] = []
+        self.nn: List[dict] = []
         for bi, block in enumerate(blocks):
-            rows = [
-                i for i, con in enumerate(problem.constraints) if bi in con.coeffs
-            ]
-            cobj = problem.objective.get(bi)
             if block.kind is BlockKind.PSD:
-                mats = np.zeros((len(rows), block.size, block.size))
-                for k, i in enumerate(rows):
-                    mats[k] = problem.constraints[i].coeffs[bi] / norms[i]
+                cobj = problem.objective.get(bi)
                 self.psd.append(
-                    {
-                        "index": bi,
-                        "size": block.size,
-                        "rows": np.array(rows, dtype=int),
-                        "mats": mats,
-                        "C": np.zeros((block.size, block.size))
-                        if cobj is None
-                        else np.array(cobj),
-                    }
+                    _PsdBlock(bi, block.size, touching(bi), norms, m, cobj)
                 )
             elif block.kind is BlockKind.NONNEG:
-                vecs = np.zeros((len(rows), block.size))
-                for k, i in enumerate(rows):
-                    vecs[k] = problem.constraints[i].coeffs[bi] / norms[i]
-                self.nn.append(
-                    {
-                        "index": bi,
-                        "size": block.size,
-                        "rows": np.array(rows, dtype=int),
-                        "vecs": vecs,
-                        "c": np.zeros(block.size) if cobj is None else np.array(cobj),
-                    }
-                )
-            else:
-                col = np.zeros((m, block.size))
-                for i, con in enumerate(problem.constraints):
-                    if bi in con.coeffs:
-                        col[i] = con.coeffs[bi] / norms[i]
-                free_cols.append(col)
-                free_c.append(
-                    np.zeros(block.size) if cobj is None else np.array(cobj)
-                )
+                A, c = vector_block([bi])
+                self.nn.append({"index": bi, "size": block.size, "A": A, "c": c})
 
         self.free_blocks = [
             bi for bi, b in enumerate(blocks) if b.kind is BlockKind.FREE
         ]
         self.free_sizes = [blocks[bi].size for bi in self.free_blocks]
-        self.A_free = (
-            np.concatenate(free_cols, axis=1) if free_cols else np.zeros((m, 0))
-        )
-        self.c_free = np.concatenate(free_c) if free_c else np.zeros(0)
-        self.num_free = self.A_free.shape[1]
-        self.free_elim = _FreeElimination(self.A_free) if self.num_free else None
+        self.A_free, self.c_free = vector_block(self.free_blocks)
+        self.num_free = self.A_free.shape[0]
+        self.free_elim = None
+        self.free_ray = None
+        if self.num_free:
+            A_f = self.A_free.dense().T
+            self.free_elim = _FreeElimination(A_f)
+            self.free_ray = _free_ray(A_f, self.c_free)
         self.column = (
             self.free_elim.pos if self.free_elim is not None else np.arange(m)
         )
-        self.scaled_size = sum(p["size"] ** 2 for p in self.psd) + sum(
+        self.scaled_size = sum(p.dim for p in self.psd) + sum(
             n["size"] for n in self.nn
         )
         self.m = m
-        self.nu = sum(p["size"] for p in self.psd) + sum(n["size"] for n in self.nn)
+        self.nu = sum(p.size for p in self.psd) + sum(n["size"] for n in self.nn)
         self.c_norm = math.sqrt(
-            sum(float(np.sum(p["C"] ** 2)) for p in self.psd)
+            sum(float(np.sum(p.C**2)) for p in self.psd)
             + sum(float(np.sum(n["c"] ** 2)) for n in self.nn)
             + float(np.sum(self.c_free**2))
         )
         self.b_norm = float(np.linalg.norm(self.b_unscaled))
 
 
-# entries per batched product when scaling a constraint block: bounds the
-# temporaries at 0.5 MB next to the scaled matrix itself
-_CHUNK = 1 << 16
+def _free_ray(A_f: np.ndarray, c_f: np.ndarray) -> Optional[np.ndarray]:
+    """A free direction d with A_f d = 0 and c_f'd < 0, if one exists.
+
+    The free block's dual rows A_f'y = c_f carry no slack, so the dual is
+    infeasible exactly when c_f leaves the row space of A_f; minus the
+    component of c_f orthogonal to it is then a ray of the primal.  The
+    interior-point iteration cannot find this ray itself: the elimination
+    gives a free column outside the independent set a zero step.
+    """
+    m, nf = A_f.shape
+    z = np.linalg.lstsq(A_f.T, c_f, rcond=max(m, nf) * np.finfo(float).eps)[0]
+    ray = A_f.T @ z - c_f
+    size = float(np.linalg.norm(ray))
+    if not size > 1e-8 * max(1.0, float(np.linalg.norm(c_f))):
+        return None
+    if np.linalg.norm(A_f @ ray) > 1e-12 * size:
+        return None
+    return ray
 
 
 def _singular_triangle(R: np.ndarray) -> bool:
@@ -422,14 +561,21 @@ class _FreeElimination:
         return out
 
 
+# panel width of the blocked Householder QR
+_QR_BLOCK = 32
+
+
 class _CompactQR:
     """Householder QR of the scaled cone columns, kept in compact form.
 
-    H = Q [R0; 0].  When R0 is singular to working precision the
-    constraints are linearly dependent (an ill-conditioned but regular H
-    has a spread near 1/mu, far from the rank tolerance), and H'H is
-    shifted by a small multiple of the identity: [R0; sqrt(shift) I] =
-    Q' R is factored again and Q' folded into the products below.
+    H = Q [R0; 0], with Q stored as reflectors in blocked (compact WY)
+    form by LAPACK's dgeqrt: its recursive panels run at matrix-matrix
+    speed on the tall H here, about twice as fast as dgeqrf.  When R0 is
+    singular to working precision the constraints are linearly dependent
+    (an ill-conditioned but regular H has a spread near 1/mu, far from the
+    rank tolerance), and H'H is shifted by a small multiple of the
+    identity: [R0; sqrt(shift) I] = Q' R is factored again and Q' folded
+    into the products below.
     """
 
     def __init__(self, H: np.ndarray):
@@ -438,12 +584,14 @@ class _CompactQR:
         self.top = min(rows, k)
         self.R = np.zeros((0, k))
         if self.top:
-            self.qr, self.tau, _, info = sla.lapack.dgeqrf(
-                H, lwork=64 * k, overwrite_a=1
+            qr, self.T, info = sla.lapack.dgeqrt(
+                min(_QR_BLOCK, self.top), H, overwrite_a=1
             )
             if info != 0:
                 raise np.linalg.LinAlgError("QR of the scaled constraints failed")
-            self.R = np.triu(self.qr[: self.top])
+            # a wide H has only `top` reflectors
+            self.V = qr[:, : self.top]
+            self.R = np.triu(qr[: self.top])
         self.inner = None
         if self.top < k or _singular_triangle(self.R):
             scale = max(1.0, float(np.max(np.sum(self.R**2, axis=0), initial=0.0)))
@@ -452,9 +600,7 @@ class _CompactQR:
             self.inner = inner[: self.top]
 
     def _apply(self, trans: str, vec: np.ndarray) -> np.ndarray:
-        out, _, info = sla.lapack.dormqr(
-            "L", trans, self.qr, self.tau, vec.reshape(-1, 1), 64
-        )
+        out, info = sla.lapack.dgemqrt(self.V, self.T, vec.reshape(-1, 1), trans=trans)
         if info != 0:
             raise np.linalg.LinAlgError("applying the QR factor failed")
         return out[:, 0]
@@ -477,8 +623,8 @@ class _State:
     """Iterate of the homogeneous embedding."""
 
     def __init__(self, cone: _Cone):
-        self.X = [np.eye(p["size"]) for p in cone.psd]
-        self.S = [np.eye(p["size"]) for p in cone.psd]
+        self.X = [np.eye(p.size) for p in cone.psd]
+        self.S = [np.eye(p.size) for p in cone.psd]
         self.xn = [np.ones(n["size"]) for n in cone.nn]
         self.sn = [np.ones(n["size"]) for n in cone.nn]
         self.xf = np.zeros(cone.num_free)
@@ -499,20 +645,28 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _min_eig_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest step with X + a*dX staying PSD (uses a Cholesky transform)."""
-    try:
-        L = np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(X)
-        shift = max(0.0, -w.min()) + 1e-14 * max(1.0, w.max())
-        L = np.linalg.cholesky(X + shift * np.eye(X.shape[0]))
-    W = sla.solve_triangular(L, dX, lower=True)
-    B = sla.solve_triangular(L, W.T, lower=True)
-    lam = np.linalg.eigvalsh(_sym(B)).min()
-    if lam >= -1e-16:
+def _nt_scaling(X: np.ndarray, S: np.ndarray):
+    """Nesterov-Todd scaling point of a PSD block.
+
+    With X = L_X L_X', S = L_S L_S' and the SVD L_S'L_X = U diag(lam) V',
+    R = L_X V diag(lam)^{-1/2} satisfies R'SR = R^{-1}XR^{-T} = diag(lam),
+    so W = RR' is the NT point (WSW = X) and lam are the square roots of
+    the eigenvalues of XS.
+    """
+    L_X = np.linalg.cholesky(X)
+    L_S = np.linalg.cholesky(S)
+    _, lam, Vt = np.linalg.svd(L_S.T @ L_X)
+    if not lam[-1] > 0:
+        raise np.linalg.LinAlgError("singular scaling point")
+    return (L_X @ Vt.T) / np.sqrt(lam), lam
+
+
+def _scaled_step(root: np.ndarray, dZ: np.ndarray) -> float:
+    """Largest a with diag(lam) + a*dZ PSD, given root = lam^{-1/2}."""
+    low = np.linalg.eigvalsh(root[:, None] * dZ * root).min()
+    if low >= -1e-16:
         return math.inf
-    return 1.0 / (-lam)
+    return 1.0 / (-low)
 
 
 def _vector_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -529,60 +683,56 @@ class _HsdSolver:
         self.cone = _Cone(problem)
         self.state = _State(self.cone)
         self.mu_history: List[float] = []
+        # scaled constraint matrix, refilled and factored in place each
+        # iteration
+        self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
 
     # -- residuals of the homogeneous model (scaled data) ----------------
 
     def _residuals(self, st: _State):
         cone = self.cone
-        r_p = cone.b * st.tau - self._apply_A(st)
-        r_d_psd = []
-        for p, S in zip(cone.psd, st.S):
-            acc = p["C"] * st.tau - S
-            if len(p["rows"]):
-                acc = acc - np.einsum("i,ijk->jk", st.y[p["rows"]], p["mats"])
-            r_d_psd.append(acc)
-        r_d_nn = []
-        for n, s in zip(cone.nn, st.sn):
-            acc = n["c"] * st.tau - s
-            if len(n["rows"]):
-                acc = acc - n["vecs"].T @ st.y[n["rows"]]
-            r_d_nn.append(acc)
-        r_d_free = cone.c_free * st.tau - cone.A_free.T @ st.y
-        ctx = self._ctx(st)
+        r_p = cone.b * st.tau - self._apply_A(st.X, st.xn, st.xf)
+        r_d_psd = [
+            p.C * st.tau - S - p.combine(st.y) for p, S in zip(cone.psd, st.S)
+        ]
+        r_d_nn = [
+            n["c"] * st.tau - s - n["A"].dot(st.y) for n, s in zip(cone.nn, st.sn)
+        ]
+        r_d_free = cone.c_free * st.tau - cone.A_free.dot(st.y)
+        ctx = self._ctx(st.X, st.xn, st.xf)
         bty = float(cone.b @ st.y)
         r_g = st.kappa - bty + ctx
         return r_p, r_d_psd, r_d_nn, r_d_free, r_g, ctx, bty
 
-    def _apply_A(self, st: _State) -> np.ndarray:
+    def _apply_A(self, X, xn, xf) -> np.ndarray:
         cone = self.cone
-        out = np.zeros(cone.m)
-        for p, X in zip(cone.psd, st.X):
-            if len(p["rows"]):
-                out[p["rows"]] += np.einsum("ijk,kj->i", p["mats"], X)
-        for n, x in zip(cone.nn, st.xn):
-            if len(n["rows"]):
-                out[n["rows"]] += n["vecs"] @ x
-        out += cone.A_free @ st.xf
+        out = cone.A_free.tdot(xf)
+        for p, Xb in zip(cone.psd, X):
+            out += p.apply(Xb)
+        for n, x in zip(cone.nn, xn):
+            out += n["A"].tdot(x)
         return out
 
-    def _ctx(self, st: _State) -> float:
+    def _ctx(self, X, xn, xf) -> float:
         cone = self.cone
-        total = float(cone.c_free @ st.xf)
-        for p, X in zip(cone.psd, st.X):
-            total += float(np.sum(p["C"] * X))
-        for n, x in zip(cone.nn, st.xn):
+        total = float(cone.c_free @ xf)
+        for p, Xb in zip(cone.psd, X):
+            total += float(np.sum(p.C * Xb))
+        for n, x in zip(cone.nn, xn):
             total += float(n["c"] @ x)
         return total
 
     # -- Newton machinery -------------------------------------------------
     #
-    # The HKM direction is computed in scaled coordinates.  With Cholesky
-    # factors X = L_X L_X' and S = L_S L_S', a PSD block maps a step dX to
-    # xh = L_X^{-1} dX L_S and a dual step dS to sh = L_X' dS L_S^{-T}; a
-    # constraint matrix A_i maps to G_i = L_X' A_i L_S^{-T}, so that
-    # <A_i, dX> = <G_i, xh> and the Schur complement is G'G.  A nonnegative
-    # block scales by sqrt(x/s).  The Newton equations become the
-    # least-squares system
+    # The Nesterov-Todd direction is computed in scaled coordinates.  A PSD
+    # block with scaling point R (R'SR = R^{-1}XR^{-T} = Lam, diagonal) maps
+    # a step dX to R^{-1}dX R^{-T}, a dual step dS to R'dS R and a
+    # constraint matrix A_i to R'A_iR; all three are symmetric and are
+    # stored as svec vectors, so <A_i, dX> is a dot product over
+    # n(n+1)/2 entries.  The Jordan-symmetrized complementarity
+    # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates.  A
+    # nonnegative block scales by sqrt(x/s).  With G the stacked scaled
+    # constraints, the Newton equations become the least-squares system
     #     xh - G dy = e,    G'xh + A_f dxf = h,    A_f'dy = g,
     # which is solved through an orthogonal factorization of G: its
     # condition number is that of G (about 1/mu), not of G'G (1/mu^2).
@@ -591,28 +741,26 @@ class _HsdSolver:
         """Scaled constraint data and its orthogonal factorization."""
         cone = self.cone
         col = cone.column
-        G = np.zeros((cone.scaled_size, cone.m), order="F")
+        G = self.G
         c_hat = np.zeros(cone.scaled_size)
         blocks = []
         offset = 0
         for p, X, S in zip(cone.psd, st.X, st.S):
-            n2 = p["size"] ** 2
-            L_X = np.linalg.cholesky(X)
-            L_S_inv = sla.solve_triangular(
-                np.linalg.cholesky(S), np.eye(p["size"]), lower=True
-            )
-            rows = p["rows"]
-            step = max(1, _CHUNK // n2)
-            for lo in range(0, len(rows), step):
-                part = np.matmul(L_X.T, np.matmul(p["mats"][lo : lo + step], L_S_inv.T))
-                G[offset : offset + n2, col[rows[lo : lo + step]]] = part.reshape(-1, n2).T
-            c_hat[offset : offset + n2] = (L_X.T @ p["C"] @ L_S_inv.T).ravel()
-            blocks.append((L_X, L_S_inv))
-            offset += n2
+            R, lam = _nt_scaling(X, S)
+            rows = G[offset : offset + p.dim]
+            if len(p.rows) < cone.m:
+                rows[:] = 0.0
+            for cons, part in p.scaled_columns(R):
+                rows[:, col[cons]] = part.T
+            c_hat[offset : offset + p.dim] = p.svec(R.T @ p.C @ R)
+            blocks.append((R, lam))
+            offset += p.dim
         for n, x, s in zip(cone.nn, st.xn, st.sn):
             root = np.sqrt(x / s)
-            if len(n["rows"]):
-                G[offset : offset + n["size"], col[n["rows"]]] = (n["vecs"] * root).T
+            A = n["A"]
+            rows = G[offset : offset + n["size"]]
+            rows[:] = 0.0
+            rows[A.rows, col[A.cols]] = A.vals * root[A.rows]
             c_hat[offset : offset + n["size"]] = root * n["c"]
             blocks.append(root)
             offset += n["size"]
@@ -653,16 +801,22 @@ class _HsdSolver:
         return xh, free.expand(z1, z2), free.place(dxf)
 
     def _direction(self, st: _State, fact, resid, Rc_psd, rc_nn, rc_tau):
+        """Newton direction for the scaled complementarity targets.
+
+        Rc_psd holds, per PSD block, the target of Lam o (dX~ + dS~) in the
+        block's scaled coordinates; rc_nn the targets of s dx + x ds.
+        """
         cone = self.cone
         r_p, r_d_psd, r_d_nn, r_d_free, r_g, _, _ = resid
+        npsd = len(cone.psd)
 
-        # e = L_X^{-1} Rc L_S^{-T} - L_X' r_d L_S^{-T}, block by block
+        # e = Lam o^{-1} Rc - R' r_d R, block by block
         e = []
-        for (L_X, L_S_inv), Rc, rd in zip(fact["blocks"], Rc_psd, r_d_psd):
-            r2 = sla.solve_triangular(L_X, Rc, lower=True) @ L_S_inv.T
-            e.append((r2 - L_X.T @ rd @ L_S_inv.T).ravel())
+        for p, (R, lam), Rc, rd in zip(cone.psd, fact["blocks"], Rc_psd, r_d_psd):
+            jordan = 0.5 * (lam[:, None] + lam)
+            e.append(p.svec(Rc / jordan - R.T @ rd @ R))
         for root, x, s, rc, rd in zip(
-            fact["blocks"][len(cone.psd) :], st.xn, st.sn, rc_nn, r_d_nn
+            fact["blocks"][npsd:], st.xn, st.sn, rc_nn, r_d_nn
         ):
             e.append(rc / np.sqrt(x * s) - root * rd)
         e = np.concatenate(e) if e else np.zeros(0)
@@ -681,42 +835,27 @@ class _HsdSolver:
         d_y = d_y + d_tau * vy
         d_xf = d_xf + d_tau * vf
 
-        d_S = []
-        d_X = []
+        d = {"X": [], "S": [], "Xt": [], "St": [], "xn": [], "sn": []}
         offset = 0
-        for p, (L_X, L_S_inv), rd in zip(cone.psd, fact["blocks"], r_d_psd):
-            size = p["size"]
-            dS = np.array(rd)
-            if len(p["rows"]):
-                dS -= np.einsum("i,ijk->jk", d_y[p["rows"]], p["mats"])
-            dS += p["C"] * d_tau
-            d_S.append(_sym(dS))
-            block = xh[offset : offset + size * size].reshape(size, size)
-            d_X.append(_sym(L_X @ block @ L_S_inv))
-            offset += size * size
-        d_sn = []
-        d_xn = []
-        for n, root, rd in zip(cone.nn, fact["blocks"][len(cone.psd) :], r_d_nn):
-            ds = np.array(rd)
-            if len(n["rows"]):
-                ds -= n["vecs"].T @ d_y[n["rows"]]
-            ds += n["c"] * d_tau
-            d_sn.append(ds)
-            d_xn.append(root * xh[offset : offset + n["size"]])
+        for p, (R, _), rd in zip(cone.psd, fact["blocks"], r_d_psd):
+            dS = _sym(rd - p.combine(d_y) + p.C * d_tau)
+            dXt = p.smat(xh[offset : offset + p.dim])
+            d["S"].append(dS)
+            d["St"].append(_sym(R.T @ dS @ R))
+            d["Xt"].append(dXt)
+            d["X"].append(_sym(R @ dXt @ R.T))
+            offset += p.dim
+        for n, root, rd in zip(cone.nn, fact["blocks"][npsd:], r_d_nn):
+            d["sn"].append(rd - n["A"].dot(d_y) + n["c"] * d_tau)
+            d["xn"].append(root * xh[offset : offset + n["size"]])
             offset += n["size"]
-        d_kappa = (rc_tau - st.kappa * d_tau) / st.tau
-        return {
-            "X": d_X,
-            "S": d_S,
-            "xn": d_xn,
-            "sn": d_sn,
-            "xf": d_xf,
-            "y": d_y,
-            "tau": d_tau,
-            "kappa": d_kappa,
-        }
+        d["xf"] = d_xf
+        d["y"] = d_y
+        d["tau"] = d_tau
+        d["kappa"] = (rc_tau - st.kappa * d_tau) / st.tau
+        return d
 
-    def _newton_residuals(self, st: _State, d, resid, Rc_psd, rc_nn, rc_tau):
+    def _newton_residuals(self, st: _State, fact, d, resid, Rc_psd, rc_nn, rc_tau):
         """Residuals of the six Newton equations for a computed direction.
 
         All products here are well scaled (no S^{-1}), so these residuals
@@ -724,40 +863,22 @@ class _HsdSolver:
         """
         cone = self.cone
         r_p, r_d_psd, r_d_nn, r_d_free, r_g, _, _ = resid
-        adx = np.zeros(cone.m)
-        for p, dX in zip(cone.psd, d["X"]):
-            if len(p["rows"]):
-                adx[p["rows"]] += np.einsum("ijk,kj->i", p["mats"], dX)
-        for n, dx in zip(cone.nn, d["xn"]):
-            if len(n["rows"]):
-                adx[n["rows"]] += n["vecs"] @ dx
-        adx += cone.A_free @ d["xf"]
+        adx = self._apply_A(d["X"], d["xn"], d["xf"])
         rho1 = r_p - (adx - cone.b * d["tau"])
-
-        rho2_psd = []
-        for p, rd, dS in zip(cone.psd, r_d_psd, d["S"]):
-            acc = np.zeros((p["size"], p["size"]))
-            if len(p["rows"]):
-                acc += np.einsum("i,ijk->jk", d["y"][p["rows"]], p["mats"])
-            rho2_psd.append(rd - (acc + dS - p["C"] * d["tau"]))
-        rho2_nn = []
-        for n, rd, ds in zip(cone.nn, r_d_nn, d["sn"]):
-            acc = np.zeros(n["size"])
-            if len(n["rows"]):
-                acc += n["vecs"].T @ d["y"][n["rows"]]
-            rho2_nn.append(rd - (acc + ds - n["c"] * d["tau"]))
-        rho2_free = r_d_free - (cone.A_free.T @ d["y"] - cone.c_free * d["tau"])
-
-        cdx = float(cone.c_free @ d["xf"])
-        for p, dX in zip(cone.psd, d["X"]):
-            cdx += float(np.sum(p["C"] * dX))
-        for n, dx in zip(cone.nn, d["xn"]):
-            cdx += float(n["c"] @ dx)
+        rho2_psd = [
+            rd - (p.combine(d["y"]) + dS - p.C * d["tau"])
+            for p, rd, dS in zip(cone.psd, r_d_psd, d["S"])
+        ]
+        rho2_nn = [
+            rd - (n["A"].dot(d["y"]) + ds - n["c"] * d["tau"])
+            for n, rd, ds in zip(cone.nn, r_d_nn, d["sn"])
+        ]
+        rho2_free = r_d_free - (cone.A_free.dot(d["y"]) - cone.c_free * d["tau"])
+        cdx = self._ctx(d["X"], d["xn"], d["xf"])
         rho3 = r_g - (float(cone.b @ d["y"]) - cdx - d["kappa"])
-
         rho4 = [
-            Rc - (dX @ S + X @ dS)
-            for Rc, X, S, dX, dS in zip(Rc_psd, st.X, st.S, d["X"], d["S"])
+            Rc - 0.5 * (lam[:, None] + lam) * (dXt + dSt)
+            for Rc, (_, lam), dXt, dSt in zip(Rc_psd, fact["blocks"], d["Xt"], d["St"])
         ]
         rho5 = [
             rc - (dx * s + x * ds)
@@ -776,11 +897,11 @@ class _HsdSolver:
         """
         d = self._direction(st, fact, resid, Rc_psd, rc_nn, rc_tau)
         r1, r2p, r2n, r2f, r3, r4, r5, r6 = self._newton_residuals(
-            st, d, resid, Rc_psd, rc_nn, rc_tau
+            st, fact, d, resid, Rc_psd, rc_nn, rc_tau
         )
         corr_resid = (r1, r2p, r2n, r2f, r3, 0.0, 0.0)
         dc = self._direction(st, fact, corr_resid, r4, r5, r6)
-        for key in ("X", "S", "xn", "sn"):
+        for key in ("X", "S", "Xt", "St", "xn", "sn"):
             d[key] = [a + b for a, b in zip(d[key], dc[key])]
         d["xf"] = d["xf"] + dc["xf"]
         d["y"] = d["y"] + dc["y"]
@@ -788,12 +909,16 @@ class _HsdSolver:
         d["kappa"] += dc["kappa"]
         return d
 
-    def _max_step(self, st: _State, d) -> float:
+    def _max_step(self, st: _State, fact, d) -> float:
+        """Largest step keeping the iterate in the cone.
+
+        A PSD block stays PSD while diag(lam) plus the step, both in the
+        block's scaled coordinates, does.
+        """
         alpha = math.inf
-        for X, dX in zip(st.X, d["X"]):
-            alpha = min(alpha, _min_eig_step(X, dX))
-        for S, dS in zip(st.S, d["S"]):
-            alpha = min(alpha, _min_eig_step(S, dS))
+        for (_, lam), dXt, dSt in zip(fact["blocks"], d["Xt"], d["St"]):
+            root = 1.0 / np.sqrt(lam)
+            alpha = min(alpha, _scaled_step(root, dXt), _scaled_step(root, dSt))
         for x, dx in zip(st.xn, d["xn"]):
             alpha = min(alpha, _vector_step(x, dx))
         for s, ds in zip(st.sn, d["sn"]):
@@ -844,7 +969,7 @@ class _HsdSolver:
             # C*tau - r_d equals sum_i y_i A_i + S in the original data scale
             num_sq = 0.0
             for p, rd in zip(cone.psd, r_d_psd):
-                num_sq += float(np.sum((p["C"] * st.tau - rd) ** 2))
+                num_sq += float(np.sum((p.C * st.tau - rd) ** 2))
             for n, rd in zip(cone.nn, r_d_nn):
                 num_sq += float(np.sum((n["c"] * st.tau - rd) ** 2))
             num_sq += float(np.sum((cone.c_free * st.tau - r_d_free) ** 2))
@@ -873,6 +998,8 @@ class _HsdSolver:
         st = self.state
         cone = self.cone
         opts = self.opts
+        if cone.free_ray is not None:
+            return self._free_ray_solution()
         status = SdpStatus.ITERATION_LIMIT
         iterations = 0
         cert_residual = math.nan
@@ -917,14 +1044,13 @@ class _HsdSolver:
                 break
 
             try:
-                step = self._search_direction(st, resid, mu)
+                step, alpha = self._search_direction(st, resid, mu)
             except (np.linalg.LinAlgError, ValueError):
                 status = SdpStatus.NUMERICAL_TROUBLE
                 st = best_state
                 break
 
-            alpha = opts.step_fraction * self._max_step(st, step)
-            alpha = min(alpha, 1.0)
+            alpha = min(opts.step_fraction * alpha, 1.0)
             if not math.isfinite(alpha) or alpha <= 0:
                 status = SdpStatus.NUMERICAL_TROUBLE
                 st = best_state
@@ -940,31 +1066,33 @@ class _HsdSolver:
     def _search_direction(self, st: _State, resid, mu: float):
         """Mehrotra predictor-corrector step from one factorization.
 
-        The factorization lives only for this call, so its scaled copy of
-        the constraint data is freed before the next iteration builds one.
+        Returns the direction and the largest step that keeps the iterate
+        in the cone.  The complementarity targets of the PSD blocks are
+        stated in the scaled coordinates, where the iterate is diag(lam).
         """
-        cone = self.cone
         fact = self._factorize(st)
+        lams = [lam for _, lam in fact["blocks"][: len(st.X)]]
         # predictor: pure Newton step onto complementarity target 0
-        Rc_aff = [-(X @ S) for X, S in zip(st.X, st.S)]
+        Rc_aff = [np.diag(-(lam * lam)) for lam in lams]
         rc_aff = [-(x * s) for x, s in zip(st.xn, st.sn)]
         aff = self._direction_refined(
             st, fact, resid, Rc_aff, rc_aff, -(st.tau * st.kappa)
         )
-        alpha_aff = min(1.0, self._max_step(st, aff))
+        alpha_aff = min(1.0, self._max_step(st, fact, aff))
         mu_aff = self._mu_after(st, aff, alpha_aff)
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         Rc = [
-            sigma * mu * np.eye(p["size"]) - X @ S - dX @ dS
-            for p, X, S, dX, dS in zip(cone.psd, st.X, st.S, aff["X"], aff["S"])
+            np.diag(sigma * mu - lam * lam) - _sym(dXt @ dSt)
+            for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
         ]
         rc = [
             sigma * mu - x * s - dx * ds
             for x, s, dx, ds in zip(st.xn, st.sn, aff["xn"], aff["sn"])
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
-        return self._direction_refined(st, fact, resid, Rc, rc, rc_t)
+        d = self._direction_refined(st, fact, resid, Rc, rc, rc_t)
+        return d, self._max_step(st, fact, d)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:
         total = (st.tau + alpha * d["tau"]) * (st.kappa + alpha * d["kappa"])
@@ -980,7 +1108,7 @@ class _HsdSolver:
         cone = self.cone
         out: List[Optional[np.ndarray]] = [None] * len(self.problem.blocks)
         for p, X, S in zip(cone.psd, st.X, st.S):
-            out[p["index"]] = (S if dual else X) / scale
+            out[p.index] = (S if dual else X) / scale
         for n, x, s in zip(cone.nn, st.xn, st.sn):
             out[n["index"]] = (s if dual else x) / scale
         offset = 0
@@ -990,6 +1118,34 @@ class _HsdSolver:
             )
             offset += size
         return out  # type: ignore[return-value]
+
+    def _free_ray_solution(self) -> SdpSolution:
+        """DualInfeasible with the free-block ray found at set-up.
+
+        The ray is scaled to objective -1; every cone block is zero.
+        """
+        cone = self.cone
+        ray = cone.free_ray / -float(cone.c_free @ cone.free_ray)
+        st = _State(cone)
+        st.X = [np.zeros_like(X) for X in st.X]
+        st.xn = [np.zeros_like(x) for x in st.xn]
+        st.xf = ray
+        primal = self._collect_blocks(st, 1.0, dual=False)
+        ax = cone.row_scale * cone.A_free.tdot(ray)
+        return SdpSolution(
+            status=SdpStatus.DUAL_INFEASIBLE,
+            primal=primal,
+            y=None,
+            s=None,
+            primal_objective=math.nan,
+            dual_objective=math.nan,
+            gap=math.nan,
+            primal_residual=math.nan,
+            dual_residual=math.nan,
+            iterations=0,
+            mu_history=self.mu_history,
+            certificate_residual=float(np.linalg.norm(ax)),
+        )
 
     def _package(
         self, st: _State, status: SdpStatus, iterations: int, cert_residual: float
@@ -1019,7 +1175,7 @@ class _HsdSolver:
                 certificate_residual=cert_residual,
             )
         if status is SdpStatus.DUAL_INFEASIBLE:
-            ctx = self._ctx(st)
+            ctx = self._ctx(st.X, st.xn, st.xf)
             ray_x = self._collect_blocks(st, -ctx, dual=False)
             return SdpSolution(
                 status=status,

@@ -1,8 +1,12 @@
 """Ground-truth oracle: inner values and perturbed reference solves."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from mpecsos import oracle
 from mpecsos.oracle import (
     EMPTY_INNER,
     INFEASIBLE,
@@ -163,3 +167,56 @@ variables:
     prob = load_problem(doc)
     with pytest.raises(ValueError, match="at most"):
         inner_value(prob, [0, 0, 0], [0, 0, 0])
+
+
+def _small_configs(count):
+    return [
+        OracleConfig(inner_grid=5 + 2 * i, outer_grid=5, refinement_rounds=0)
+        for i in range(count)
+    ]
+
+
+def test_value_grid_cache_stays_bounded(p1):
+    cap = oracle._VALUE_GRID_CACHE_SIZE
+    configs = _small_configs(cap + 3)
+    first = solve_perturbed_reference(p1, 0.1, configs[0])
+    for config in configs:
+        solve_perturbed_reference(p1, 0.1, config)
+        assert len(oracle._VALUE_GRID_CACHE) <= cap
+    # the oldest grid was evicted and is recomputed to the same answer
+    assert solve_perturbed_reference(p1, 0.1, configs[0]) == first
+    assert len(oracle._VALUE_GRID_CACHE) <= cap
+
+
+def test_value_grid_cache_shared_by_threads(p1):
+    cap = oracle._VALUE_GRID_CACHE_SIZE
+    configs = _small_configs(cap + 2)
+    expected = [solve_perturbed_reference(p1, 0.1, c) for c in configs]
+    results = {}
+    errors = []
+
+    def work(worker):
+        try:
+            for round_index in range(3):
+                for i, config in enumerate(configs):
+                    got = solve_perturbed_reference(p1, 0.1, config)
+                    results[(worker, round_index, i)] = got
+        except Exception as err:  # reported through the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 4 * 3 * len(configs)
+    for (_, _, i), got in results.items():
+        assert got == expected[i]
+    assert len(oracle._VALUE_GRID_CACHE) <= cap
