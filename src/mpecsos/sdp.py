@@ -124,7 +124,8 @@ class SdpProblem:
                 raise ValueError(f"{where}: expected {block.size}x{block.size} matrix")
             if not np.allclose(arr, arr.T, atol=1e-12):
                 raise ValueError(f"{where}: PSD coefficient matrix not symmetric")
-            arr = 0.5 * (arr + arr.T)
+            if not np.array_equal(arr, arr.T):
+                arr = 0.5 * (arr + arr.T)
         else:
             if arr.shape != (block.size,):
                 raise ValueError(f"{where}: expected vector of length {block.size}")
@@ -1005,7 +1006,6 @@ class _HsdSolver:
         cert_residual = math.nan
         best_state = self._snapshot(st)
         best_merit = math.inf
-        best_iteration = 0
 
         for iterations in range(opts.max_iterations + 1):
             resid = self._residuals(st)
@@ -1017,7 +1017,6 @@ class _HsdSolver:
             if math.isfinite(merit) and merit < best_merit:
                 best_merit = merit
                 best_state = self._snapshot(st)
-                best_iteration = iterations
 
             if p_res <= opts.feas_tol and d_res <= opts.feas_tol and gap <= opts.gap_tol:
                 status = SdpStatus.OPTIMAL
@@ -1035,11 +1034,6 @@ class _HsdSolver:
                 break
 
             if iterations == opts.max_iterations:
-                st = best_state
-                break
-            # float64 has nothing left once the merit stops moving; return
-            # the best iterate rather than wandering off the central path
-            if iterations - best_iteration >= 25 and not gate:
                 st = best_state
                 break
 

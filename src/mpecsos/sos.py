@@ -1,24 +1,26 @@
 """Positivity certificates and moment relaxations as block SDPs.
 
-Two translations live here.  The identity builder encodes
+Every program here is one Gram-form identity
 
     target(z) - p(z) = sigma_0(z) + sum_j sigma_j(z) h_j(z)
 
 with sum-of-squares multipliers sigma_j (Gram matrices, one PSD block
 each) and an unknown polynomial p whose coefficients enter as free scalar
-variables; maximizing a moment pairing of p makes the optimal p the best
-certified under-approximation of min-over-constrained-variables of the
-target.  The relaxation builder encodes the order-t pseudo-moment problem
-for  min f over {h_l >= 0}:  a free vector of moments y constrained by
-y_0 = 1 plus one PSD moment matrix and one PSD localizing matrix per
-generator, each tied entrywise to y.
+variables, one equality row per monomial.  Maximizing a moment pairing of
+p makes the optimal p the best certified under-approximation of
+min-over-constrained-variables of the target: that is the value fit.
 
-A relaxation that the solver proves infeasible certifies the described
-set empty, which is exactly the one-sided emptiness test the outer
-algorithm needs.  When the solved moment matrix satisfies the rank
-(flatness) condition, the generating atoms are recovered with the
-shifted-basis multiplication-operator method and cross-checked by
-rebuilding the moment vector.
+The order-t moment relaxation of  min f over {h_l >= 0}  is the same
+identity with p a constant lambda and sigma_0 of order t: maximizing lambda
+subject to  f - lambda = sigma_0 + sum_l sigma_l h_l  is the SOS side, and
+the dual vector of its equality rows, negated, is the pseudo-moment vector
+(y_0 = 1 is the dual of the lambda column).  An empty set leaves lambda
+unbounded, and the solver's primal ray is a Putinar certificate
+-1 = sigma_0 + sum_l sigma_l h_l (after dividing by lambda), which is
+exactly the one-sided emptiness test the outer algorithm needs.  When the
+moment matrix satisfies the rank (flatness) condition, the generating
+atoms are recovered with the shifted-basis multiplication-operator method
+and cross-checked by rebuilding the moment vector.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .sdp import (
     SolverOptions,
     solve,
 )
+
+_UNIT_MASS = MomentVector(monomial_basis(0, 0), (1.0,), ())
 
 RANK_TOL = 1e-6
 ATOM_FEAS_TOL = 1e-6
@@ -96,12 +100,15 @@ def build_sos_identity(
     p_degree: int,
     multipliers: Sequence[Tuple[Polynomial, int]],
     gamma: MomentVector,
+    sigma0_order: Optional[int] = None,
 ) -> Tuple[SosIdentityProgram, SdpProblem]:
     """Encode the weighted-SOS identity as a block SDP.
 
     ``p_degree`` bounds the unknown polynomial (an even integer 2k); each
     multiplier comes with the degree bound of its Gram basis, so
     deg(sigma_j h_j) <= 2 * bound + deg h_j must not exceed the row degree.
+    ``sigma0_order`` is the degree of sigma_0's Gram basis; by default the
+    smallest that covers p and the target.
     """
     ambient = target.variables
     p_vars = tuple(p_vars)
@@ -111,8 +118,11 @@ def build_sos_identity(
     if p_degree < 0 or p_degree % 2 != 0:
         raise ValueError("free polynomial degree must be even and nonnegative")
 
-    sigma0_deg = max(p_degree // 2, math.ceil(target.degree / 2))
-    row_degree = max(2 * sigma0_deg, p_degree, target.degree)
+    if sigma0_order is None:
+        sigma0_order = max(p_degree // 2, math.ceil(target.degree / 2))
+    elif sigma0_order < 0:
+        raise ValueError("Gram order of sigma_0 must be nonnegative")
+    row_degree = max(2 * sigma0_order, p_degree, target.degree)
     mult_list = []
     for h, bound in multipliers:
         if h.variables != ambient:
@@ -137,7 +147,7 @@ def build_sos_identity(
             beta[pos] = e
         p_exp_ambient.append(tuple(beta))
 
-    sigma_bases = [monomial_basis(len(ambient), sigma0_deg)]
+    sigma_bases = [monomial_basis(len(ambient), sigma0_order)]
     sigma_bases += [monomial_basis(len(ambient), bound) for _, bound in mult_list]
     row_basis = monomial_basis(len(ambient), row_degree)
 
@@ -234,17 +244,34 @@ class SosIdentitySolution:
         return max(abs(c) for c in total.terms.values())
 
 
+def _solve_checked(
+    sdp: SdpProblem,
+    options: Optional[SolverOptions],
+    what: str,
+    certificates: Tuple[SdpStatus, ...] = (),
+) -> SdpSolution:
+    """Solve, and raise unless the result is usable.
+
+    Usable means optimal, at the iteration limit with residuals and gap
+    below 1e-6, or one of the ``certificates`` statuses the caller reads.
+    """
+    sol = solve(sdp, options)
+    if sol.status in certificates:
+        return sol
+    if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.ITERATION_LIMIT):
+        raise RelaxationError(f"{what} not solved: {sol.status.value}")
+    if sol.status is SdpStatus.ITERATION_LIMIT:
+        if max(sol.primal_residual, sol.dual_residual, sol.gap) > 1e-6:
+            raise RelaxationError(f"{what} stalled with poor residuals")
+    return sol
+
+
 def solve_sos_identity(
     prog: SosIdentityProgram,
     sdp: SdpProblem,
     options: Optional[SolverOptions] = None,
 ) -> SosIdentitySolution:
-    sol = solve(sdp, options)
-    if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.ITERATION_LIMIT):
-        raise RelaxationError(f"identity program not solved: {sol.status.value}")
-    if sol.status is SdpStatus.ITERATION_LIMIT:
-        if max(sol.primal_residual, sol.dual_residual, sol.gap) > 1e-6:
-            raise RelaxationError("identity program stalled with poor residuals")
+    sol = _solve_checked(sdp, options, "identity program")
     p_values = sol.primal[prog.free_block_index]
     terms = dict(zip(prog.p_basis.monomials, p_values))
     p = Polynomial(prog.p_vars, terms)
@@ -271,10 +298,6 @@ class MomentRelaxation:
     flat_step: int                    # v = max_j ceil(deg h_j / 2), at least 1
     scaling: Tuple[float, ...] = ()   # per-coordinate stretch applied on entry
 
-    @property
-    def free_block_index(self) -> int:
-        return 1 + len(self.generators)
-
     def unscale_point(self, point: np.ndarray) -> np.ndarray:
         if not self.scaling:
             return point
@@ -288,6 +311,10 @@ def build_moment_relaxation(
     scaling: Optional[Sequence[float]] = None,
 ) -> Tuple[MomentRelaxation, SdpProblem]:
     """Order-t moment relaxation of  min f  over  {h >= 0 for h in generators}.
+
+    Posed in Gram form through ``build_sos_identity``: maximize lambda
+    subject to  f - lambda = sigma_0 + sum_j sigma_j h_j, with sigma_0 of
+    order t and sigma_j of order t - ceil(deg h_j / 2).
 
     ``scaling`` stretches each coordinate before building (z_i = c_i w_i),
     which normalizes sets living in wide boxes to the unit box; high-order
@@ -324,64 +351,27 @@ def build_moment_relaxation(
         if t < math.ceil(h.degree / 2):
             raise ValueError(f"order {t} below half-degree of generator {h.render()}")
 
-    n = len(variables)
-    y_basis = monomial_basis(n, 2 * t)
-    mm_basis = monomial_basis(n, t)
-    loc_bases = [monomial_basis(n, t - math.ceil(h.degree / 2)) for h in gens]
-    flat_step = max([1] + [math.ceil(h.degree / 2) for h in gens])
-
+    # f - lambda = sigma_0 + sum_j sigma_j h_j, with lambda the free
+    # polynomial of degree 0 paired with the unit mass; sigma_0 of order t
+    # reaches every monomial of degree <= 2t, so there is one row per moment
+    prog, sdp = build_sos_identity(
+        f,
+        (),
+        0,
+        [(h, t - math.ceil(h.degree / 2)) for h in gens],
+        _UNIT_MASS,
+        sigma0_order=t,
+    )
     relax = MomentRelaxation(
         variables=variables,
         objective=f,
         generators=tuple(gens),
         order=t,
-        y_basis=y_basis,
-        moment_basis=mm_basis,
-        localizing_bases=tuple(loc_bases),
-        flat_step=flat_step,
+        y_basis=prog.row_basis,
+        moment_basis=prog.sigma_bases[0],
+        localizing_bases=prog.sigma_bases[1:],
+        flat_step=max([1] + [math.ceil(h.degree / 2) for h in gens]),
         scaling=scale_tuple,
-    )
-
-    free_index = relax.free_block_index
-    ny = len(y_basis)
-    constraints = []
-
-    # normalization y_0 = 1
-    e0 = np.zeros(ny)
-    e0[y_basis.index((0,) * n)] = 1.0
-    constraints.append(SdpConstraint({free_index: e0}, 1.0))
-
-    def tie_block(block: int, basis: MonomialBasis, weight_terms: Dict[Exponent, float]):
-        nb = len(basis)
-        for a in range(nb):
-            for b in range(a, nb):
-                coeff = np.zeros((nb, nb))
-                coeff[a, b] += 0.5
-                coeff[b, a] += 0.5
-                free_vec = np.zeros(ny)
-                for gamma_exp, w in weight_terms.items():
-                    mono = _add_exponents(
-                        _add_exponents(basis.monomials[a], basis.monomials[b]),
-                        gamma_exp,
-                    )
-                    free_vec[y_basis.index(mono)] -= w
-                constraints.append(
-                    SdpConstraint({block: coeff, free_index: free_vec}, 0.0)
-                )
-
-    tie_block(0, mm_basis, {(0,) * n: 1.0})
-    for j, h in enumerate(gens, start=1):
-        tie_block(j, loc_bases[j - 1], h.terms)
-
-    blocks = [SdpBlock(BlockKind.PSD, len(mm_basis))]
-    blocks += [SdpBlock(BlockKind.PSD, len(b)) for b in loc_bases]
-    blocks.append(SdpBlock(BlockKind.FREE, ny))
-
-    obj_vec = np.zeros(ny)
-    for alpha, c in f.terms.items():
-        obj_vec[y_basis.index(alpha)] = c
-    sdp = SdpProblem(
-        blocks=blocks, objective={free_index: obj_vec}, constraints=constraints
     )
     return relax, sdp
 
@@ -546,8 +536,15 @@ def solve_moment_relaxation(
     sdp: SdpProblem,
     options: Optional[SolverOptions] = None,
 ) -> MomentSolution:
-    sol = solve(sdp, options)
-    if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
+    """Solve the Gram form; the moments are minus the dual vector.
+
+    An unbounded lambda ends ``DualInfeasible``: the primal ray is a
+    Putinar identity proving the set empty, and the bound is +inf.
+    """
+    sol = _solve_checked(
+        sdp, options, "moment relaxation", (SdpStatus.DUAL_INFEASIBLE,)
+    )
+    if sol.status is SdpStatus.DUAL_INFEASIBLE:
         return MomentSolution(
             moments=np.zeros(len(relax.y_basis)),
             bound=math.inf,
@@ -557,13 +554,8 @@ def solve_moment_relaxation(
             status=sol.status,
             raw=sol,
         )
-    if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.ITERATION_LIMIT):
-        raise RelaxationError(f"moment relaxation not solved: {sol.status.value}")
-    if sol.status is SdpStatus.ITERATION_LIMIT:
-        if max(sol.primal_residual, sol.dual_residual, sol.gap) > 1e-6:
-            raise RelaxationError("moment relaxation stalled with poor residuals")
-    moments = np.array(sol.primal[relax.free_block_index])
-    bound = sol.primal_objective
+    moments = -sol.y
+    bound = float(sol.primal[-1][0])  # lambda, the last (free) block
     flat, ranks = check_flatness(moments, relax)
     atoms: List[np.ndarray] = []
     if flat:
@@ -610,31 +602,16 @@ def certify_feasibility(
 ) -> FeasibilityResult:
     """One-sided emptiness test for {h >= 0} via the order-t relaxation.
 
-    Only the infeasibility direction is a proof: a certified-infeasible
-    relaxation implies the set is empty, while a feasible relaxation of
-    finite order says nothing definite unless the moments are flat and an
-    actual witness point can be extracted.
+    Only the infeasibility direction is a proof: a Putinar certificate
+    -1 = sigma_0 + sum_j sigma_j h_j implies the set is empty, while a
+    feasible relaxation of finite order says nothing definite unless the
+    moments are flat and an actual witness point can be extracted.  The
+    objective is a linear probe, which pushes the moments to an extreme
+    point of the set, where they extract to an explicit witness when flat.
     """
     if not generators:
         raise ValueError("at least one generator required")
     variables = generators[0].variables
-    zero = Polynomial.zero(variables)
-    relax, sdp = build_moment_relaxation(zero, generators, order, scaling)
-    try:
-        msol = solve_moment_relaxation(relax, sdp, options)
-    except RelaxationError as err:
-        return FeasibilityResult(FeasibilityStatus.UNKNOWN, detail=str(err))
-    if msol.status is SdpStatus.PRIMAL_INFEASIBLE:
-        return FeasibilityResult(
-            FeasibilityStatus.EMPTY_CERTIFIED,
-            certificate_residual=msol.raw.certificate_residual,
-        )
-    if msol.flat and msol.atoms:
-        return FeasibilityResult(FeasibilityStatus.NONEMPTY, witness=msol.atoms[0])
-
-    # the zero objective parks the interior-point iterate at a non-atomic
-    # center; minimizing a linear probe pushes the moments to an extreme
-    # point of the set, which extracts to an explicit witness when flat
     probe = Polynomial(
         variables,
         {
@@ -642,20 +619,18 @@ def certify_feasibility(
             for i in range(len(variables))
         },
     )
+    relax, sdp = build_moment_relaxation(probe, generators, order, scaling)
     try:
-        relax_p, sdp_p = build_moment_relaxation(probe, generators, order, scaling)
-        probe_sol = solve_moment_relaxation(relax_p, sdp_p, options)
+        msol = solve_moment_relaxation(relax, sdp, options)
     except RelaxationError as err:
         return FeasibilityResult(FeasibilityStatus.UNKNOWN, detail=str(err))
-    if probe_sol.status is SdpStatus.PRIMAL_INFEASIBLE:
+    if msol.status is SdpStatus.DUAL_INFEASIBLE:
         return FeasibilityResult(
             FeasibilityStatus.EMPTY_CERTIFIED,
-            certificate_residual=probe_sol.raw.certificate_residual,
+            certificate_residual=msol.raw.certificate_residual,
         )
-    if probe_sol.flat and probe_sol.atoms:
-        return FeasibilityResult(
-            FeasibilityStatus.NONEMPTY, witness=probe_sol.atoms[0]
-        )
+    if msol.flat and msol.atoms:
+        return FeasibilityResult(FeasibilityStatus.NONEMPTY, witness=msol.atoms[0])
     return FeasibilityResult(
         FeasibilityStatus.UNKNOWN, detail="feasible relaxation without flatness"
     )
@@ -697,7 +672,7 @@ def minimize_hierarchy(
         except RelaxationError as err:
             failures.append(f"order {t}: {err}")
             continue
-        if msol.status is SdpStatus.PRIMAL_INFEASIBLE:
+        if msol.status is SdpStatus.DUAL_INFEASIBLE:
             return HierarchyResult(
                 bound=math.inf,
                 flat=False,

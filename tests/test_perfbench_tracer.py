@@ -1,0 +1,48 @@
+"""The benchmark tracer wraps public names of the package by name.
+
+A rename in ``mpecsos`` would make every traced benchmark operation fail,
+so these tests load ``perfbench/tracer.py`` as it stands and check that
+each name it wraps resolves and that its SDP description runs.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from mpecsos.polynomials import parse_polynomial
+from mpecsos.sdp import solve
+from mpecsos.sos import build_moment_relaxation
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def test_every_wrapped_name_resolves(tracer):
+    for module_name, attr, *_ in tracer.WRAPPED:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_describe_sdp_reads_a_moment_relaxation(tracer):
+    f = parse_polynomial("x", ["x"])
+    g = parse_polynomial("1 - x^2", ["x"])
+    _, sdp = build_moment_relaxation(f, [g], 2)
+    sol = solve(sdp)
+    info = tracer._describe_sdp((sdp,), {}, sol)
+    assert info["m"] == sdp.num_constraints
+    assert 0 < info["coeff_nnz"] <= info["coeff_entries"]
+    assert info["status"] == sol.status.value
+    assert info["iterations"] == sol.iterations

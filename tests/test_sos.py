@@ -18,6 +18,7 @@ from mpecsos.sos import (
     solve_moment_relaxation,
     solve_sos_identity,
 )
+from mpecsos.sdp import SdpStatus, solve
 
 UNIT = moment_vector(1, 0, 1.0)  # single constant moment, gamma = [1]
 
@@ -208,6 +209,31 @@ def test_certify_contradictory_halflines():
     result = certify_feasibility([x, other], 1)
     assert result.status is FeasibilityStatus.EMPTY_CERTIFIED
     assert result.certificate_residual <= 1e-8
+
+
+def test_emptiness_ray_is_putinar_identity():
+    # {x >= 0, -x - 1 >= 0} is empty: the ray of the unbounded lambda gives
+    # sigma_0 + sigma_1 x + sigma_2 (-x - 1) = -lambda with PSD Gram blocks
+    x = parse_polynomial("x", ["x"])
+    gens = [x, parse_polynomial("-x - 1", ["x"])]
+    relax, sdp = build_moment_relaxation(x, gens, 1)
+    sol = solve(sdp)
+    assert sol.status is SdpStatus.DUAL_INFEASIBLE
+    *grams, free = sol.primal
+    lam = free[0]
+    assert lam > 0
+    bases = (relax.moment_basis,) + relax.localizing_bases
+    one = Polynomial.constant(["x"], 1.0)
+    total = one
+    for gram, basis, weight in zip(grams, bases, [one] + gens):
+        assert np.linalg.eigvalsh(gram).min() >= -1e-8
+        terms = {}
+        for a, alpha in enumerate(basis.monomials):
+            for b, beta in enumerate(basis.monomials):
+                mono = tuple(i + j for i, j in zip(alpha, beta))
+                terms[mono] = terms.get(mono, 0.0) + gram[a, b] / lam
+        total = total + Polynomial(["x"], terms) * weight
+    assert all(abs(c) <= 1e-8 for c in total.terms.values())
 
 
 def test_certify_interval_nonempty():
