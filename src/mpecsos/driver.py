@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,6 +167,32 @@ def solve_mpec(
     f = problem.objective_f
     half_deg_f = math.ceil(f.degree / 2)
 
+    def record(
+        approx: Optional[ValueFunctionApprox],
+        set_status: str,
+        relaxation_order: Optional[int] = None,
+        value: Optional[float] = None,
+        flat: bool = False,
+        points: Optional[List[Tuple[float, ...]]] = None,
+        error: Optional[str] = None,
+    ) -> IterationRecord:
+        """Record of the current order k.
+
+        best_value is the running best; seconds run from the start of k.
+        """
+        return IterationRecord(
+            order=k,
+            approx=approx,
+            set_status=set_status,
+            value=value,
+            relaxation_order=relaxation_order,
+            flat=flat,
+            points=points or [],
+            best_value=best,
+            seconds=time.perf_counter() - tick,
+            error=error,
+        )
+
     for k in range(config.k_start, config.k_max + 1):
         tick = time.perf_counter()
         try:
@@ -176,18 +202,7 @@ def solve_mpec(
                 cache[k] = approx
         except (RelaxationError, ValueError) as err:
             records.append(
-                IterationRecord(
-                    order=k,
-                    approx=None,
-                    set_status="Error",
-                    value=None,
-                    relaxation_order=None,
-                    flat=False,
-                    points=[],
-                    best_value=best,
-                    seconds=time.perf_counter() - tick,
-                    error=f"value approximation failed: {err}",
-                )
+                record(None, "Error", error=f"value approximation failed: {err}")
             )
             continue
 
@@ -198,19 +213,7 @@ def solve_mpec(
             gens, t_min, options, scaling=problem.box.halfwidths
         )
         if feas.status is FeasibilityStatus.EMPTY_CERTIFIED:
-            records.append(
-                IterationRecord(
-                    order=k,
-                    approx=approx,
-                    set_status=feas.status.value,
-                    value=None,
-                    relaxation_order=t_min,
-                    flat=False,
-                    points=[],
-                    best_value=best,
-                    seconds=time.perf_counter() - tick,
-                )
-            )
+            records.append(record(approx, feas.status.value, t_min))
             continue
 
         t0 = max(t_min, half_deg_f)
@@ -225,34 +228,12 @@ def solve_mpec(
             )
         except RelaxationError as err:
             records.append(
-                IterationRecord(
-                    order=k,
-                    approx=approx,
-                    set_status=feas.status.value,
-                    value=None,
-                    relaxation_order=None,
-                    flat=False,
-                    points=[],
-                    best_value=best,
-                    seconds=time.perf_counter() - tick,
-                    error=f"relaxation failed: {err}",
-                )
+                record(approx, feas.status.value, error=f"relaxation failed: {err}")
             )
             continue
         if hier.infeasible:
-            records.append(
-                IterationRecord(
-                    order=k,
-                    approx=approx,
-                    set_status=FeasibilityStatus.EMPTY_CERTIFIED.value,
-                    value=None,
-                    relaxation_order=hier.order,
-                    flat=False,
-                    points=[],
-                    best_value=best,
-                    seconds=time.perf_counter() - tick,
-                )
-            )
+            empty = FeasibilityStatus.EMPTY_CERTIFIED.value
+            records.append(record(approx, empty, hier.order))
             continue
 
         value = hier.bound
@@ -267,17 +248,7 @@ def solve_mpec(
         stall = stall + 1 if improvement < config.stop_tol else 0
 
         records.append(
-            IterationRecord(
-                order=k,
-                approx=approx,
-                set_status=feas.status.value,
-                value=value,
-                relaxation_order=hier.order,
-                flat=hier.flat,
-                points=points,
-                best_value=best,
-                seconds=time.perf_counter() - tick,
-            )
+            record(approx, feas.status.value, hier.order, value, hier.flat, points)
         )
         if stall >= config.stall_iterations:
             termination = Termination.CONVERGED
@@ -324,14 +295,7 @@ def run_epsilon_ladder(
     cache: Dict[int, ValueFunctionApprox] = {}
     out = []
     for eps in ladder:
-        cfg = AlgoConfig(
-            epsilon=eps,
-            k_start=config.k_start,
-            k_max=config.k_max,
-            relax_order_extra=config.relax_order_extra,
-            stop_tol=config.stop_tol,
-            stall_iterations=config.stall_iterations,
-        )
+        cfg = replace(config, epsilon=eps, epsilon_ladder=None)
         out.append((eps, solve_mpec(problem, cfg, options, approx_cache=cache)))
     return out
 

@@ -1,7 +1,7 @@
 """Primal-dual interior-point solver for block semidefinite programs.
 
 Problems are stated in equality-standard form over a product cone of
-dense PSD blocks, nonnegative vectors and free (unconstrained) vectors:
+PSD blocks, nonnegative vectors and free (unconstrained) vectors:
 
     minimize    sum_B <C_B, X_B>
     subject to  sum_B <A_iB, X_B> = b_i,   i = 1..m,
@@ -14,7 +14,8 @@ infeasibility (the Farkas ray needed to prove a relaxation empty).  Free
 variables are kept in the Newton system as an unrestricted block rather
 than split into differences of nonnegative parts: an elimination computed
 once per problem (an LU factorization of the free columns) separates them
-from the cone blocks.
+from the cone blocks.  Inside the solver the cone is one kind: a nonnegative
+coordinate is a 1x1 PSD block, whose Nesterov-Todd scaling is sqrt(x/s).
 
 Each PSD block is scaled by its NT point R, which maps both X and S to the
 same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
@@ -299,11 +300,14 @@ class _PsdBlock:
     scaled by sqrt(2), so <A, X> = svec(A)'svec(X).  Column i of ``A`` is
     svec(A_i) for the (row-scaled) constraint matrix A_i.  The coordinate
     list of the A_i with both triangles is kept as well, in chunks of
-    constraints, for forming the scaled matrices R'A_iR.
+    constraints, for forming the scaled matrices R'A_iR.  ``entry`` is set
+    when the block is coordinate ``entry`` of the nonnegative block
+    ``index``.
     """
 
-    def __init__(self, index: int, size: int, coeffs, norms, m: int, C):
+    def __init__(self, index: int, size: int, coeffs, norms, m: int, C, entry=None):
         self.index = index
+        self.entry = entry
         self.size = size
         self.iu = np.triu_indices(size)
         self.flat = self.iu[0] * size + self.iu[1]
@@ -384,9 +388,11 @@ class _PsdBlock:
 class _Cone:
     """Per-block constraint data, sparse, built once per problem.
 
-    PSD blocks keep their constraint matrices in svec form (`_PsdBlock`);
-    nonnegative and free blocks keep one sparse column per constraint.
-    Rows are prescaled to unit Frobenius norm.
+    PSD blocks keep their constraint matrices in svec form (`_PsdBlock`).
+    A nonnegative block of size n becomes n PSD blocks of size 1, one per
+    coordinate, so the iteration handles a single cone kind.  The free
+    blocks, laid end to end, keep one sparse column per constraint.  Rows
+    are prescaled to unit Frobenius norm.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -428,16 +434,20 @@ class _Cone:
             return _Coo(rows, cols, vals, (offset, m)), c
 
         self.psd: List[_PsdBlock] = []
-        self.nn: List[dict] = []
         for bi, block in enumerate(blocks):
+            cobj = problem.objective.get(bi)
             if block.kind is BlockKind.PSD:
-                cobj = problem.objective.get(bi)
                 self.psd.append(
                     _PsdBlock(bi, block.size, touching(bi), norms, m, cobj)
                 )
             elif block.kind is BlockKind.NONNEG:
-                A, c = vector_block([bi])
-                self.nn.append({"index": bi, "size": block.size, "A": A, "c": c})
+                touched = touching(bi)
+                for j in range(block.size):
+                    coeffs = {
+                        i: cf[j : j + 1, None] for i, cf in touched.items() if cf[j]
+                    }
+                    C = None if cobj is None else cobj[j : j + 1, None]
+                    self.psd.append(_PsdBlock(bi, 1, coeffs, norms, m, C, entry=j))
 
         self.free_blocks = [
             bi for bi, b in enumerate(blocks) if b.kind is BlockKind.FREE
@@ -454,14 +464,11 @@ class _Cone:
         self.column = (
             self.free_elim.pos if self.free_elim is not None else np.arange(m)
         )
-        self.scaled_size = sum(p.dim for p in self.psd) + sum(
-            n["size"] for n in self.nn
-        )
+        self.scaled_size = sum(p.dim for p in self.psd)
         self.m = m
-        self.nu = sum(p.size for p in self.psd) + sum(n["size"] for n in self.nn)
+        self.nu = sum(p.size for p in self.psd)
         self.c_norm = math.sqrt(
             sum(float(np.sum(p.C**2)) for p in self.psd)
-            + sum(float(np.sum(n["c"] ** 2)) for n in self.nn)
             + float(np.sum(self.c_free**2))
         )
         self.b_norm = float(np.linalg.norm(self.b_unscaled))
@@ -626,8 +633,6 @@ class _State:
     def __init__(self, cone: _Cone):
         self.X = [np.eye(p.size) for p in cone.psd]
         self.S = [np.eye(p.size) for p in cone.psd]
-        self.xn = [np.ones(n["size"]) for n in cone.nn]
-        self.sn = [np.ones(n["size"]) for n in cone.nn]
         self.xf = np.zeros(cone.num_free)
         self.y = np.zeros(cone.m)
         self.tau = 1.0
@@ -637,8 +642,6 @@ class _State:
         total = self.tau * self.kappa
         for X, S in zip(self.X, self.S):
             total += float(np.sum(X * S))
-        for x, s in zip(self.xn, self.sn):
-            total += float(x @ s)
         return total / (cone.nu + 1)
 
 
@@ -670,13 +673,6 @@ def _scaled_step(root: np.ndarray, dZ: np.ndarray) -> float:
     return 1.0 / (-low)
 
 
-def _vector_step(x: np.ndarray, dx: np.ndarray) -> float:
-    mask = dx < 0
-    if not mask.any():
-        return math.inf
-    return float(np.min(-x[mask] / dx[mask]))
-
-
 class _HsdSolver:
     def __init__(self, problem: SdpProblem, options: SolverOptions):
         self.problem = problem
@@ -692,35 +688,25 @@ class _HsdSolver:
 
     def _residuals(self, st: _State):
         cone = self.cone
-        r_p = cone.b * st.tau - self._apply_A(st.X, st.xn, st.xf)
-        r_d_psd = [
-            p.C * st.tau - S - p.combine(st.y) for p, S in zip(cone.psd, st.S)
-        ]
-        r_d_nn = [
-            n["c"] * st.tau - s - n["A"].dot(st.y) for n, s in zip(cone.nn, st.sn)
-        ]
+        r_p = cone.b * st.tau - self._apply_A(st.X, st.xf)
+        r_d = [p.C * st.tau - S - p.combine(st.y) for p, S in zip(cone.psd, st.S)]
         r_d_free = cone.c_free * st.tau - cone.A_free.dot(st.y)
-        ctx = self._ctx(st.X, st.xn, st.xf)
-        bty = float(cone.b @ st.y)
-        r_g = st.kappa - bty + ctx
-        return r_p, r_d_psd, r_d_nn, r_d_free, r_g, ctx, bty
+        ctx = self._ctx(st.X, st.xf)
+        r_g = st.kappa - float(cone.b @ st.y) + ctx
+        return r_p, r_d, r_d_free, r_g, ctx
 
-    def _apply_A(self, X, xn, xf) -> np.ndarray:
+    def _apply_A(self, X, xf) -> np.ndarray:
         cone = self.cone
         out = cone.A_free.tdot(xf)
         for p, Xb in zip(cone.psd, X):
             out += p.apply(Xb)
-        for n, x in zip(cone.nn, xn):
-            out += n["A"].tdot(x)
         return out
 
-    def _ctx(self, X, xn, xf) -> float:
+    def _ctx(self, X, xf) -> float:
         cone = self.cone
         total = float(cone.c_free @ xf)
         for p, Xb in zip(cone.psd, X):
             total += float(np.sum(p.C * Xb))
-        for n, x in zip(cone.nn, xn):
-            total += float(n["c"] @ x)
         return total
 
     # -- Newton machinery -------------------------------------------------
@@ -731,9 +717,11 @@ class _HsdSolver:
     # constraint matrix A_i to R'A_iR; all three are symmetric and are
     # stored as svec vectors, so <A_i, dX> is a dot product over
     # n(n+1)/2 entries.  The Jordan-symmetrized complementarity
-    # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates.  A
-    # nonnegative block scales by sqrt(x/s).  With G the stacked scaled
-    # constraints, the Newton equations become the least-squares system
+    # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates.  The 1x1
+    # block of a nonnegative coordinate has R^2 = x/s and Lam = sqrt(xs),
+    # so its scaled column is A_i sqrt(x/s) and its step bound x/(-dx).
+    # With G the stacked scaled constraints, the Newton equations become
+    # the least-squares system
     #     xh - G dy = e,    G'xh + A_f dxf = h,    A_f'dy = g,
     # which is solved through an orthogonal factorization of G: its
     # condition number is that of G (about 1/mu), not of G'G (1/mu^2).
@@ -756,15 +744,6 @@ class _HsdSolver:
             c_hat[offset : offset + p.dim] = p.svec(R.T @ p.C @ R)
             blocks.append((R, lam))
             offset += p.dim
-        for n, x, s in zip(cone.nn, st.xn, st.sn):
-            root = np.sqrt(x / s)
-            A = n["A"]
-            rows = G[offset : offset + n["size"]]
-            rows[:] = 0.0
-            rows[A.rows, col[A.cols]] = A.vals * root[A.rows]
-            c_hat[offset : offset + n["size"]] = root * n["c"]
-            blocks.append(root)
-            offset += n["size"]
         free = cone.free_elim
         if free is not None:
             G1, H = free.split(G)
@@ -801,25 +780,20 @@ class _HsdSolver:
         dxf = sla.solve_triangular(free.U, h1 - G1.T @ xh)
         return xh, free.expand(z1, z2), free.place(dxf)
 
-    def _direction(self, st: _State, fact, resid, Rc_psd, rc_nn, rc_tau):
+    def _direction(self, st: _State, fact, resid, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets.
 
-        Rc_psd holds, per PSD block, the target of Lam o (dX~ + dS~) in the
-        block's scaled coordinates; rc_nn the targets of s dx + x ds.
+        Rc holds, per block, the target of Lam o (dX~ + dS~) in the block's
+        scaled coordinates.
         """
         cone = self.cone
-        r_p, r_d_psd, r_d_nn, r_d_free, r_g, _, _ = resid
-        npsd = len(cone.psd)
+        r_p, r_d, r_d_free, r_g, _ = resid
 
         # e = Lam o^{-1} Rc - R' r_d R, block by block
         e = []
-        for p, (R, lam), Rc, rd in zip(cone.psd, fact["blocks"], Rc_psd, r_d_psd):
+        for p, (R, lam), Rc_b, rd in zip(cone.psd, fact["blocks"], Rc, r_d):
             jordan = 0.5 * (lam[:, None] + lam)
-            e.append(p.svec(Rc / jordan - R.T @ rd @ R))
-        for root, x, s, rc, rd in zip(
-            fact["blocks"][npsd:], st.xn, st.sn, rc_nn, r_d_nn
-        ):
-            e.append(rc / np.sqrt(x * s) - root * rd)
+            e.append(p.svec(Rc_b / jordan - R.T @ rd @ R))
         e = np.concatenate(e) if e else np.zeros(0)
         xh, d_y, d_xf = self._solve(fact, e, r_p, r_d_free)
 
@@ -836,9 +810,9 @@ class _HsdSolver:
         d_y = d_y + d_tau * vy
         d_xf = d_xf + d_tau * vf
 
-        d = {"X": [], "S": [], "Xt": [], "St": [], "xn": [], "sn": []}
+        d = {"X": [], "S": [], "Xt": [], "St": []}
         offset = 0
-        for p, (R, _), rd in zip(cone.psd, fact["blocks"], r_d_psd):
+        for p, (R, _), rd in zip(cone.psd, fact["blocks"], r_d):
             dS = _sym(rd - p.combine(d_y) + p.C * d_tau)
             dXt = p.smat(xh[offset : offset + p.dim])
             d["S"].append(dS)
@@ -846,49 +820,37 @@ class _HsdSolver:
             d["Xt"].append(dXt)
             d["X"].append(_sym(R @ dXt @ R.T))
             offset += p.dim
-        for n, root, rd in zip(cone.nn, fact["blocks"][npsd:], r_d_nn):
-            d["sn"].append(rd - n["A"].dot(d_y) + n["c"] * d_tau)
-            d["xn"].append(root * xh[offset : offset + n["size"]])
-            offset += n["size"]
         d["xf"] = d_xf
         d["y"] = d_y
         d["tau"] = d_tau
         d["kappa"] = (rc_tau - st.kappa * d_tau) / st.tau
         return d
 
-    def _newton_residuals(self, st: _State, fact, d, resid, Rc_psd, rc_nn, rc_tau):
+    def _newton_residuals(self, st: _State, fact, d, resid, Rc, rc_tau):
         """Residuals of the six Newton equations for a computed direction.
 
         All products here are well scaled (no S^{-1}), so these residuals
         expose the error introduced by the ill-conditioned elimination.
         """
         cone = self.cone
-        r_p, r_d_psd, r_d_nn, r_d_free, r_g, _, _ = resid
-        adx = self._apply_A(d["X"], d["xn"], d["xf"])
+        r_p, r_d, r_d_free, r_g, _ = resid
+        adx = self._apply_A(d["X"], d["xf"])
         rho1 = r_p - (adx - cone.b * d["tau"])
-        rho2_psd = [
+        rho2 = [
             rd - (p.combine(d["y"]) + dS - p.C * d["tau"])
-            for p, rd, dS in zip(cone.psd, r_d_psd, d["S"])
-        ]
-        rho2_nn = [
-            rd - (n["A"].dot(d["y"]) + ds - n["c"] * d["tau"])
-            for n, rd, ds in zip(cone.nn, r_d_nn, d["sn"])
+            for p, rd, dS in zip(cone.psd, r_d, d["S"])
         ]
         rho2_free = r_d_free - (cone.A_free.dot(d["y"]) - cone.c_free * d["tau"])
-        cdx = self._ctx(d["X"], d["xn"], d["xf"])
+        cdx = self._ctx(d["X"], d["xf"])
         rho3 = r_g - (float(cone.b @ d["y"]) - cdx - d["kappa"])
         rho4 = [
-            Rc - 0.5 * (lam[:, None] + lam) * (dXt + dSt)
-            for Rc, (_, lam), dXt, dSt in zip(Rc_psd, fact["blocks"], d["Xt"], d["St"])
-        ]
-        rho5 = [
-            rc - (dx * s + x * ds)
-            for rc, x, s, dx, ds in zip(rc_nn, st.xn, st.sn, d["xn"], d["sn"])
+            Rc_b - 0.5 * (lam[:, None] + lam) * (dXt + dSt)
+            for Rc_b, (_, lam), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
         ]
         rho6 = rc_tau - (d["tau"] * st.kappa + st.tau * d["kappa"])
-        return rho1, rho2_psd, rho2_nn, rho2_free, rho3, rho4, rho5, rho6
+        return rho1, rho2, rho2_free, rho3, rho4, rho6
 
-    def _direction_refined(self, st: _State, fact, resid, Rc_psd, rc_nn, rc_tau):
+    def _direction_refined(self, st: _State, fact, resid, Rc, rc_tau):
         """Direction plus one refinement solve against its Newton residuals.
 
         dX comes from the scaled primal step and dS from dy, so rounding in
@@ -896,13 +858,12 @@ class _HsdSolver:
         rows; a correction pass through the same factorization removes it
         and lets the iteration certify 1e-8 residuals instead of stalling.
         """
-        d = self._direction(st, fact, resid, Rc_psd, rc_nn, rc_tau)
-        r1, r2p, r2n, r2f, r3, r4, r5, r6 = self._newton_residuals(
-            st, fact, d, resid, Rc_psd, rc_nn, rc_tau
+        d = self._direction(st, fact, resid, Rc, rc_tau)
+        r1, r2, r2f, r3, r4, r6 = self._newton_residuals(
+            st, fact, d, resid, Rc, rc_tau
         )
-        corr_resid = (r1, r2p, r2n, r2f, r3, 0.0, 0.0)
-        dc = self._direction(st, fact, corr_resid, r4, r5, r6)
-        for key in ("X", "S", "Xt", "St", "xn", "sn"):
+        dc = self._direction(st, fact, (r1, r2, r2f, r3, 0.0), r4, r6)
+        for key in ("X", "S", "Xt", "St"):
             d[key] = [a + b for a, b in zip(d[key], dc[key])]
         d["xf"] = d["xf"] + dc["xf"]
         d["y"] = d["y"] + dc["y"]
@@ -920,10 +881,6 @@ class _HsdSolver:
         for (_, lam), dXt, dSt in zip(fact["blocks"], d["Xt"], d["St"]):
             root = 1.0 / np.sqrt(lam)
             alpha = min(alpha, _scaled_step(root, dXt), _scaled_step(root, dSt))
-        for x, dx in zip(st.xn, d["xn"]):
-            alpha = min(alpha, _vector_step(x, dx))
-        for s, ds in zip(st.sn, d["sn"]):
-            alpha = min(alpha, _vector_step(s, ds))
         if d["tau"] < 0:
             alpha = min(alpha, -st.tau / d["tau"])
         if d["kappa"] < 0:
@@ -934,9 +891,6 @@ class _HsdSolver:
         for i in range(len(st.X)):
             st.X[i] = _sym(st.X[i] + alpha * d["X"][i])
             st.S[i] = _sym(st.S[i] + alpha * d["S"][i])
-        for i in range(len(st.xn)):
-            st.xn[i] = st.xn[i] + alpha * d["xn"][i]
-            st.sn[i] = st.sn[i] + alpha * d["sn"][i]
         st.xf = st.xf + alpha * d["xf"]
         st.y = st.y + alpha * d["y"]
         st.tau += alpha * d["tau"]
@@ -946,11 +900,10 @@ class _HsdSolver:
 
     def _convergence_metrics(self, st: _State, resid):
         cone = self.cone
-        r_p, r_d_psd, r_d_nn, r_d_free, _, ctx, bty = resid
+        r_p, r_d, r_d_free, _, ctx = resid
         tau = st.tau
         p_res = np.linalg.norm(cone.row_scale * r_p) / (tau * (1.0 + cone.b_norm))
-        d_sq = sum(float(np.sum(r**2)) for r in r_d_psd)
-        d_sq += sum(float(np.sum(r**2)) for r in r_d_nn)
+        d_sq = sum(float(np.sum(r**2)) for r in r_d)
         d_sq += float(np.sum(r_d_free**2))
         d_res = math.sqrt(d_sq) / (tau * (1.0 + cone.c_norm))
         y_unscaled = st.y / cone.row_scale
@@ -962,17 +915,15 @@ class _HsdSolver:
     def _certificates(self, st: _State, resid):
         """Check the two Farkas-ray conditions on the current iterate."""
         cone = self.cone
-        r_p, r_d_psd, r_d_nn, r_d_free, _, ctx, bty_scaled = resid
+        r_p, r_d, r_d_free, _, ctx = resid
         y_unscaled = st.y / cone.row_scale
         bty = float(cone.b_unscaled @ y_unscaled)
         out = {}
         if bty > 0:
             # C*tau - r_d equals sum_i y_i A_i + S in the original data scale
             num_sq = 0.0
-            for p, rd in zip(cone.psd, r_d_psd):
+            for p, rd in zip(cone.psd, r_d):
                 num_sq += float(np.sum((p.C * st.tau - rd) ** 2))
-            for n, rd in zip(cone.nn, r_d_nn):
-                num_sq += float(np.sum((n["c"] * st.tau - rd) ** 2))
             num_sq += float(np.sum((cone.c_free * st.tau - r_d_free) ** 2))
             out["primal"] = math.sqrt(num_sq) / bty
         if ctx < 0:
@@ -987,8 +938,6 @@ class _HsdSolver:
         copy = _State.__new__(_State)
         copy.X = [np.array(X) for X in st.X]
         copy.S = [np.array(S) for S in st.S]
-        copy.xn = [np.array(x) for x in st.xn]
-        copy.sn = [np.array(s) for s in st.sn]
         copy.xf = np.array(st.xf)
         copy.y = np.array(st.y)
         copy.tau = st.tau
@@ -1065,13 +1014,10 @@ class _HsdSolver:
         stated in the scaled coordinates, where the iterate is diag(lam).
         """
         fact = self._factorize(st)
-        lams = [lam for _, lam in fact["blocks"][: len(st.X)]]
+        lams = [lam for _, lam in fact["blocks"]]
         # predictor: pure Newton step onto complementarity target 0
         Rc_aff = [np.diag(-(lam * lam)) for lam in lams]
-        rc_aff = [-(x * s) for x, s in zip(st.xn, st.sn)]
-        aff = self._direction_refined(
-            st, fact, resid, Rc_aff, rc_aff, -(st.tau * st.kappa)
-        )
+        aff = self._direction_refined(st, fact, resid, Rc_aff, -(st.tau * st.kappa))
         alpha_aff = min(1.0, self._max_step(st, fact, aff))
         mu_aff = self._mu_after(st, aff, alpha_aff)
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
@@ -1080,120 +1026,87 @@ class _HsdSolver:
             np.diag(sigma * mu - lam * lam) - _sym(dXt @ dSt)
             for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
         ]
-        rc = [
-            sigma * mu - x * s - dx * ds
-            for x, s, dx, ds in zip(st.xn, st.sn, aff["xn"], aff["sn"])
-        ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
-        d = self._direction_refined(st, fact, resid, Rc, rc, rc_t)
+        d = self._direction_refined(st, fact, resid, Rc, rc_t)
         return d, self._max_step(st, fact, d)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:
         total = (st.tau + alpha * d["tau"]) * (st.kappa + alpha * d["kappa"])
         for X, S, dX, dS in zip(st.X, st.S, d["X"], d["S"]):
             total += float(np.sum((X + alpha * dX) * (S + alpha * dS)))
-        for x, s, dx, ds in zip(st.xn, st.sn, d["xn"], d["sn"]):
-            total += float((x + alpha * dx) @ (s + alpha * ds))
         return total / (self.cone.nu + 1)
 
     # -- assembling the public solution --------------------------------------
 
     def _collect_blocks(self, st: _State, scale: float, dual: bool) -> List[np.ndarray]:
+        """Public block values of the state divided by ``scale``.
+
+        The 1x1 blocks of a nonnegative block go back into one vector; the
+        free blocks have no dual slack and read zero when ``dual``.
+        """
         cone = self.cone
-        out: List[Optional[np.ndarray]] = [None] * len(self.problem.blocks)
+        out = [
+            None if b.kind is BlockKind.PSD else np.zeros(b.size)
+            for b in self.problem.blocks
+        ]
         for p, X, S in zip(cone.psd, st.X, st.S):
-            out[p.index] = (S if dual else X) / scale
-        for n, x, s in zip(cone.nn, st.xn, st.sn):
-            out[n["index"]] = (s if dual else x) / scale
+            value = (S if dual else X) / scale
+            if p.entry is None:
+                out[p.index] = value
+            else:
+                out[p.index][p.entry] = value[0, 0]
         offset = 0
         for bi, size in zip(cone.free_blocks, cone.free_sizes):
-            out[bi] = (
-                np.zeros(size) if dual else st.xf[offset : offset + size] / scale
-            )
+            if not dual:
+                out[bi] = st.xf[offset : offset + size] / scale
             offset += size
         return out  # type: ignore[return-value]
 
     def _free_ray_solution(self) -> SdpSolution:
         """DualInfeasible with the free-block ray found at set-up.
 
-        The ray is scaled to objective -1; every cone block is zero.
+        The ray is the free part of a state whose cone blocks are zero;
+        `_package` scales it to objective -1.
         """
         cone = self.cone
-        ray = cone.free_ray / -float(cone.c_free @ cone.free_ray)
         st = _State(cone)
         st.X = [np.zeros_like(X) for X in st.X]
-        st.xn = [np.zeros_like(x) for x in st.xn]
-        st.xf = ray
-        primal = self._collect_blocks(st, 1.0, dual=False)
-        ax = cone.row_scale * cone.A_free.tdot(ray)
-        return SdpSolution(
-            status=SdpStatus.DUAL_INFEASIBLE,
-            primal=primal,
-            y=None,
-            s=None,
-            primal_objective=math.nan,
-            dual_objective=math.nan,
-            gap=math.nan,
-            primal_residual=math.nan,
-            dual_residual=math.nan,
-            iterations=0,
-            mu_history=self.mu_history,
-            certificate_residual=float(np.linalg.norm(ax)),
-        )
+        st.xf = cone.free_ray
+        ax = cone.row_scale * cone.A_free.tdot(cone.free_ray)
+        cert = float(np.linalg.norm(ax)) / -float(cone.c_free @ cone.free_ray)
+        return self._package(st, SdpStatus.DUAL_INFEASIBLE, 0, cert)
 
     def _package(
         self, st: _State, status: SdpStatus, iterations: int, cert_residual: float
     ) -> SdpSolution:
+        """The public solution of a final state.
+
+        A PrimalInfeasible ray is scaled to b'y = 1 and a DualInfeasible
+        ray to objective -1; their objective and gap fields are NaN.
+        """
         cone = self.cone
         resid = self._residuals(st)
         p_res, d_res, gap, pobj, dobj = self._convergence_metrics(st, resid)
         y_unscaled = st.y / cone.row_scale
-
+        primal = y = s = None
         if status is SdpStatus.PRIMAL_INFEASIBLE:
-            # normalize so the ray objective b^T y equals one
             bty = float(cone.b_unscaled @ y_unscaled)
-            ray_y = y_unscaled / bty
-            ray_s = self._collect_blocks(st, bty, dual=True)
-            return SdpSolution(
-                status=status,
-                primal=None,
-                y=ray_y,
-                s=ray_s,
-                primal_objective=math.nan,
-                dual_objective=math.nan,
-                gap=math.nan,
-                primal_residual=p_res,
-                dual_residual=d_res,
-                iterations=iterations,
-                mu_history=self.mu_history,
-                certificate_residual=cert_residual,
-            )
-        if status is SdpStatus.DUAL_INFEASIBLE:
-            ctx = self._ctx(st.X, st.xn, st.xf)
-            ray_x = self._collect_blocks(st, -ctx, dual=False)
-            return SdpSolution(
-                status=status,
-                primal=ray_x,
-                y=None,
-                s=None,
-                primal_objective=math.nan,
-                dual_objective=math.nan,
-                gap=math.nan,
-                primal_residual=p_res,
-                dual_residual=d_res,
-                iterations=iterations,
-                mu_history=self.mu_history,
-                certificate_residual=cert_residual,
-            )
-
-        tau = st.tau if st.tau > 0 else 1.0
-        primal = self._collect_blocks(st, tau, dual=False)
-        s_blocks = self._collect_blocks(st, tau, dual=True)
+            y = y_unscaled / bty
+            s = self._collect_blocks(st, bty, dual=True)
+        elif status is SdpStatus.DUAL_INFEASIBLE:
+            primal = self._collect_blocks(st, -self._ctx(st.X, st.xf), dual=False)
+        else:
+            tau = st.tau if st.tau > 0 else 1.0
+            primal = self._collect_blocks(st, tau, dual=False)
+            y = y_unscaled / tau
+            s = self._collect_blocks(st, tau, dual=True)
+        if status in (SdpStatus.PRIMAL_INFEASIBLE, SdpStatus.DUAL_INFEASIBLE):
+            pobj = dobj = gap = math.nan
         return SdpSolution(
             status=status,
             primal=primal,
-            y=y_unscaled / tau,
-            s=s_blocks,
+            y=y,
+            s=s,
             primal_objective=pobj,
             dual_objective=dobj,
             gap=gap,

@@ -108,7 +108,8 @@ def build_sos_identity(
     multiplier comes with the degree bound of its Gram basis, so
     deg(sigma_j h_j) <= 2 * bound + deg h_j must not exceed the row degree.
     ``sigma0_order`` is the degree of sigma_0's Gram basis; by default the
-    smallest that covers p and the target.
+    smallest that covers p and the target.  sigma_0 then reaches every
+    monomial of degree <= 2 * sigma0_order, which is one row each.
     """
     ambient = target.variables
     p_vars = tuple(p_vars)
@@ -122,7 +123,12 @@ def build_sos_identity(
         sigma0_order = max(p_degree // 2, math.ceil(target.degree / 2))
     elif sigma0_order < 0:
         raise ValueError("Gram order of sigma_0 must be nonnegative")
-    row_degree = max(2 * sigma0_order, p_degree, target.degree)
+    elif 2 * sigma0_order < max(p_degree, target.degree):
+        raise ValueError(
+            f"Gram order {sigma0_order} of sigma_0 below half the degree of "
+            "p or the target"
+        )
+    row_degree = 2 * sigma0_order
     mult_list = []
     for h, bound in multipliers:
         if h.variables != ambient:
@@ -202,8 +208,6 @@ def build_sos_identity(
                 touched = True
         if touched:
             coeffs[free_index] = free_vec
-        if not coeffs:
-            continue  # row can never be populated; target must be zero there
         constraints.append(SdpConstraint(coeffs, target.coefficient(row_mono)))
 
     blocks = [SdpBlock(BlockKind.PSD, len(b)) for b in sigma_bases]
@@ -228,7 +232,6 @@ class SosIdentitySolution:
         total = prog.target - self.p.in_variables(ambient)
         for j, basis in enumerate(prog.sigma_bases):
             gram = self.sigma_grams[j]
-            sigma = Polynomial.zero(ambient)
             terms: Dict[Exponent, float] = {}
             for a in range(len(basis)):
                 for b in range(len(basis)):
@@ -444,7 +447,6 @@ def extract_atoms(
     v = relax.flat_step
     nvars = len(relax.variables)
     M = moment_matrix(moments, relax, t)
-    M = 0.5 * (M + M.T)
     low = moment_matrix(moments, relax, max(t - v, 0))
     r = _numeric_rank(low, tol)
     if r == 0:
@@ -689,7 +691,6 @@ def minimize_hierarchy(
             flat = True
             atoms = msol.atoms
             used = t
-            best = max(best, msol.bound)
             break
     if not bounds:
         raise RelaxationError("; ".join(failures) or "no relaxation order solved")

@@ -4,7 +4,9 @@ Tie-form moment relaxations make the Schur complement ill conditioned like
 1/mu^2, and the homogenization pivot used to cancel there; these cases pin
 the behaviour of the scaled QR solve: tight tolerances are still reached,
 and singular data (dependent rows, dependent or unused free columns) is
-regularized or eliminated instead of breaking the solve.  The remaining
+regularized or eliminated instead of breaking the solve.  Nonnegative
+blocks of several coordinates, which the solver runs as 1x1 PSD blocks,
+come back as one vector at an optimum and in a Farkas ray.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, and the value-fit programs
 against reference values.
@@ -132,6 +134,41 @@ def test_free_ray_certifies_dual_infeasibility():
     assert c_ray == pytest.approx(-1.0)
     assert ray[1].min() >= 0.0
     assert sol.certificate_residual <= 1e-12
+
+
+def test_nonneg_block_beside_psd_block():
+    # minimize x1 + 2 x2 + 3 x3 + <diag(3, 2), X> subject to x1 + x2 + x3 = 1,
+    # trace X = 1 and x1 = X22: the cost is 5 - 2 x1, so x = (1, 0, 0),
+    # X = diag(0, 1) and the value is 3
+    prob = SdpProblem(
+        [SdpBlock(NONNEG, 3), SdpBlock(PSD, 2)],
+        {0: np.array([1.0, 2.0, 3.0]), 1: np.diag([3.0, 2.0])},
+        [
+            SdpConstraint({0: np.ones(3)}, 1.0),
+            SdpConstraint({1: np.eye(2)}, 1.0),
+            SdpConstraint({0: np.array([1.0, 0.0, 0.0]), 1: np.diag([0.0, -1.0])}, 0.0),
+        ],
+    )
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.primal_objective == pytest.approx(3.0, abs=1e-7)
+    x, s = sol.primal[0], sol.s[0]
+    assert x.shape == (3,) and s.shape == (3,)
+    assert np.allclose(x, [1.0, 0.0, 0.0], atol=1e-7)
+    assert np.allclose(sol.primal[1], np.diag([0.0, 1.0]), atol=1e-7)
+    assert np.max(x * s) <= 1e-7
+
+
+def test_nonneg_block_primal_infeasible():
+    # {x in R^2_+ : x1 + x2 = -1} is empty; y = -1 is the Farkas ray
+    prob = SdpProblem(
+        [SdpBlock(NONNEG, 2)], {}, [SdpConstraint({0: np.ones(2)}, -1.0)]
+    )
+    sol = solve(prob)
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+    assert prob.rhs() @ sol.y == pytest.approx(1.0)
+    assert sol.s[0].shape == (2,)
+    assert sol.s[0].min() >= 0.0
 
 
 def _random_pd(rng, size):

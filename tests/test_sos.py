@@ -61,6 +61,14 @@ def test_identity_degree_bound_violation():
         build_sos_identity(target, ["v"], 0, [(interval, 3)], UNIT)
 
 
+def test_identity_sigma0_order_below_target_degree():
+    # sigma_0 of order 1 reaches no monomial above v^2, so the rows of v^3
+    # and v^4 would hold nothing but the target's coefficients
+    target = parse_polynomial("-v^4 + v^2", ["v"])
+    with pytest.raises(ValueError, match="Gram order 1"):
+        build_sos_identity(target, ["v"], 0, [], UNIT, sigma0_order=1)
+
+
 def test_identity_free_polynomial_tracks_target():
     # target depends only on x; p over x with degree 2 can match it exactly
     target = parse_polynomial("x^2 + 1", ["x", "v"])
