@@ -256,12 +256,9 @@ class Polynomial:
         out: Dict[Exponent, float] = {}
         for alpha, coeff in self.terms.items():
             beta = [0] * len(new_vars)
-            for e, pos in zip(alpha, positions):
+            for name, e, pos in zip(self.variables, alpha, positions):
                 if e and pos < 0:
-                    raise ValueError(
-                        f"variable {self.variables[positions.index(pos)]!r} "
-                        f"not present in target list"
-                    )
+                    raise ValueError(f"variable {name!r} not present in target list")
                 if e:
                     beta[pos] = e
             key = tuple(beta)

@@ -186,6 +186,19 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _names(variables: dict, key: str) -> Tuple[str, ...]:
+    names = _require(variables, key)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ProblemFormatError(f"'variables.{key}' must be a list of names")
+    return tuple(names)
+
+
+def _bound(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFormatError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_section(text, variables, section: str) -> Polynomial:
     if not isinstance(text, str):
         raise ProblemFormatError(f"section {section!r} must be an expression string")
@@ -222,8 +235,8 @@ def load_problem(source: Union[str, Path], name: str = "") -> MpecProblem:
     variables = _require(doc, "variables")
     if not isinstance(variables, dict):
         raise ProblemFormatError("'variables' must contain x and y lists")
-    x_vars = tuple(_require(variables, "x"))
-    y_vars = tuple(_require(variables, "y"))
+    x_vars = _names(variables, "x")
+    y_vars = _names(variables, "y")
     if not x_vars or not y_vars:
         raise ProblemFormatError("need at least one x and one y variable")
     v_vars = _inner_names(y_vars)
@@ -259,11 +272,11 @@ def load_problem(source: Union[str, Path], name: str = "") -> MpecProblem:
         missing = [v for v in z_vars if v not in m_value]
         if missing:
             raise ProblemFormatError(f"M missing entries for {missing}")
-        bounds = [float(m_value[v]) for v in z_vars]
+        bounds = [_bound(m_value[v], f"M[{v!r}]") for v in z_vars]
     else:
-        bounds = [float(m_value)] * len(z_vars)
-    if any(b <= 0 for b in bounds):
-        raise ProblemFormatError("M must be positive")
+        bounds = [_bound(m_value, "M")] * len(z_vars)
+    if not all(0 < b < math.inf for b in bounds):
+        raise ProblemFormatError("M must be positive and finite")
     box = OmegaBox(halfwidths=tuple(math.sqrt(b) for b in bounds))
 
     return MpecProblem(

@@ -11,11 +11,13 @@ The solver runs the homogeneous self-dual embedding with Nesterov-Todd
 search directions and a Mehrotra predictor-corrector, so a run ends either
 at an optimal primal-dual pair or at a certificate of primal or dual
 infeasibility (the Farkas ray needed to prove a relaxation empty).  Free
-variables are kept in the Newton system as an unrestricted block rather
-than split into differences of nonnegative parts: an elimination computed
-once per problem (an LU factorization of the free columns) separates them
-from the cone blocks.  Inside the solver the cone is one kind: a nonnegative
-coordinate is a 1x1 PSD block, whose Nesterov-Todd scaling is sqrt(x/s).
+variables are solved out of the constraint data once per problem: pivot
+rows chosen by an LU factorization of the free columns fix them, and the
+other rows, the objective and the right side are rewritten without them,
+so the iteration runs on PSD blocks only; the free values and the dual
+values of the pivot rows are restored from the final iterate.  A
+nonnegative coordinate is a 1x1 PSD block, whose Nesterov-Todd scaling is
+sqrt(x/s).
 
 Each PSD block is scaled by its NT point R, which maps both X and S to the
 same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
@@ -282,11 +284,6 @@ class _Coo:
             self.cols, weights=self.vals * v[self.rows], minlength=self.shape[1]
         ).astype(float, copy=False)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
-
 
 # entries of the scaled matrices formed at once: 128 KB chunks stay in
 # cache through the product that forms them and the svec gather after it
@@ -386,112 +383,120 @@ class _PsdBlock:
 
 
 class _Cone:
-    """Per-block constraint data, sparse, built once per problem.
+    """Constraint data of the PSD blocks, sparse, built once per problem.
 
     PSD blocks keep their constraint matrices in svec form (`_PsdBlock`).
     A nonnegative block of size n becomes n PSD blocks of size 1, one per
     coordinate, so the iteration handles a single cone kind.  The free
-    blocks, laid end to end, keep one sparse column per constraint.  Rows
-    are prescaled to unit Frobenius norm.
+    blocks are solved out of the data (`_FreeElimination`): the cone blocks
+    see only the rows it leaves, with its objective and right side.
+    `_PsdBlock` scales each row to unit Frobenius norm as it reads it; a
+    row that the elimination combines with pivot rows is formed once, in
+    the scale of the original row.
     """
 
     def __init__(self, problem: SdpProblem):
         blocks = problem.blocks
+        constraints = problem.constraints
         m = problem.num_constraints
 
         norms = np.zeros(m)
-        for i, con in enumerate(problem.constraints):
+        for i, con in enumerate(constraints):
             norms[i] = math.sqrt(
                 sum(float(np.sum(cf**2)) for cf in con.coeffs.values())
             )
-        norms = np.where(norms > 1e-12, norms, 1.0)
-        self.row_scale = norms
-        self.b = problem.rhs() / norms
-        self.b_unscaled = problem.rhs()
+        self.norms = norms = np.where(norms > 1e-12, norms, 1.0)
+
+        # the free blocks laid end to end: block bi is A_f[:, cols]
+        self.free_cols = []
+        offset = 0
+        for bi, block in enumerate(blocks):
+            if block.kind is BlockKind.FREE:
+                self.free_cols.append((bi, slice(offset, offset + block.size)))
+                offset += block.size
+        A_f, c_f = np.zeros((m, offset)), np.zeros(offset)
+        for bi, cols in self.free_cols:
+            for i, con in enumerate(constraints):
+                if bi in con.coeffs:
+                    A_f[i, cols] = con.coeffs[bi] / norms[i]
+            if bi in problem.objective:
+                c_f[cols] = problem.objective[bi]
+        free = self.free = _FreeElimination(A_f, c_f)
+        self.free_ray, self.free_ray_residual = _free_ray(A_f, c_f, norms)
+
+        rhs = problem.rhs()
+        self.row_scale = norms[free.rest]
+        self.b_pivot = rhs[free.pivot] / norms[free.pivot]
+        self.b = rhs[free.rest] / self.row_scale - free.M @ self.b_pivot
+        self.offset = float(free.v @ self.b_pivot)
+
+        pivot_rows = [constraints[i].coeffs for i in free.pivot]
+
+        def fold(coeff, bi, weights):
+            """coeff minus sum_l weights[l] A_(pivot l) on block bi."""
+            for w, row in zip(weights, pivot_rows):
+                if w and bi in row:
+                    coeff = -w * row[bi] if coeff is None else coeff - w * row[bi]
+            return coeff
+
+        # multiples of the original pivot rows that row k loses, in the
+        # scale of row k
+        mix = free.M * self.row_scale[:, None] / norms[free.pivot]
 
         def touching(bi):
-            return {
-                i: con.coeffs[bi]
-                for i, con in enumerate(problem.constraints)
-                if bi in con.coeffs
-            }
+            """The rows left on block bi; rows M leaves alone by reference."""
+            rows = {k: constraints[i].coeffs.get(bi) for k, i in enumerate(free.rest)}
+            for k in np.flatnonzero(mix.any(axis=1)):
+                rows[k] = fold(rows[k], bi, mix[k])
+            return {k: a for k, a in rows.items() if a is not None}
 
-        def vector_block(bis):
-            """Sparse data and objective of vector blocks laid end to end."""
-            empty = np.zeros(0, np.intp)
-            rows, cols, vals, c = [empty], [empty], [np.zeros(0)], [np.zeros(0)]
-            offset = 0
-            for bi in bis:
-                for i, coeff in touching(bi).items():
-                    nz = np.flatnonzero(coeff)
-                    rows.append(offset + nz)
-                    cols.append(np.full(len(nz), i))
-                    vals.append(coeff[nz] / norms[i])
-                cobj = problem.objective.get(bi)
-                c.append(np.zeros(blocks[bi].size) if cobj is None else np.array(cobj))
-                offset += blocks[bi].size
-            rows, cols, vals, c = (np.concatenate(a) for a in (rows, cols, vals, c))
-            return _Coo(rows, cols, vals, (offset, m)), c
-
+        self.m = len(free.rest)
         self.psd: List[_PsdBlock] = []
         for bi, block in enumerate(blocks):
-            cobj = problem.objective.get(bi)
+            C = fold(problem.objective.get(bi), bi, free.v / norms[free.pivot])
             if block.kind is BlockKind.PSD:
                 self.psd.append(
-                    _PsdBlock(bi, block.size, touching(bi), norms, m, cobj)
+                    _PsdBlock(bi, block.size, touching(bi), self.row_scale, self.m, C)
                 )
             elif block.kind is BlockKind.NONNEG:
                 touched = touching(bi)
                 for j in range(block.size):
                     coeffs = {
-                        i: cf[j : j + 1, None] for i, cf in touched.items() if cf[j]
+                        k: cf[j : j + 1, None] for k, cf in touched.items() if cf[j]
                     }
-                    C = None if cobj is None else cobj[j : j + 1, None]
-                    self.psd.append(_PsdBlock(bi, 1, coeffs, norms, m, C, entry=j))
-
-        self.free_blocks = [
-            bi for bi, b in enumerate(blocks) if b.kind is BlockKind.FREE
-        ]
-        self.free_sizes = [blocks[bi].size for bi in self.free_blocks]
-        self.A_free, self.c_free = vector_block(self.free_blocks)
-        self.num_free = self.A_free.shape[0]
-        self.free_elim = None
-        self.free_ray = None
-        if self.num_free:
-            A_f = self.A_free.dense().T
-            self.free_elim = _FreeElimination(A_f)
-            self.free_ray = _free_ray(A_f, self.c_free)
-        self.column = (
-            self.free_elim.pos if self.free_elim is not None else np.arange(m)
-        )
+                    Cj = None if C is None else C[j : j + 1, None]
+                    self.psd.append(
+                        _PsdBlock(bi, 1, coeffs, self.row_scale, self.m, Cj, entry=j)
+                    )
         self.scaled_size = sum(p.dim for p in self.psd)
-        self.m = m
         self.nu = sum(p.size for p in self.psd)
+        # residuals are normalized by the original data
         self.c_norm = math.sqrt(
-            sum(float(np.sum(p.C**2)) for p in self.psd)
-            + float(np.sum(self.c_free**2))
+            sum(float(np.sum(c**2)) for c in problem.objective.values())
         )
-        self.b_norm = float(np.linalg.norm(self.b_unscaled))
+        self.b_norm = float(np.linalg.norm(rhs))
 
 
-def _free_ray(A_f: np.ndarray, c_f: np.ndarray) -> Optional[np.ndarray]:
-    """A free direction d with A_f d = 0 and c_f'd < 0, if one exists.
+def _free_ray(A_f: np.ndarray, c_f: np.ndarray, norms: np.ndarray):
+    """A free direction d with A_f d = 0 and c_f'd = -1, or None if there is
+    none, and the norm of A_f d in the original row scale.
 
     The free block's dual rows A_f'y = c_f carry no slack, so the dual is
     infeasible exactly when c_f leaves the row space of A_f; minus the
     component of c_f orthogonal to it is then a ray of the primal.  The
     interior-point iteration cannot find this ray itself: the elimination
-    gives a free column outside the independent set a zero step.
+    leaves a free column outside the independent set at zero.
     """
     m, nf = A_f.shape
     z = np.linalg.lstsq(A_f.T, c_f, rcond=max(m, nf) * np.finfo(float).eps)[0]
     ray = A_f.T @ z - c_f
     size = float(np.linalg.norm(ray))
     if not size > 1e-8 * max(1.0, float(np.linalg.norm(c_f))):
-        return None
+        return None, math.nan
     if np.linalg.norm(A_f @ ray) > 1e-12 * size:
-        return None
-    return ray
+        return None, math.nan
+    ray = ray / -float(c_f @ ray)
+    return ray, float(np.linalg.norm(norms * (A_f @ ray)))
 
 
 def _singular_triangle(R: np.ndarray) -> bool:
@@ -503,70 +508,61 @@ def _singular_triangle(R: np.ndarray) -> bool:
 
 
 class _FreeElimination:
-    """Elimination of the free block through A_f[:, J] = P L U.
+    """The free block solved out of the constraint data, once per problem.
 
     J holds a maximal set of linearly independent free columns (a
-    column-pivoted QR decides it once per problem).  A free variable
-    outside J only repeats a combination of the others, so its step is
-    left at zero: the constraints cannot tell it apart from them.  P
-    permutes the constraint rows into pivot order and L = [L1; L2] is unit
-    lower trapezoidal.  With y_p the dual step in pivot order, the
-    substitution y_p = [L1^{-T}(z1 - L2'z2); z2] turns A_f[:, J]'dy = g
-    into U'z1 = g, and the rows z2 are left to the cone blocks.
+    column-pivoted QR decides it), and A_f[:, J] = P [L1; L2] U.  The r
+    pivot rows fix x_J = U^{-1} L1^{-1} (b_pivot - A_pivot X).  Put into
+    the other rows and the objective, that leaves the cone blocks the rows
+    A_rest - M A_pivot with right side b_rest - M b_pivot and the objective
+    C - sum_l v_l A_pivot,l, plus the constant v'b_pivot, where
+    M = L2 L1^{-1} and v = L1^{-T} U^{-T} c_J.  The free block's dual rows
+    A_f'y = c_f then hold exactly with y_pivot = v - M'y_rest.  A free
+    variable outside J only repeats a combination of the others and is left
+    at zero.  When every free column is a unit vector on its own row, as in
+    the Gram-form programs, M is zero and the other rows pass unchanged.
+    ``rest`` lists those rows in their original order.
     """
 
-    def __init__(self, A_free: np.ndarray):
-        m, nf = A_free.shape
-        _, R, order = sla.qr(A_free, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        tol = max(m, nf) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    def __init__(self, A_f: np.ndarray, c_f: np.ndarray):
+        m, nf = A_f.shape
         self.size = nf
+        _, R, order = sla.qr(A_f, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        tol = max(m, nf) * np.finfo(float).eps * diag.max(initial=0.0)
         self.columns = np.sort(order[: int(np.sum(diag > tol))])
         rank = len(self.columns)
+        rows, L, self.U = np.arange(m), np.zeros((m, 0)), np.zeros((0, 0))
         if rank:
-            # pos[i] is the pivot-order position of constraint row i
-            self.pos, L, self.U = sla.lu(A_free[:, self.columns], p_indices=True)
-        else:
-            self.pos, L, self.U = np.arange(m), np.zeros((m, 0)), np.zeros((0, 0))
-        self.L1, self.L2 = L[:rank], L[rank:]
-
-    def split(self, G: np.ndarray):
-        """Columns of G @ T for the two parts, given G in pivot order.
-
-        G must be Fortran-ordered; both parts are computed in its storage.
-        """
-        rank = len(self.columns)
-        G1 = G[:, :rank]
-        if rank:
-            # G1 := G1 L1^{-T}, a right-hand triangular solve in place
-            G1 = sla.blas.dtrsm(
-                1.0, self.L1, G1, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1
-            )
-        H = G[:, rank:]
-        if self.L2.any():
-            H -= G1 @ self.L2.T
-        return G1, H
-
-    def rhs(self, h: np.ndarray):
-        """T'h, split into the free part and the cone part."""
-        rank = len(self.columns)
-        hp = np.empty_like(h)
-        hp[self.pos] = h
-        h1 = sla.solve_triangular(self.L1, hp[:rank], lower=True, unit_diagonal=True)
-        return h1, hp[rank:] - self.L2 @ h1
-
-    def expand(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """dy = T [z1; z2] in the original row order."""
-        y1 = sla.solve_triangular(
-            self.L1, z1 - self.L2.T @ z2, lower=True, unit_diagonal=True, trans="T"
+            pos, L, self.U = sla.lu(A_f[:, self.columns], p_indices=True)
+            # A_f[i, J] is row pos[i] of L U
+            rows = np.argsort(pos)
+        self.L1 = L[:rank]
+        self.pivot = rows[:rank]
+        keep = np.argsort(rows[rank:])
+        self.rest = rows[rank:][keep]
+        self.M = sla.solve_triangular(
+            self.L1, L[rank:].T, lower=True, unit_diagonal=True, trans="T"
+        ).T[keep]
+        w = sla.solve_triangular(self.U, c_f[self.columns], trans="T")
+        self.v = sla.solve_triangular(
+            self.L1, w, lower=True, unit_diagonal=True, trans="T"
         )
-        return np.concatenate([y1, z2])[self.pos]
 
-    def place(self, dxf: np.ndarray) -> np.ndarray:
-        """Free-block step with zeros outside the independent columns."""
-        out = np.zeros(self.size)
-        out[self.columns] = dxf
-        return out
+    def restore_x(self, r: np.ndarray) -> np.ndarray:
+        """Free values U^{-1} L1^{-1} r on J and zero elsewhere."""
+        x = np.zeros(self.size)
+        x[self.columns] = sla.solve_triangular(
+            self.U, sla.solve_triangular(self.L1, r, lower=True, unit_diagonal=True)
+        )
+        return x
+
+    def restore_y(self, z: np.ndarray, t: float) -> np.ndarray:
+        """Dual values of every row: z on the others, t v - M'z on the pivots."""
+        y = np.empty(len(self.pivot) + len(self.rest))
+        y[self.rest] = z
+        y[self.pivot] = t * self.v - self.M.T @ z
+        return y
 
 
 # panel width of the blocked Householder QR
@@ -633,7 +629,6 @@ class _State:
     def __init__(self, cone: _Cone):
         self.X = [np.eye(p.size) for p in cone.psd]
         self.S = [np.eye(p.size) for p in cone.psd]
-        self.xf = np.zeros(cone.num_free)
         self.y = np.zeros(cone.m)
         self.tau = 1.0
         self.kappa = 1.0
@@ -688,26 +683,20 @@ class _HsdSolver:
 
     def _residuals(self, st: _State):
         cone = self.cone
-        r_p = cone.b * st.tau - self._apply_A(st.X, st.xf)
+        r_p = cone.b * st.tau - self._apply_A(st.X)
         r_d = [p.C * st.tau - S - p.combine(st.y) for p, S in zip(cone.psd, st.S)]
-        r_d_free = cone.c_free * st.tau - cone.A_free.dot(st.y)
-        ctx = self._ctx(st.X, st.xf)
+        ctx = self._ctx(st.X)
         r_g = st.kappa - float(cone.b @ st.y) + ctx
-        return r_p, r_d, r_d_free, r_g, ctx
+        return r_p, r_d, r_g, ctx
 
-    def _apply_A(self, X, xf) -> np.ndarray:
-        cone = self.cone
-        out = cone.A_free.tdot(xf)
-        for p, Xb in zip(cone.psd, X):
+    def _apply_A(self, X) -> np.ndarray:
+        out = np.zeros(self.cone.m)
+        for p, Xb in zip(self.cone.psd, X):
             out += p.apply(Xb)
         return out
 
-    def _ctx(self, X, xf) -> float:
-        cone = self.cone
-        total = float(cone.c_free @ xf)
-        for p, Xb in zip(cone.psd, X):
-            total += float(np.sum(p.C * Xb))
-        return total
+    def _ctx(self, X) -> float:
+        return sum(float(np.sum(p.C * Xb)) for p, Xb in zip(self.cone.psd, X))
 
     # -- Newton machinery -------------------------------------------------
     #
@@ -720,16 +709,16 @@ class _HsdSolver:
     # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates.  The 1x1
     # block of a nonnegative coordinate has R^2 = x/s and Lam = sqrt(xs),
     # so its scaled column is A_i sqrt(x/s) and its step bound x/(-dx).
-    # With G the stacked scaled constraints, the Newton equations become
-    # the least-squares system
-    #     xh - G dy = e,    G'xh + A_f dxf = h,    A_f'dy = g,
+    # The free blocks are solved out of the data at set-up, so with G the
+    # stacked scaled constraints the Newton equations become the
+    # least-squares system
+    #     xh - G dy = e,    G'xh = h,
     # which is solved through an orthogonal factorization of G: its
     # condition number is that of G (about 1/mu), not of G'G (1/mu^2).
 
     def _factorize(self, st: _State):
         """Scaled constraint data and its orthogonal factorization."""
         cone = self.cone
-        col = cone.column
         G = self.G
         c_hat = np.zeros(cone.scaled_size)
         blocks = []
@@ -740,21 +729,16 @@ class _HsdSolver:
             if len(p.rows) < cone.m:
                 rows[:] = 0.0
             for cons, part in p.scaled_columns(R):
-                rows[:, col[cons]] = part.T
+                rows[:, cons] = part.T
             c_hat[offset : offset + p.dim] = p.svec(R.T @ p.C @ R)
             blocks.append((R, lam))
             offset += p.dim
-        free = cone.free_elim
-        if free is not None:
-            G1, H = free.split(G)
-        else:
-            G1, H = None, G
-        fact = {"blocks": blocks, "G1": G1, "qr": _CompactQR(H), "c_hat": c_hat}
+        fact = {"blocks": blocks, "qr": _CompactQR(G), "c_hat": c_hat}
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
         # kappa/tau + ||xh_tau||^2, where xh_tau is the scaled primal step
         # of the column: a sum of squares, with no cancellation to clamp.
-        tau_col = self._solve(fact, -c_hat, cone.b, cone.c_free)
+        tau_col = self._solve(fact, -c_hat, cone.b)
         pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
         if not (pivot > 0 and math.isfinite(pivot)):
             raise np.linalg.LinAlgError("singular tau pivot")
@@ -762,23 +746,11 @@ class _HsdSolver:
         fact["tau_pivot"] = pivot
         return fact
 
-    def _solve(self, fact, e: np.ndarray, h: np.ndarray, g: np.ndarray):
-        """Solve xh - G dy = e, G'xh + A_f dxf = h, A_f'dy = g."""
-        free = self.cone.free_elim
-        qr, G1 = fact["qr"], fact["G1"]
-        if free is not None:
-            h1, h2 = free.rhs(h)
-            z1 = sla.solve_triangular(free.U, g[free.columns], trans="T")
-            e = e + G1 @ z1
-        else:
-            h2 = h
-        t = sla.solve_triangular(qr.R, h2, trans="T") - qr.project(e)
-        xh = e + qr.lift(t)
-        z2 = sla.solve_triangular(qr.R, t)
-        if free is None:
-            return xh, z2, np.zeros(0)
-        dxf = sla.solve_triangular(free.U, h1 - G1.T @ xh)
-        return xh, free.expand(z1, z2), free.place(dxf)
+    def _solve(self, fact, e: np.ndarray, h: np.ndarray):
+        """Solve xh - G dy = e, G'xh = h."""
+        qr = fact["qr"]
+        t = sla.solve_triangular(qr.R, h, trans="T") - qr.project(e)
+        return e + qr.lift(t), sla.solve_triangular(qr.R, t)
 
     def _direction(self, st: _State, fact, resid, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets.
@@ -787,7 +759,7 @@ class _HsdSolver:
         scaled coordinates.
         """
         cone = self.cone
-        r_p, r_d, r_d_free, r_g, _ = resid
+        r_p, r_d, r_g, _ = resid
 
         # e = Lam o^{-1} Rc - R' r_d R, block by block
         e = []
@@ -795,20 +767,13 @@ class _HsdSolver:
             jordan = 0.5 * (lam[:, None] + lam)
             e.append(p.svec(Rc_b / jordan - R.T @ rd @ R))
         e = np.concatenate(e) if e else np.zeros(0)
-        xh, d_y, d_xf = self._solve(fact, e, r_p, r_d_free)
+        xh, d_y = self._solve(fact, e, r_p)
 
-        vx, vy, vf = fact["tau_col"]
-        numer = (
-            r_g
-            + rc_tau / st.tau
-            - float(cone.b @ d_y)
-            + float(fact["c_hat"] @ xh)
-            + float(cone.c_free @ d_xf)
-        )
+        vx, vy = fact["tau_col"]
+        numer = r_g + rc_tau / st.tau - float(cone.b @ d_y) + float(fact["c_hat"] @ xh)
         d_tau = numer / fact["tau_pivot"]
         xh = xh + d_tau * vx
         d_y = d_y + d_tau * vy
-        d_xf = d_xf + d_tau * vf
 
         d = {"X": [], "S": [], "Xt": [], "St": []}
         offset = 0
@@ -820,35 +785,33 @@ class _HsdSolver:
             d["Xt"].append(dXt)
             d["X"].append(_sym(R @ dXt @ R.T))
             offset += p.dim
-        d["xf"] = d_xf
         d["y"] = d_y
         d["tau"] = d_tau
         d["kappa"] = (rc_tau - st.kappa * d_tau) / st.tau
         return d
 
     def _newton_residuals(self, st: _State, fact, d, resid, Rc, rc_tau):
-        """Residuals of the six Newton equations for a computed direction.
+        """Residuals of the five Newton equations for a computed direction.
 
         All products here are well scaled (no S^{-1}), so these residuals
         expose the error introduced by the ill-conditioned elimination.
         """
         cone = self.cone
-        r_p, r_d, r_d_free, r_g, _ = resid
-        adx = self._apply_A(d["X"], d["xf"])
+        r_p, r_d, r_g, _ = resid
+        adx = self._apply_A(d["X"])
         rho1 = r_p - (adx - cone.b * d["tau"])
         rho2 = [
             rd - (p.combine(d["y"]) + dS - p.C * d["tau"])
             for p, rd, dS in zip(cone.psd, r_d, d["S"])
         ]
-        rho2_free = r_d_free - (cone.A_free.dot(d["y"]) - cone.c_free * d["tau"])
-        cdx = self._ctx(d["X"], d["xf"])
+        cdx = self._ctx(d["X"])
         rho3 = r_g - (float(cone.b @ d["y"]) - cdx - d["kappa"])
         rho4 = [
             Rc_b - 0.5 * (lam[:, None] + lam) * (dXt + dSt)
             for Rc_b, (_, lam), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
         ]
         rho6 = rc_tau - (d["tau"] * st.kappa + st.tau * d["kappa"])
-        return rho1, rho2, rho2_free, rho3, rho4, rho6
+        return rho1, rho2, rho3, rho4, rho6
 
     def _direction_refined(self, st: _State, fact, resid, Rc, rc_tau):
         """Direction plus one refinement solve against its Newton residuals.
@@ -859,13 +822,10 @@ class _HsdSolver:
         and lets the iteration certify 1e-8 residuals instead of stalling.
         """
         d = self._direction(st, fact, resid, Rc, rc_tau)
-        r1, r2, r2f, r3, r4, r6 = self._newton_residuals(
-            st, fact, d, resid, Rc, rc_tau
-        )
-        dc = self._direction(st, fact, (r1, r2, r2f, r3, 0.0), r4, r6)
+        r1, r2, r3, r4, r6 = self._newton_residuals(st, fact, d, resid, Rc, rc_tau)
+        dc = self._direction(st, fact, (r1, r2, r3, 0.0), r4, r6)
         for key in ("X", "S", "Xt", "St"):
             d[key] = [a + b for a, b in zip(d[key], dc[key])]
-        d["xf"] = d["xf"] + dc["xf"]
         d["y"] = d["y"] + dc["y"]
         d["tau"] += dc["tau"]
         d["kappa"] += dc["kappa"]
@@ -891,7 +851,6 @@ class _HsdSolver:
         for i in range(len(st.X)):
             st.X[i] = _sym(st.X[i] + alpha * d["X"][i])
             st.S[i] = _sym(st.S[i] + alpha * d["S"][i])
-        st.xf = st.xf + alpha * d["xf"]
         st.y = st.y + alpha * d["y"]
         st.tau += alpha * d["tau"]
         st.kappa += alpha * d["kappa"]
@@ -900,31 +859,28 @@ class _HsdSolver:
 
     def _convergence_metrics(self, st: _State, resid):
         cone = self.cone
-        r_p, r_d, r_d_free, _, ctx = resid
+        r_p, r_d, _, ctx = resid
         tau = st.tau
+        # the pivot rows and the free block's dual rows hold exactly
         p_res = np.linalg.norm(cone.row_scale * r_p) / (tau * (1.0 + cone.b_norm))
         d_sq = sum(float(np.sum(r**2)) for r in r_d)
-        d_sq += float(np.sum(r_d_free**2))
         d_res = math.sqrt(d_sq) / (tau * (1.0 + cone.c_norm))
-        y_unscaled = st.y / cone.row_scale
-        pobj = ctx / tau
-        dobj = float(cone.b_unscaled @ y_unscaled) / tau
+        pobj = ctx / tau + cone.offset
+        dobj = float(cone.b @ st.y) / tau + cone.offset
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return p_res, d_res, gap, pobj, dobj
 
     def _certificates(self, st: _State, resid):
         """Check the two Farkas-ray conditions on the current iterate."""
         cone = self.cone
-        r_p, r_d, r_d_free, _, ctx = resid
-        y_unscaled = st.y / cone.row_scale
-        bty = float(cone.b_unscaled @ y_unscaled)
+        r_p, r_d, _, ctx = resid
+        bty = float(cone.b @ st.y)
         out = {}
         if bty > 0:
             # C*tau - r_d equals sum_i y_i A_i + S in the original data scale
             num_sq = 0.0
             for p, rd in zip(cone.psd, r_d):
                 num_sq += float(np.sum((p.C * st.tau - rd) ** 2))
-            num_sq += float(np.sum((cone.c_free * st.tau - r_d_free) ** 2))
             out["primal"] = math.sqrt(num_sq) / bty
         if ctx < 0:
             ax = cone.row_scale * (cone.b * st.tau - r_p)
@@ -938,7 +894,6 @@ class _HsdSolver:
         copy = _State.__new__(_State)
         copy.X = [np.array(X) for X in st.X]
         copy.S = [np.array(S) for S in st.S]
-        copy.xf = np.array(st.xf)
         copy.y = np.array(st.y)
         copy.tau = st.tau
         copy.kappa = st.kappa
@@ -949,7 +904,8 @@ class _HsdSolver:
         cone = self.cone
         opts = self.opts
         if cone.free_ray is not None:
-            return self._free_ray_solution()
+            cert = cone.free_ray_residual
+            return self._package(st, SdpStatus.DUAL_INFEASIBLE, 0, cert)
         status = SdpStatus.ITERATION_LIMIT
         iterations = 0
         cert_residual = math.nan
@@ -1038,70 +994,73 @@ class _HsdSolver:
 
     # -- assembling the public solution --------------------------------------
 
-    def _collect_blocks(self, st: _State, scale: float, dual: bool) -> List[np.ndarray]:
-        """Public block values of the state divided by ``scale``.
+    def _collect_blocks(self, mats, scale: float) -> List[np.ndarray]:
+        """Public block values of the cone matrices ``mats`` over ``scale``.
 
         The 1x1 blocks of a nonnegative block go back into one vector; the
-        free blocks have no dual slack and read zero when ``dual``.
+        free blocks read zero.
         """
-        cone = self.cone
         out = [
             None if b.kind is BlockKind.PSD else np.zeros(b.size)
             for b in self.problem.blocks
         ]
-        for p, X, S in zip(cone.psd, st.X, st.S):
-            value = (S if dual else X) / scale
+        for p, mat in zip(self.cone.psd, mats):
+            value = mat / scale
             if p.entry is None:
                 out[p.index] = value
             else:
                 out[p.index][p.entry] = value[0, 0]
-        offset = 0
-        for bi, size in zip(cone.free_blocks, cone.free_sizes):
-            if not dual:
-                out[bi] = st.xf[offset : offset + size] / scale
-            offset += size
         return out  # type: ignore[return-value]
 
-    def _free_ray_solution(self) -> SdpSolution:
-        """DualInfeasible with the free-block ray found at set-up.
+    def _primal(self, X, scale: float, t: float, xf=None) -> List[np.ndarray]:
+        """Public primal blocks: the cone blocks X over ``scale``, and the
+        free values ``xf`` or else those the pivot rows fix with right side t*b.
 
-        The ray is the free part of a state whose cone blocks are zero;
-        `_package` scales it to objective -1.
+        t is 1 at an optimum and 0 for a ray, whose pivot rows then read
+        A_f x_f + A X = 0 exactly.
         """
         cone = self.cone
-        st = _State(cone)
-        st.X = [np.zeros_like(X) for X in st.X]
-        st.xf = cone.free_ray
-        ax = cone.row_scale * cone.A_free.tdot(cone.free_ray)
-        cert = float(np.linalg.norm(ax)) / -float(cone.c_free @ cone.free_ray)
-        return self._package(st, SdpStatus.DUAL_INFEASIBLE, 0, cert)
+        out = self._collect_blocks(X, scale)
+        if xf is None:
+            rows = [self.problem.constraints[i].coeffs for i in cone.free.pivot]
+            ax = [sum(float(np.sum(a * out[bi])) for bi, a in r.items()) for r in rows]
+            ax = np.array(ax) / cone.norms[cone.free.pivot]
+            xf = cone.free.restore_x(t * cone.b_pivot - ax)
+        for bi, cols in cone.free_cols:
+            out[bi] = xf[cols]
+        return out
 
     def _package(
         self, st: _State, status: SdpStatus, iterations: int, cert_residual: float
     ) -> SdpSolution:
-        """The public solution of a final state.
+        """The public solution of a final state, over the original rows.
 
-        A PrimalInfeasible ray is scaled to b'y = 1 and a DualInfeasible
-        ray to objective -1; their objective and gap fields are NaN.
+        The free values and the dual values of the pivot rows are restored
+        here.  A PrimalInfeasible ray is scaled to b'y = 1 and a
+        DualInfeasible ray to objective -1; their objective, gap and
+        residual fields are NaN, as only ``certificate_residual`` measures
+        a ray.
         """
         cone = self.cone
-        resid = self._residuals(st)
-        p_res, d_res, gap, pobj, dobj = self._convergence_metrics(st, resid)
-        y_unscaled = st.y / cone.row_scale
         primal = y = s = None
+        p_res = d_res = gap = pobj = dobj = math.nan
         if status is SdpStatus.PRIMAL_INFEASIBLE:
-            bty = float(cone.b_unscaled @ y_unscaled)
-            y = y_unscaled / bty
-            s = self._collect_blocks(st, bty, dual=True)
+            # y = (-M'z, z) / b'y, so that A_f'y = 0
+            bty = float(cone.b @ st.y)
+            y = cone.free.restore_y(st.y, 0.0) / cone.norms / bty
+            s = self._collect_blocks(st.S, bty)
         elif status is SdpStatus.DUAL_INFEASIBLE:
-            primal = self._collect_blocks(st, -self._ctx(st.X, st.xf), dual=False)
+            if cone.free_ray is None:
+                primal = self._primal(st.X, -self._ctx(st.X), 0.0)
+            else:  # found at set-up: the ray has no cone part
+                primal = self._primal([0 * X for X in st.X], 1.0, 0.0, cone.free_ray)
         else:
+            resid = self._residuals(st)
+            p_res, d_res, gap, pobj, dobj = self._convergence_metrics(st, resid)
             tau = st.tau if st.tau > 0 else 1.0
-            primal = self._collect_blocks(st, tau, dual=False)
-            y = y_unscaled / tau
-            s = self._collect_blocks(st, tau, dual=True)
-        if status in (SdpStatus.PRIMAL_INFEASIBLE, SdpStatus.DUAL_INFEASIBLE):
-            pobj = dobj = gap = math.nan
+            primal = self._primal(st.X, tau, 1.0)
+            y = cone.free.restore_y(st.y, tau) / cone.norms / tau
+            s = self._collect_blocks(st.S, tau)
         return SdpSolution(
             status=status,
             primal=primal,

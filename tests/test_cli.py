@@ -152,6 +152,24 @@ def test_malformed_document_exit_code(tmp_path, capsys):
     assert main(["validate", str(doc)]) == 2
 
 
+def test_malformed_bound_exit_code(tmp_path, capsys):
+    doc = tmp_path / "bound.yaml"
+    doc.write_text(
+        """
+objective: "x + y"
+A: []
+B: ["1 - y^2"]
+phi: "v - y"
+M: {x: [1], y: 1}
+variables:
+  x: [x]
+  y: [y]
+"""
+    )
+    assert main(["validate", str(doc)]) == 2
+    assert "M['x'] must be a number" in capsys.readouterr().err
+
+
 def test_solve_k_below_threshold_exit_code(capsys):
     assert main(["solve", "p1_mpec", "--eps", "0.001", "--k", "1..2"]) == 4
 

@@ -138,6 +138,12 @@ def test_substitute_incompatible_ambient():
         p.substitute({"y": Polynomial.variable(["v"], "v")})
 
 
+def test_in_variables_names_the_missing_variable():
+    p = Polynomial(("a", "b", "c"), {(0, 0, 1): 1.0})
+    with pytest.raises(ValueError, match="'c'"):
+        p.in_variables(("a",))
+
+
 # ----------------------------------------------------------------------
 # monomial bases
 

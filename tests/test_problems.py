@@ -39,6 +39,23 @@ def test_load_rejects_nonpositive_bound():
         load_problem(P1_DOC.replace("M: 1.0", "M: 0"))
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("M: 1.0", "M: abc"),
+        ("M: 1.0", "M: {x: [1], y: 1}"),
+        ("M: 1.0", "M: .nan"),
+        ("  x: [x]", "  x: 1"),
+        ("  x: [x]", "  x: xy"),
+        ("variables:\n  x: [x]\n  y: [y]", "variables: {x: 1}"),
+    ],
+)
+def test_load_rejects_malformed_bounds_and_names(old, new):
+    assert old in P1_DOC
+    with pytest.raises(ProblemFormatError):
+        load_problem(P1_DOC.replace(old, new))
+
+
 def test_load_missing_section():
     broken = P1_DOC.replace('phi: "x*v^2/2 - v^3/3 - (x*y^2/2 - y^3/3)"', "")
     with pytest.raises(ProblemFormatError, match="phi"):

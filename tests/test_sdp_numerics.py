@@ -6,11 +6,15 @@ the behaviour of the scaled QR solve: tight tolerances are still reached,
 and singular data (dependent rows, dependent or unused free columns) is
 regularized or eliminated instead of breaking the solve.  Nonnegative
 blocks of several coordinates, which the solver runs as 1x1 PSD blocks,
-come back as one vector at an optimum and in a Farkas ray.  The remaining
+come back as one vector at an optimum and in a Farkas ray.  Free columns
+that the set-up elimination mixes into other rows come back with the full
+dual vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, and the value-fit programs
 against reference values.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from mpecsos.sdp import (
     SolverOptions,
     _Cone,
     _nt_scaling,
+    residuals,
     solve,
 )
 from mpecsos.sos import build_moment_relaxation
@@ -136,6 +141,75 @@ def test_free_ray_certifies_dual_infeasibility():
     assert sol.certificate_residual <= 1e-12
 
 
+def test_certificates_carry_no_iterate_residuals():
+    # a ray is measured by certificate_residual alone
+    forced = SdpProblem(
+        [SdpBlock(PSD, 1)], {}, [SdpConstraint({0: np.ones((1, 1))}, -1.0)]
+    )
+    unbounded = SdpProblem(
+        [SdpBlock(FREE, 1), SdpBlock(NONNEG, 1)],
+        {0: np.array([1.0])},
+        [SdpConstraint({0: np.array([0.0]), 1: np.array([2.0])}, 2.0)],
+    )
+    for prob, status in (
+        (forced, SdpStatus.PRIMAL_INFEASIBLE),
+        (unbounded, SdpStatus.DUAL_INFEASIBLE),
+    ):
+        sol = solve(prob)
+        assert sol.status is status
+        assert math.isnan(sol.primal_residual) and math.isnan(sol.dual_residual)
+        assert sol.certificate_residual <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_free_block_restores_full_solution(seed):
+    # a 4x4 PSD block beside a free block of 3 dense columns of rank 2, so
+    # the elimination mixes pivot rows into the other rows; the optimum is
+    # built from a complementary pair and free values x_f
+    rng = np.random.default_rng(300 + seed)
+    m = 6
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    X_star = (q[:, :2] * rng.uniform(0.5, 2.0, size=2)) @ q[:, :2].T
+    S_star = (q[:, 2:] * rng.uniform(0.5, 2.0, size=2)) @ q[:, 2:].T
+    A_f = rng.normal(size=(m, 2)) @ rng.normal(size=(2, 3))
+    x_f, y_star = rng.normal(size=3), rng.normal(size=m)
+    mats = []
+    for _ in range(m):
+        raw = rng.normal(size=(4, 4))
+        mats.append(0.5 * (raw + raw.T))
+    C = S_star + sum(y * A for y, A in zip(y_star, mats))
+    c_f = A_f.T @ y_star
+    b = np.array([np.sum(A * X_star) for A in mats]) + A_f @ x_f
+    prob = SdpProblem(
+        [SdpBlock(PSD, 4), SdpBlock(FREE, 3)],
+        {0: C, 1: c_f},
+        [SdpConstraint({0: A, 1: a}, bi) for A, a, bi in zip(mats, A_f, b)],
+    )
+    assert _Cone(prob).free.M.any()
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL
+    target = float(np.sum(C * X_star) + c_f @ x_f)
+    assert abs(sol.primal_objective - target) <= 1e-7 * (1.0 + abs(target))
+    assert max(residuals(prob, sol.primal, sol.y, sol.s)) <= 1e-7
+
+
+def test_farkas_ray_through_mixed_free_rows():
+    # t + tr X = -1 and t = 0 with t free: the ray needs y0 + y1 = 0
+    prob = SdpProblem(
+        [SdpBlock(FREE, 1), SdpBlock(PSD, 2)],
+        {},
+        [
+            SdpConstraint({0: np.array([1.0]), 1: np.eye(2)}, -1.0),
+            SdpConstraint({0: np.array([1.0])}, 0.0),
+        ],
+    )
+    sol = solve(prob)
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+    assert prob.rhs() @ sol.y == pytest.approx(1.0)
+    assert abs(sol.y[0] + sol.y[1]) <= 1e-12
+    assert np.linalg.norm(sol.y[0] * np.eye(2) + sol.s[1]) <= 1e-8
+
+
 def test_nonneg_block_beside_psd_block():
     # minimize x1 + 2 x2 + 3 x3 + <diag(3, 2), X> subject to x1 + x2 + x3 = 1,
     # trace X = 1 and x1 = X22: the cost is 5 - 2 x1, so x = (1, 0, 0),
@@ -206,37 +280,29 @@ def _close(got, want, rel=1e-12):
 def test_sparse_store_matches_dense_constraints(p1_value_program):
     prob = p1_value_program
     cone = _Cone(prob)
+    rest = cone.free.rest
     rng = np.random.default_rng(5)
-    y = rng.normal(size=prob.num_constraints)
-    assert cone.psd and cone.num_free
+    y = rng.normal(size=len(rest))
+    # the free columns are unit vectors, so the elimination only drops rows
+    assert cone.psd and len(cone.free.pivot) and not cone.free.M.any()
     for p in cone.psd:
         raw = rng.normal(size=(p.size, p.size))
         X = raw + raw.T
         R = rng.normal(size=(p.size, p.size))
-        inner = np.zeros(prob.num_constraints)
+        inner = np.zeros(len(rest))
         combined = np.zeros((p.size, p.size))
-        for i, con in enumerate(prob.constraints):
-            A = con.coeffs.get(p.index)
+        for k, i in enumerate(rest):
+            A = prob.constraints[i].coeffs.get(p.index)
             if A is not None:
-                inner[i] = np.sum(A * X)
-                combined += y[i] * A
+                inner[k] = np.sum(A * X)
+                combined += y[k] * A
         # the store holds the rows prescaled by 1 / row_scale
         assert _close(p.apply(X) * cone.row_scale, inner)
         assert _close(p.combine(y * cone.row_scale), combined)
         for cons, part in p.scaled_columns(R):
-            for i, column in zip(cons, part):
-                A = prob.constraints[i].coeffs[p.index] / cone.row_scale[i]
+            for k, column in zip(cons, part):
+                A = prob.constraints[rest[k]].coeffs[p.index] / cone.row_scale[k]
                 assert _close(p.smat(column), R.T @ A @ R)
-    xf = rng.normal(size=cone.num_free)
-    dense = np.zeros((prob.num_constraints, cone.num_free))
-    offset = 0
-    for bi, size in zip(cone.free_blocks, cone.free_sizes):
-        for i, con in enumerate(prob.constraints):
-            if bi in con.coeffs:
-                dense[i, offset : offset + size] = con.coeffs[bi]
-        offset += size
-    assert _close(cone.A_free.tdot(xf) * cone.row_scale, dense @ xf)
-    assert _close(cone.A_free.dot(y * cone.row_scale), dense.T @ y)
 
 
 @pytest.mark.parametrize(
