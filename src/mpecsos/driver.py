@@ -61,16 +61,16 @@ class AlgoConfig:
     epsilon_ladder: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.k_max < self.k_start:
             raise ValueError("k_max must be at least k_start")
-        if self.stop_tol <= 0 or self.stall_iterations < 1:
+        if not 0 < self.stop_tol < math.inf or self.stall_iterations < 1:
             raise ValueError("invalid stopping parameters")
         if self.epsilon_ladder is not None:
             ladder = tuple(self.epsilon_ladder)
-            if any(e <= 0 for e in ladder):
-                raise ValueError("ladder entries must be positive")
+            if not all(0 < e < math.inf for e in ladder):
+                raise ValueError("ladder entries must be positive and finite")
             if any(b >= a for a, b in zip(ladder, ladder[1:])):
                 raise ValueError("ladder entries must be strictly decreasing")
             object.__setattr__(self, "epsilon_ladder", ladder)

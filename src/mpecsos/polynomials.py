@@ -5,7 +5,7 @@ coefficients, together with an ordered tuple of variable names that fixes
 the meaning of each exponent slot.  All arithmetic returns fully expanded
 normal forms; coefficients whose magnitude falls below ``COEFF_CLEANUP``
 after an operation are dropped so that floating-point dust never
-accumulates.
+accumulates.  A NaN or infinite coefficient raises ValueError.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic with earlier variables dominating), which makes every basis
@@ -69,6 +69,8 @@ class Polynomial:
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative exponent in {alpha}")
             c = float(coeff)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c} of {alpha} not finite")
             if abs(c) > COEFF_CLEANUP:
                 clean[alpha] = clean.get(alpha, 0.0) + c
         self.variables = vars_t
@@ -501,6 +503,8 @@ class _Parser:
     def parse_atom(self) -> Polynomial:
         kind, val, at = self.advance()
         if kind == "num":
+            if math.isinf(float(val)):
+                raise ParseError(f"number {val} out of range", at)
             return Polynomial.constant(self.variables, float(val))
         if kind == "ident":
             if val not in self.variables:
@@ -517,6 +521,6 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression string into expanded normal form.
 
     Raises ParseError (with position) on syntax problems, unknown
-    identifiers or exponent overflow.
+    identifiers, exponent overflow or a number too large for a float.
     """
     return _Parser(text, variables).parse()

@@ -115,6 +115,8 @@ class SdpProblem:
                 bi: self._check_coeff(bi, cf, f"constraint {ci}")
                 for bi, cf in con.coeffs.items()
             }
+            if not math.isfinite(float(con.rhs)):
+                raise ValueError(f"constraint {ci}: right side {con.rhs} not finite")
             self.constraints.append(SdpConstraint(coeffs, float(con.rhs)))
 
     def _check_coeff(self, block_index: int, coeff, where: str) -> np.ndarray:
@@ -122,12 +124,14 @@ class SdpProblem:
             raise ValueError(f"{where}: no block {block_index}")
         block = self.blocks[block_index]
         arr = np.asarray(coeff, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{where}: coefficient not finite")
         if block.kind is BlockKind.PSD:
             if arr.shape != (block.size, block.size):
                 raise ValueError(f"{where}: expected {block.size}x{block.size} matrix")
-            if not np.allclose(arr, arr.T, atol=1e-12):
-                raise ValueError(f"{where}: PSD coefficient matrix not symmetric")
             if not np.array_equal(arr, arr.T):
+                if not np.allclose(arr, arr.T, atol=1e-12):
+                    raise ValueError(f"{where}: PSD coefficient matrix not symmetric")
                 arr = 0.5 * (arr + arr.T)
         else:
             if arr.shape != (block.size,):
@@ -313,17 +317,16 @@ class _PsdBlock:
         self.C = np.zeros((size, size)) if C is None else np.array(C)
         self.rows = np.array(sorted(coeffs), dtype=np.intp)
 
-        # entries (local constraint, j, k, value), ordered by constraint
-        empty = np.zeros(0, np.intp)
-        local, js, ks, vals = [empty], [empty], [empty], [np.zeros(0)]
-        for li, i in enumerate(self.rows):
-            mat = coeffs[i] / norms[i]
-            j, k = np.nonzero(mat)
-            local.append(np.full(len(j), li))
-            js.append(j)
-            ks.append(k)
-            vals.append(mat[j, k])
-        local, js, ks, vals = (np.concatenate(a) for a in (local, js, ks, vals))
+        # entries (local constraint, j, k, value), ordered by constraint,
+        # read from stacks of rows of about _CHUNK entries
+        width = max(1, _CHUNK // (size * size))
+        parts = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
+        for lo in range(0, len(self.rows), width):
+            rows = self.rows[lo : lo + width]
+            stack = np.stack([coeffs[i] for i in rows]) / norms[rows, None, None]
+            li, j, k = np.nonzero(stack)
+            parts.append((li + lo, j, k, stack[li, j, k]))
+        local, js, ks, vals = (np.concatenate(a) for a in zip(*parts))
 
         # svec position of an (j, k) entry with j <= k
         position = np.zeros((size, size), dtype=np.intp)
@@ -336,7 +339,6 @@ class _PsdBlock:
 
         # Per chunk of constraints, where each entry's multiple of a row of
         # R lands in the stack of (A_i R)' (see scaled_columns).
-        width = max(1, _CHUNK // (size * size))
         self.chunks = []
         for lo in range(0, len(self.rows), width):
             hi = min(lo + width, len(self.rows))

@@ -9,6 +9,10 @@ each) and an unknown polynomial p whose coefficients enter as free scalar
 variables, one equality row per monomial.  Maximizing a moment pairing of
 p makes the optimal p the best certified under-approximation of
 min-over-constrained-variables of the target: that is the value fit.
+Exponents are mixed-radix integer keys (radix row degree + 1, so sums
+never carry): the rows of all Gram entries times all terms of h_j come
+from one broadcast sum and one sorted lookup, and one bincount fills a
+block's coefficient arrays.
 
 The order-t moment relaxation of  min f over {h_l >= 0}  is the same
 identity with p a constant lambda and sigma_0 of order t: maximizing lambda
@@ -66,8 +70,18 @@ class RelaxationError(RuntimeError):
     """The SDP behind a relaxation could not be solved reliably."""
 
 
-def _add_exponents(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+def _exponent_keys(monomials: Sequence[Exponent], powers: np.ndarray) -> np.ndarray:
+    """Keys sum_i e_i * radix^i, with powers[i] = radix^i: distinct, and
+    additive over products, while every exponent stays below the radix."""
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), len(powers))
+    return exps @ powers
+
+
+def _key_lookup(basis: MonomialBasis, powers: np.ndarray):
+    """Map keys of monomials of ``basis`` to their positions in it."""
+    keys = _exponent_keys(basis.monomials, powers)
+    order = np.argsort(keys)
+    return lambda k: order[np.searchsorted(keys[order], k)]
 
 
 # ----------------------------------------------------------------------
@@ -145,13 +159,10 @@ def build_sos_identity(
     p_basis = monomial_basis(len(p_vars), p_degree)
     if len(gamma.basis) != len(p_basis):
         raise ValueError("moment vector does not match the free-polynomial basis")
-    positions = [ambient.index(v) for v in p_vars]
-    p_exp_ambient = []
-    for alpha in p_basis.monomials:
-        beta = [0] * len(ambient)
-        for pos, e in zip(positions, alpha):
-            beta[pos] = e
-        p_exp_ambient.append(tuple(beta))
+    p_exp_ambient = np.zeros((len(p_basis), len(ambient)), dtype=np.int64)
+    p_exp_ambient[:, [ambient.index(v) for v in p_vars]] = np.reshape(
+        p_basis.monomials, (len(p_basis), len(p_vars))
+    )
 
     sigma_bases = [monomial_basis(len(ambient), sigma0_order)]
     sigma_bases += [monomial_basis(len(ambient), bound) for _, bound in mult_list]
@@ -163,52 +174,41 @@ def build_sos_identity(
         p_vars=p_vars,
         p_degree=p_degree,
         p_basis=p_basis,
-        p_exponents_ambient=tuple(p_exp_ambient),
+        p_exponents_ambient=tuple(map(tuple, p_exp_ambient.tolist())),
         multipliers=tuple(mult_list),
         sigma_bases=tuple(sigma_bases),
         row_basis=row_basis,
         gamma=gamma,
     )
 
-    # per-row coefficient matrices: Gram entries whose monomial products
-    # land on the row monomial, plus the matching free p coefficient
-    num_rows = len(row_basis)
-    gram_coeffs: List[Dict[int, np.ndarray]] = [dict() for _ in range(num_rows)]
-
-    def scatter(block: int, basis: MonomialBasis, weight_terms: Dict[Exponent, float]):
+    # one row per monomial, found by its exponent key; the degree checks
+    # above keep every exponent of a product below the radix row_degree + 1
+    if (row_degree + 1) ** len(ambient) >= 2**63:
+        raise ValueError("too many variables for 64-bit exponent keys")
+    powers = (row_degree + 1) ** np.arange(len(ambient), dtype=np.int64)
+    row_of = _key_lookup(row_basis, powers)
+    rows: List[Dict[int, np.ndarray]] = [dict() for _ in row_basis.monomials]
+    weights = [{(0,) * len(ambient): 1.0}] + [h.terms for h, _ in mult_list]
+    for j, (basis, terms) in enumerate(zip(sigma_bases, weights)):
+        # row of Gram entry (a, b) times term t of the weight, shape (t, a, b);
+        # each (row, a, b) takes one term at most, so bincount adds it to 0
         n = len(basis)
-        for a in range(n):
-            for b in range(n):
-                base = _add_exponents(basis.monomials[a], basis.monomials[b])
-                for gamma_exp, coeff in weight_terms.items():
-                    row_mono = _add_exponents(base, gamma_exp)
-                    if row_mono not in row_basis:
-                        continue
-                    ri = row_basis.index(row_mono)
-                    mat = gram_coeffs[ri].get(block)
-                    if mat is None:
-                        mat = np.zeros((n, n))
-                        gram_coeffs[ri][block] = mat
-                    mat[a, b] += coeff
-
-    one = {(0,) * len(ambient): 1.0}
-    scatter(0, sigma_bases[0], one)
-    for j, (h, _) in enumerate(mult_list, start=1):
-        scatter(j, sigma_bases[j], h.terms)
-
+        keys = _exponent_keys(basis.monomials, powers)
+        term_keys = _exponent_keys(list(terms), powers)
+        hit = row_of(term_keys[:, None, None] + keys[:, None] + keys).ravel()
+        touched, local = np.unique(hit, return_inverse=True)
+        entry = (local.reshape(-1, n * n) * (n * n) + np.arange(n * n)).ravel()
+        value = np.repeat(np.fromiter(terms.values(), float, len(terms)), n * n)
+        mats = np.bincount(entry, value, len(touched) * n * n).reshape(-1, n, n)
+        for r, mat in zip(touched.tolist(), mats):
+            rows[r][j] = mat
     free_index = prog.free_block_index
-    constraints = []
-    for ri, row_mono in enumerate(row_basis.monomials):
-        coeffs = dict(gram_coeffs[ri])
-        free_vec = np.zeros(len(p_basis))
-        touched = False
-        for pi, beta in enumerate(p_exp_ambient):
-            if beta == row_mono:
-                free_vec[pi] = 1.0
-                touched = True
-        if touched:
-            coeffs[free_index] = free_vec
-        constraints.append(SdpConstraint(coeffs, target.coefficient(row_mono)))
+    free = np.eye(len(p_basis))
+    for pi, r in enumerate(row_of(_exponent_keys(p_exp_ambient, powers)).tolist()):
+        rows[r][free_index] = free[pi]
+    rhs = np.zeros(len(row_basis))
+    rhs[row_of(_exponent_keys(list(target.terms), powers))] = [*target.terms.values()]
+    constraints = [SdpConstraint(c, r) for c, r in zip(rows, rhs.tolist())]
 
     blocks = [SdpBlock(BlockKind.PSD, len(b)) for b in sigma_bases]
     blocks.append(SdpBlock(BlockKind.FREE, len(p_basis)))
@@ -227,24 +227,37 @@ class SosIdentitySolution:
     raw: SdpSolution
 
     def identity_residual(self, prog: SosIdentityProgram) -> float:
-        """Max-abs coefficient of target - p - sigma_0 - sum sigma_j h_j."""
-        ambient = prog.ambient
-        total = prog.target - self.p.in_variables(ambient)
-        for j, basis in enumerate(prog.sigma_bases):
-            gram = self.sigma_grams[j]
-            terms: Dict[Exponent, float] = {}
-            for a in range(len(basis)):
-                for b in range(len(basis)):
-                    mono = _add_exponents(basis.monomials[a], basis.monomials[b])
-                    terms[mono] = terms.get(mono, 0.0) + gram[a, b]
-            sigma = Polynomial(ambient, terms)
-            if j == 0:
-                total = total - sigma
-            else:
-                total = total - sigma * prog.multipliers[j - 1][0]
-        if not total.terms:
-            return 0.0
-        return max(abs(c) for c in total.terms.values())
+        """Max-abs coefficient of target - p - sigma_0 - sum sigma_j h_j.
+
+        Expanded again from the Gram matrices alone, one exponent row and
+        weight per Gram entry and term of h_j, collapsed under keys of its
+        own radix, so it checks the builder's row keys rather than sharing
+        them.  A non-finite coefficient gives inf.
+        """
+        nv = len(prog.ambient)
+
+        def rows(monomials) -> np.ndarray:
+            return np.array(monomials, dtype=np.int64).reshape(len(monomials), nv)
+
+        known = (prog.target, -self.p.in_variables(prog.ambient))
+        exps = [rows(list(f.terms)) for f in known]
+        weights = [np.fromiter(f.terms.values(), float, len(f.terms)) for f in known]
+        hs = [Polynomial.constant(prog.ambient, -1.0)]
+        hs += [-h for h, _ in prog.multipliers]
+        for basis, gram, h in zip(prog.sigma_bases, self.sigma_grams, hs):
+            B, H = rows(basis.monomials), rows(list(h.terms))
+            exps.append((B[:, None, None] + B[:, None] + H).reshape(-1, nv))
+            h_weights = np.fromiter(h.terms.values(), float, len(h.terms))
+            weights.append((gram[:, :, None] * h_weights).ravel())
+        keys = np.concatenate(exps)
+        radix = 1 + int(keys.max(initial=0))
+        if radix**nv < 2**63:  # one integer per row sorts much faster
+            keys = keys @ radix ** np.arange(nv, dtype=np.int64)
+        _, inverse = np.unique(keys, axis=0, return_inverse=True)
+        coeffs = np.bincount(inverse.ravel(), np.concatenate(weights))
+        if not np.isfinite(coeffs).all():
+            return math.inf
+        return float(np.abs(coeffs).max(initial=0.0))
 
 
 def _solve_checked(
@@ -394,14 +407,10 @@ class MomentSolution:
 def moment_matrix(
     moments: np.ndarray, relax: MomentRelaxation, degree: int
 ) -> np.ndarray:
-    basis = monomial_basis(len(relax.variables), degree)
-    n = len(basis)
-    M = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            mono = _add_exponents(basis.monomials[a], basis.monomials[b])
-            M[a, b] = M[b, a] = moments[relax.y_basis.index(mono)]
-    return M
+    nv = len(relax.variables)
+    powers = (relax.y_basis.max_degree + 1) ** np.arange(nv, dtype=np.int64)
+    keys = _exponent_keys(monomial_basis(nv, degree).monomials, powers)
+    return moments[_key_lookup(relax.y_basis, powers)(keys[:, None] + keys)]
 
 
 def _numeric_rank(mat: np.ndarray, tol: float) -> int:

@@ -74,6 +74,12 @@ def test_solve_negative_eps_exit_code(capsys):
     assert main(["solve", "p1_mpec", "--eps", "-1"]) == 4
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_solve_non_finite_eps_exit_code(eps, capsys):
+    assert main(["solve", "p1_mpec", "--k", "3..3", "--eps", eps]) == 4
+    assert "finite" in capsys.readouterr().err
+
+
 def test_solve_all_empty_exit_code(tmp_path, capsys):
     doc = tmp_path / "empty.yaml"
     doc.write_text(

@@ -148,6 +148,23 @@ def test_config_validation():
         AlgoConfig(epsilon=1e-3, k_start=2, k_max=3, epsilon_ladder=(1e-3, 1e-2))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"stop_tol": math.nan},
+        {"stop_tol": math.inf},
+        {"epsilon_ladder": (math.inf, 1e-3)},
+        {"epsilon_ladder": (1e-2, math.nan)},
+    ],
+    ids=["nan-eps", "inf-eps", "nan-tol", "inf-tol", "inf-ladder", "nan-ladder"],
+)
+def test_config_rejects_non_finite_numbers(fields):
+    with pytest.raises(ValueError, match="finite|stopping"):
+        AlgoConfig(**{"epsilon": 1e-3, "k_start": 2, "k_max": 3, **fields})
+
+
 def test_k_start_below_threshold(p1):
     with pytest.raises(ValueError, match="below admissible"):
         solve_mpec(p1, AlgoConfig(epsilon=1e-3, k_start=1, k_max=2))

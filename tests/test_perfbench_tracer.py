@@ -2,19 +2,25 @@
 
 A rename in ``mpecsos`` would make every traced benchmark operation fail,
 so these tests load ``perfbench/tracer.py`` as it stands and check that
-each name it wraps resolves and that its SDP description runs.
+each name it wraps resolves and that its SDP description runs.  The
+description reads every constraint coefficient as a dense array; its
+counts on p1's value programs are pinned, so a change to the coefficient
+format fails here before it changes the benchmark's ``sdp.coeff_*``.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from mpecsos.polynomials import parse_polynomial
-from mpecsos.sdp import solve
+from mpecsos.problems import bundled_instance
+from mpecsos.sdp import SdpStatus, solve
 from mpecsos.sos import build_moment_relaxation
+from mpecsos.valuefn import build_value_program
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +52,14 @@ def test_describe_sdp_reads_a_moment_relaxation(tracer):
     assert 0 < info["coeff_nnz"] <= info["coeff_entries"]
     assert info["status"] == sol.status.value
     assert info["iterations"] == sol.iterations
+
+
+@pytest.mark.parametrize(
+    "order, m, entries, nnz",
+    [(3, 84, 52_384, 1_028), (4, 165, 363_750, 3_670), (5, 286, 1_805_302, 10_552)],
+)
+def test_describe_sdp_counts_on_value_programs(tracer, order, m, entries, nnz):
+    _, sdp = build_value_program(bundled_instance("p1_mpec"), order)
+    sol = SimpleNamespace(status=SdpStatus.OPTIMAL, iterations=0)
+    info = tracer._describe_sdp((sdp,), {}, sol)
+    assert (info["m"], info["coeff_entries"], info["coeff_nnz"]) == (m, entries, nnz)

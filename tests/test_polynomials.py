@@ -62,6 +62,22 @@ def test_parse_exponent_overflow():
         parse_polynomial("x^100", ["x"])
 
 
+def test_parse_rejects_overflowing_literal():
+    with pytest.raises(ParseError, match="out of range"):
+        parse_polynomial("x + 1e999", ["x"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        Polynomial(["x"], {(1,): bad})
+    p = parse_polynomial("x + 1", ["x"])
+    with pytest.raises(ValueError, match="not finite"):
+        p + bad
+    with pytest.raises(ValueError, match="not finite"):
+        p * bad
+
+
 def test_parse_deterministic():
     a = parse_polynomial("(x+y)^3 - x*y", ["x", "y"])
     b = parse_polynomial("(x+y)^3 - x*y", ["x", "y"])

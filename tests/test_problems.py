@@ -56,6 +56,12 @@ def test_load_rejects_malformed_bounds_and_names(old, new):
         load_problem(P1_DOC.replace(old, new))
 
 
+def test_load_rejects_overflowing_literal():
+    doc = P1_DOC.replace('objective: "x + y"', 'objective: "x + 1e999*y"')
+    with pytest.raises(ProblemFormatError, match="out of range"):
+        load_problem(doc)
+
+
 def test_load_missing_section():
     broken = P1_DOC.replace('phi: "x*v^2/2 - v^3/3 - (x*y^2/2 - y^3/3)"', "")
     with pytest.raises(ProblemFormatError, match="phi"):

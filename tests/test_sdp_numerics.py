@@ -73,6 +73,21 @@ def test_duplicated_constraint_row():
     assert value == pytest.approx(2.0, abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "where, objective, coeff, rhs",
+    [
+        ("constraint 0", {}, np.array([[math.inf, 0.0], [0.0, 1.0]]), 1.0),
+        ("constraint 0", {}, np.eye(2), math.nan),
+        ("constraint 0", {}, np.eye(2), -math.inf),
+        ("objective", {0: np.array([[1.0, math.nan], [math.nan, 1.0]])}, np.eye(2), 1.0),
+    ],
+    ids=["inf-entry", "nan-rhs", "inf-rhs", "nan-objective"],
+)
+def test_non_finite_data_rejected_at_construction(where, objective, coeff, rhs):
+    with pytest.raises(ValueError, match=f"^{where}: .*not finite"):
+        SdpProblem([SdpBlock(PSD, 2)], objective, [SdpConstraint({0: coeff}, rhs)])
+
+
 def test_free_block_absorbs_every_row():
     # t = 1 with t free; minimize x >= 0, which no row touches
     value = _objective(

@@ -1,5 +1,6 @@
 """Identity programs, moment relaxations, flatness and atom extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,13 @@ from mpecsos.sos import (
     check_flatness,
     extract_atoms,
     minimize_hierarchy,
+    moment_matrix,
     solve_moment_relaxation,
     solve_sos_identity,
 )
+from mpecsos.problems import bundled_instance
 from mpecsos.sdp import SdpStatus, solve
+from mpecsos.valuefn import build_value_program
 
 UNIT = moment_vector(1, 0, 1.0)  # single constant moment, gamma = [1]
 
@@ -80,6 +84,161 @@ def test_identity_free_polynomial_tracks_target():
     assert sol.p.allclose(expect, tol=1e-5)
     # rho = gamma-pairing of p: 1 + 1/3
     assert sol.rho == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the builder against a per-entry reference
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _reference_rows(target, bases, multipliers, row_basis, p_exponents):
+    """Coefficients of the identity program, one Gram entry at a time.
+
+    Returns per row the {block: array} dict, in block order, and the right
+    side; block j of a row holds the Gram entries (a, b) of sigma_j whose
+    monomial product times a term of its weight lands on the row.
+    """
+    rows = [dict() for _ in row_basis.monomials]
+    weights = [{(0,) * len(target.variables): 1.0}] + [h.terms for h in multipliers]
+    for j, (basis, terms) in enumerate(zip(bases, weights)):
+        n = len(basis)
+        for a in range(n):
+            for b in range(n):
+                base = _add(basis.monomials[a], basis.monomials[b])
+                for exp, coeff in terms.items():
+                    ri = row_basis.index(_add(base, exp))
+                    mat = rows[ri].setdefault(j, np.zeros((n, n)))
+                    mat[a, b] += coeff
+    for ri, mono in enumerate(row_basis.monomials):
+        free = np.array([1.0 if beta == mono else 0.0 for beta in p_exponents])
+        if free.any():
+            rows[ri][len(bases)] = free
+    return rows, [target.coefficient(mono) for mono in row_basis.monomials]
+
+
+def _assert_same_program(sdp, rows, rhs):
+    assert len(sdp.constraints) == len(rows)
+    for con, want, b in zip(sdp.constraints, rows, rhs):
+        assert list(con.coeffs) == list(want)
+        for bi, arr in want.items():
+            got = con.coeffs[bi]
+            assert got.shape == arr.shape and got.tobytes() == arr.tobytes()
+        assert np.float64(con.rhs).tobytes() == np.float64(b).tobytes()
+
+
+def _p_exponents(prog):
+    out = []
+    for alpha in prog.p_basis.monomials:
+        beta = [0] * len(prog.ambient)
+        for name, e in zip(prog.p_vars, alpha):
+            beta[prog.ambient.index(name)] = e
+        out.append(tuple(beta))
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_value_program_matches_reference_bitwise(order):
+    prog, sdp = build_value_program(bundled_instance("p1_mpec"), order)
+    assert list(prog.p_exponents_ambient) == _p_exponents(prog)
+    rows, rhs = _reference_rows(
+        prog.target,
+        prog.sigma_bases,
+        [h for h, _ in prog.multipliers],
+        prog.row_basis,
+        prog.p_exponents_ambient,
+    )
+    _assert_same_program(sdp, rows, rhs)
+
+
+def test_scaled_relaxation_matches_reference_bitwise():
+    names = ["x", "y"]
+    f = parse_polynomial("x^3*y - 2*x*y + y^2", names)
+    gens = [
+        parse_polynomial("4 - x^2 - 0.5*y^2 + x*y", names),
+        parse_polynomial("x*y^2 - 0.3*x + 0.7*y - 1.5", names),
+    ]
+    relax, sdp = build_moment_relaxation(f, gens, 3, scaling=[2.0, 0.5])
+    rows, rhs = _reference_rows(
+        relax.objective,
+        (relax.moment_basis,) + relax.localizing_bases,
+        relax.generators,
+        relax.y_basis,
+        [(0, 0)],
+    )
+    _assert_same_program(sdp, rows, rhs)
+    # the moment matrix reads the same keys the builder does
+    moments = np.random.default_rng(7).standard_normal(len(relax.y_basis))
+    for degree in range(4):
+        basis = monomial_basis(2, degree)
+        want = np.array(
+            [[moments[relax.y_basis.index(_add(a, b))] for b in basis.monomials]
+             for a in basis.monomials]
+        )
+        assert moment_matrix(moments, relax, degree).tobytes() == want.tobytes()
+
+
+def test_three_variable_identity_matches_reference_bitwise():
+    names = ["x", "y", "z"]
+    target = parse_polynomial("x^2*y*z - y^3 + 0.5*z^2 - x", names)
+    mults = [
+        (parse_polynomial("1 - x^2 - y^2 - z^2", names), 1),
+        (parse_polynomial("x*y*z + 0.5*y - 0.3", names), 1),
+    ]
+    gamma = moment_vector(2, 2, 1.0)
+    prog, sdp = build_sos_identity(
+        target, ["z", "x"], 2, mults, gamma, sigma0_order=3
+    )
+    assert len(prog.row_basis) == 84  # every monomial of degree <= 6 in 3 variables
+    assert list(prog.p_exponents_ambient) == _p_exponents(prog)
+    rows, rhs = _reference_rows(
+        target,
+        prog.sigma_bases,
+        [h for h, _ in mults],
+        prog.row_basis,
+        prog.p_exponents_ambient,
+    )
+    _assert_same_program(sdp, rows, rhs)
+
+
+def test_identity_rejects_keys_that_would_overflow():
+    # radix 3 over 64 variables needs 3^64 > 2^63 keys
+    names = [f"x{i}" for i in range(64)]
+    target = Polynomial(names, {(1,) + (0,) * 63: 1.0})
+    with pytest.raises(ValueError, match="64-bit"):
+        build_sos_identity(target, (), 0, [], UNIT, sigma0_order=1)
+
+
+@pytest.fixture(scope="module")
+def interval_identity():
+    # v + 1 = sigma_0 + sigma_1 (1 - v^2) on [-1, 1], with sigma_0 of order 2
+    target = parse_polynomial("v", ["v"])
+    interval = parse_polynomial("1 - v^2", ["v"])
+    prog, sdp = build_sos_identity(
+        target, ["v"], 0, [(interval, 1)], UNIT, sigma0_order=2
+    )
+    return prog, solve_sos_identity(prog, sdp)
+
+
+def test_identity_residual_sees_a_gram_perturbation(interval_identity):
+    prog, sol = interval_identity
+    base = sol.identity_residual(prog)
+    assert base <= 1e-7
+    delta = 1e-3
+    for i in range(len(prog.sigma_bases[0])):
+        grams = [g.copy() for g in sol.sigma_grams]
+        grams[0][i, i] += delta
+        moved = dataclasses.replace(sol, sigma_grams=grams).identity_residual(prog)
+        assert abs(moved - delta) <= base + 1e-12
+
+
+def test_identity_residual_flags_a_nan_gram_entry(interval_identity):
+    prog, sol = interval_identity
+    grams = [g.copy() for g in sol.sigma_grams]
+    grams[1][0, 1] = math.nan
+    assert dataclasses.replace(sol, sigma_grams=grams).identity_residual(prog) == math.inf
 
 
 # ----------------------------------------------------------------------
