@@ -441,6 +441,15 @@ class _Parser:
             raise ParseError(f"expected {op!r}", at)
         return self.advance()
 
+    @staticmethod
+    def arith(at: int, fn, *args) -> Polynomial:
+        """fn(*args), with an overflow to a non-finite coefficient reported
+        as a ParseError at the operator's position ``at``."""
+        try:
+            return fn(*args)
+        except ValueError as err:
+            raise ParseError(f"arithmetic overflow: {err}", at) from err
+
     def parse(self) -> Polynomial:
         poly = self.parse_expr()
         kind, val, at = self.peek()
@@ -451,11 +460,12 @@ class _Parser:
     def parse_expr(self) -> Polynomial:
         poly = self.parse_term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                poly = poly + rhs if val == "+" else poly - rhs
+                op = Polynomial.__add__ if val == "+" else Polynomial.__sub__
+                poly = self.arith(at, op, poly, rhs)
             else:
                 return poly
 
@@ -467,20 +477,20 @@ class _Parser:
                 self.advance()
                 rhs = self.parse_factor()
                 if val == "*":
-                    poly = poly * rhs
+                    poly = self.arith(at, Polynomial.__mul__, poly, rhs)
                 else:
                     if rhs.degree > 0:
                         raise ParseError("division only by constants", at)
                     denom = rhs.constant_term()
                     if denom == 0.0:
                         raise ParseError("division by zero", at)
-                    poly = poly * (1.0 / denom)
+                    poly = self.arith(at, Polynomial.__mul__, poly, 1.0 / denom)
             else:
                 return poly
 
     def parse_factor(self) -> Polynomial:
         kind, val, at = self.peek()
-        sign = 1.0
+        start, sign = at, 1.0
         while kind == "op" and val in "+-":
             if val == "-":
                 sign = -sign
@@ -489,6 +499,7 @@ class _Parser:
         base = self.parse_atom()
         kind, val, at = self.peek()
         if kind == "op" and val == "^":
+            caret = at
             self.advance()
             kind, val, at = self.peek()
             if kind != "num" or not val.isdigit():
@@ -497,8 +508,8 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow (> {MAX_EXPONENT})", at)
             self.advance()
-            base = base**exponent
-        return base * sign
+            base = self.arith(caret, Polynomial.__pow__, base, exponent)
+        return self.arith(start, Polynomial.__mul__, base, sign)
 
     def parse_atom(self) -> Polynomial:
         kind, val, at = self.advance()
@@ -521,6 +532,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression string into expanded normal form.
 
     Raises ParseError (with position) on syntax problems, unknown
-    identifiers, exponent overflow or a number too large for a float.
+    identifiers, exponent overflow, a number too large for a float or
+    arithmetic whose coefficients overflow.
     """
     return _Parser(text, variables).parse()

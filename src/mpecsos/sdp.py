@@ -28,16 +28,20 @@ squares.  Its condition number therefore grows like 1/mu instead of
 1/mu^2, which keeps the last digits of the direction when the
 complementarity reaches 1e-9.
 
-Constraint data are kept sparse, as coordinate triples per block (svec
-entries for PSD blocks), and every product with them goes through
-np.bincount: the Gram-form programs built here touch under 1% of the
-entries of their dense blocks.  The per-iteration work is dense: the
-scaling points, the scaled constraint matrix and its factorization.
+Constraint data are kept sparse, as coordinate triples (svec entries),
+and every product with them goes through np.bincount: the Gram-form
+programs built here touch under 1% of the entries of their dense blocks.
+The per-iteration work is dense: the scaling points, the scaled constraint
+matrix and its factorization.  Blocks of one size are stacked, so that
+work is one batched numpy call per size, not one per block; a nonnegative
+block of size n is one stack of n 1x1 blocks.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -263,138 +267,134 @@ def residuals(
 # solver internals
 
 
-class _Coo:
-    """A sparse matrix as coordinate triples; products go through bincount.
-
-    (bincount returns integers when it has no entries to weigh, hence the
-    casts.)
-    """
-
-    def __init__(self, rows, cols, vals, shape: Tuple[int, int]):
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.vals = np.asarray(vals, dtype=float)
-        self.shape = shape
-
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """A v."""
-        return np.bincount(
-            self.rows, weights=self.vals * v[self.cols], minlength=self.shape[0]
-        ).astype(float, copy=False)
-
-    def tdot(self, v: np.ndarray) -> np.ndarray:
-        """A' v."""
-        return np.bincount(
-            self.cols, weights=self.vals * v[self.rows], minlength=self.shape[1]
-        ).astype(float, copy=False)
-
-
 # entries of the scaled matrices formed at once: 128 KB chunks stay in
 # cache through the product that forms them and the svec gather after it
 _CHUNK = 1 << 14
 
 
-class _PsdBlock:
-    """Constraint data of one PSD block in svec coordinates.
+def _psd_entries(size: int, keys: np.ndarray, coeffs, norms: np.ndarray):
+    """(keys, then local row, j, k, value per entry) of the matrices coeffs[l]
+    over norms[keys[l]], read in stacks of about _CHUNK entries."""
+    width = max(1, _CHUNK // (size * size))
+    parts = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
+    for lo in range(0, len(keys), width):
+        rows = keys[lo : lo + width]
+        stack = np.stack(coeffs[lo : lo + width]) / norms[rows, None, None]
+        li, j, k = np.nonzero(stack)
+        parts.append((li + lo, j, k, stack[li, j, k]))
+    return (keys,) + tuple(np.concatenate(a) for a in zip(*parts))
 
-    svec stacks the upper triangle row by row with the off-diagonal entries
-    scaled by sqrt(2), so <A, X> = svec(A)'svec(X).  Column i of ``A`` is
-    svec(A_i) for the (row-scaled) constraint matrix A_i.  The coordinate
-    list of the A_i with both triangles is kept as well, in chunks of
-    constraints, for forming the scaled matrices R'A_iR.  ``entry`` is set
-    when the block is coordinate ``entry`` of the nonnegative block
-    ``index``.
+
+class _PsdStack:
+    """Constraint data of k PSD blocks of one size n, in svec coordinates.
+
+    Matrices carry a leading member axis.  svec stacks the upper triangle
+    row by row, off-diagonal entries times sqrt(2), so <A, X> =
+    svec(A)'svec(X).  The svec entries of the A_i are triples (svec row
+    j*dim + r of member j, row i, value); the entries of both triangles, in
+    chunks, form R'A_iR.  Member j (by row count) is cone block ``order[j]``,
+    owns ``rows[j]`` of the scaled constraint matrix and is public block
+    ``index[j]`` (its coordinate ``entry[j]`` if nonnegative, else -1).
     """
 
-    def __init__(self, index: int, size: int, coeffs, norms, m: int, C, entry=None):
-        self.index = index
-        self.entry = entry
-        self.size = size
-        self.iu = np.triu_indices(size)
-        self.flat = self.iu[0] * size + self.iu[1]
+    def __init__(self, members, order: np.ndarray, offsets: np.ndarray, m: int):
+        # members[o] for o in order: (n, index, entry, C, (keys, local, j, k,
+        # value)) for one size n, where an entry lies in row keys[local]
+        rank = np.argsort([len(members[o][4][0]) for o in order], kind="stable")
+        self.order = order[rank]
+        self.offsets = offsets[self.order]
+        chosen = [members[o] for o in self.order]
+        sizes, self.index, self.entry, Cs, tables = zip(*chosen)
+        n, k = sizes[0], len(rank)
+        self.size, self.count, self.m = n, k, m
+        self.iu = np.triu_indices(n)
+        self.flat = self.iu[0] * n + self.iu[1]
         self.weight = np.where(self.iu[0] == self.iu[1], 1.0, math.sqrt(2.0))
-        self.dim = len(self.weight)
-        self.C = np.zeros((size, size)) if C is None else np.array(C)
-        self.rows = np.array(sorted(coeffs), dtype=np.intp)
+        self.dim = dim = len(self.weight)
+        self.rows = self.offsets[:, None] + np.arange(dim)
+        self.C = np.array([np.zeros((n, n)) if C is None else C for C in Cs])
 
-        # entries (local constraint, j, k, value), ordered by constraint,
-        # read from stacks of rows of about _CHUNK entries
-        width = max(1, _CHUNK // (size * size))
-        parts = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
-        for lo in range(0, len(self.rows), width):
-            rows = self.rows[lo : lo + width]
-            stack = np.stack([coeffs[i] for i in rows]) / norms[rows, None, None]
-            li, j, k = np.nonzero(stack)
-            parts.append((li + lo, j, k, stack[li, j, k]))
-        local, js, ks, vals = (np.concatenate(a) for a in zip(*parts))
+        counts = np.array([len(t[0]) for t in tables], dtype=np.intp)
+        # member j's rows are cons[start[j]:start[j + 1]]
+        self.cons = np.concatenate([t[0] for t in tables])
+        self.start = start = np.concatenate([[0], np.cumsum(counts)])
+        member = np.repeat(np.arange(k), [len(t[1]) for t in tables])
+        local, js, ks, vals = (np.concatenate(a) for a in list(zip(*tables))[1:])
+        pair = start[member] + local
+        # rows of the members that miss a constraint, zeroed at each refill
+        self.partial = [slice(o, o + dim) for o in self.offsets[counts < m]]
 
-        # svec position of an (j, k) entry with j <= k
-        position = np.zeros((size, size), dtype=np.intp)
-        position[self.iu] = np.arange(self.dim)
-        upper = js <= ks
-        pos = position[js[upper], ks[upper]]
-        self.A = _Coo(
-            pos, self.rows[local[upper]], vals[upper] * self.weight[pos], (self.dim, m)
-        )
+        up = js <= ks
+        pos = js[up] * n - js[up] * (js[up] - 1) // 2 + ks[up] - js[up]  # svec place
+        self.svec_rows, self.cols = member[up] * dim + pos, self.cons[pair[up]]
+        self.vals = vals[up] * self.weight[pos]
+        self.bins = member[up] * m + self.cols  # (member, row) of an entry
 
-        # Per chunk of constraints, where each entry's multiple of a row of
-        # R lands in the stack of (A_i R)' (see scaled_columns).
+        # A chunk holds rows lo..hi of members g..h-1, of one row count, so
+        # a member's product with its R has the shape it has alone.  Per
+        # entry: its row of the stacked R and where its multiple of that row
+        # lands in the stack of (A_i R)' (see scaled_columns).
+        width = max(1, _CHUNK // (n * n))
         self.chunks = []
-        for lo in range(0, len(self.rows), width):
-            hi = min(lo + width, len(self.rows))
-            a, b = np.searchsorted(local, [lo, hi])
-            base = (local[a:b] - lo) * size * size + js[a:b]
-            target = (base[:, None] + size * np.arange(size)).ravel()
-            self.chunks.append((lo, hi, ks[a:b], vals[a:b], target))
+        for c in np.unique(counts[counts > 0]):
+            first, last = np.searchsorted(counts, [c, c + 1])
+            per = max(1, width // c)
+            for g, lo in itertools.product(range(first, last, per), range(0, c, width)):
+                h, hi = min(g + per, last), min(lo + width, c)
+                a, b = np.searchsorted(pair, [start[g] + lo, start[h - 1] + hi])
+                slot = (member[a:b] - g) * (hi - lo) + local[a:b] - lo
+                target = ((slot * n * n + js[a:b])[:, None] + n * np.arange(n)).ravel()
+                source = member[a:b] * n + ks[a:b]
+                self.chunks.append((g, h, lo, hi, source, vals[a:b], target))
 
     def svec(self, X: np.ndarray) -> np.ndarray:
-        return X[self.iu] * self.weight
+        return X[..., self.iu[0], self.iu[1]] * self.weight
 
     def smat(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty((self.size, self.size))
+        out = np.empty(v.shape[:-1] + (self.size, self.size))
         half = v / self.weight
-        out[self.iu] = half
-        out.T[self.iu] = half
+        out[..., self.iu[0], self.iu[1]] = half
+        out[..., self.iu[1], self.iu[0]] = half
         return out
 
     def combine(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i A_i as a dense matrix."""
-        return self.smat(self.A.dot(y))
+        """sum_i y_i A_i of every member, as dense matrices."""
+        k, weights = self.count, self.vals * y[self.cols]
+        v = np.bincount(self.svec_rows, weights=weights, minlength=k * self.dim)
+        return self.smat(v.astype(float, copy=False).reshape(k, self.dim))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """The vector of <A_i, X>."""
-        return self.A.tdot(self.svec(X))
+        """The vectors of <A_i, X_j>, one row per member j."""
+        weights = self.vals * self.svec(X).ravel()[self.svec_rows]
+        v = np.bincount(self.bins, weights=weights, minlength=self.count * self.m)
+        return v.astype(float, copy=False).reshape(self.count, self.m)
 
     def scaled_columns(self, R: np.ndarray):
-        """Yield (constraints, svec(R'A_iR) as rows), chunk by chunk.
-
-        The sparse product (A_i R)' is summed into a dense stack, and one
-        matrix product with R then gives (A_i R)'R = R'A_iR for every
-        constraint of the chunk.
-        """
+        """Yield (member, rows, svec(R'A_iR) of those rows), chunk by chunk:
+        the sparse products (A_i R)' summed into a dense stack, times R."""
         n = self.size
-        for lo, hi, ks, vals, target in self.chunks:
-            width = hi - lo
-            stack = np.bincount(
-                target, weights=(vals[:, None] * R[ks]).ravel(), minlength=width * n * n
-            ).astype(float, copy=False)
-            scaled = (stack.reshape(width * n, n) @ R).reshape(width, n * n)
-            part = np.take(scaled, self.flat, axis=1)
+        for g, h, lo, hi, source, vals, target in self.chunks:
+            shape = (h - g, hi - lo, n * n)
+            weights = (vals[:, None] * R.reshape(-1, n)[source]).ravel()
+            stack = np.bincount(target, weights=weights, minlength=math.prod(shape))
+            stack = stack.astype(float, copy=False).reshape(h - g, -1, n)
+            part = np.take((stack @ R[g:h]).reshape(shape), self.flat, axis=2)
             part *= self.weight
-            yield self.rows[lo:hi], part
+            for j in range(g, h):
+                yield j, self.cons[self.start[j] + lo : self.start[j] + hi], part[j - g]
 
 
 class _Cone:
-    """Constraint data of the PSD blocks, sparse, built once per problem.
+    """Constraint data of the cone blocks, sparse, built once per problem.
 
-    PSD blocks keep their constraint matrices in svec form (`_PsdBlock`).
-    A nonnegative block of size n becomes n PSD blocks of size 1, one per
-    coordinate, so the iteration handles a single cone kind.  The free
-    blocks are solved out of the data (`_FreeElimination`): the cone blocks
-    see only the rows it leaves, with its objective and right side.
-    `_PsdBlock` scales each row to unit Frobenius norm as it reads it; a
-    row that the elimination combines with pivot rows is formed once, in
-    the scale of the original row.
+    The cone blocks are PSD blocks, stacked by size (`_PsdStack`); a
+    nonnegative block of size n is n blocks of size 1.  The free blocks are
+    solved out of the data (`_FreeElimination`): the cone blocks see only
+    the rows it leaves, with its objective and right side.  Each row is
+    scaled to unit Frobenius norm as the blocks read it; a row that the
+    elimination mixes with pivot rows is formed once, in the scale of the
+    original row.  Sums over the blocks run in block order, whatever the
+    stacks (`inner`, `apply`).
     """
 
     def __init__(self, problem: SdpProblem):
@@ -446,37 +446,64 @@ class _Cone:
         mix = free.M * self.row_scale[:, None] / norms[free.pivot]
 
         def touching(bi):
-            """The rows left on block bi; rows M leaves alone by reference."""
+            """The rows left on block bi, ascending, and their coefficients;
+            rows M leaves alone by reference."""
             rows = {k: constraints[i].coeffs.get(bi) for k, i in enumerate(free.rest)}
             for k in np.flatnonzero(mix.any(axis=1)):
                 rows[k] = fold(rows[k], bi, mix[k])
-            return {k: a for k, a in rows.items() if a is not None}
+            keys = np.flatnonzero([a is not None for a in rows.values()])
+            return keys, [rows[k] for k in keys]
 
         self.m = len(free.rest)
-        self.psd: List[_PsdBlock] = []
+        members = []  # (size, index, entry, C, entries) in block order
         for bi, block in enumerate(blocks):
+            if block.kind is BlockKind.FREE:
+                continue
             C = fold(problem.objective.get(bi), bi, free.v / norms[free.pivot])
+            keys, coeffs = touching(bi)
             if block.kind is BlockKind.PSD:
-                self.psd.append(
-                    _PsdBlock(bi, block.size, touching(bi), self.row_scale, self.m, C)
-                )
-            elif block.kind is BlockKind.NONNEG:
-                touched = touching(bi)
-                for j in range(block.size):
-                    coeffs = {
-                        k: cf[j : j + 1, None] for k, cf in touched.items() if cf[j]
-                    }
-                    Cj = None if C is None else C[j : j + 1, None]
-                    self.psd.append(
-                        _PsdBlock(bi, 1, coeffs, self.row_scale, self.m, Cj, entry=j)
-                    )
-        self.scaled_size = sum(p.dim for p in self.psd)
-        self.nu = sum(p.size for p in self.psd)
+                entries = _psd_entries(block.size, keys, coeffs, self.row_scale)
+                members.append((block.size, bi, -1, C, entries))
+                continue
+            vec = np.stack(coeffs) if coeffs else np.zeros((0, block.size))
+            js, at = np.nonzero(vec.T)
+            split = np.searchsorted(js, np.arange(1, block.size))
+            for j, rows in enumerate(np.split(at, split)):
+                zero = np.zeros(len(rows), np.intp)
+                value = vec[rows, j] / self.row_scale[keys[rows]]
+                entries = (keys[rows], np.arange(len(rows)), zero, zero, value)
+                Cj = None if C is None else C[j : j + 1, None]
+                members.append((1, bi, j, Cj, entries))
+
+        sizes = np.array([mem[0] for mem in members], dtype=np.intp)
+        offsets = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])
+        self.count, self.scaled_size = len(members), int(offsets[-1])
+        self.stacks = [
+            _PsdStack(members, np.flatnonzero(sizes == n), offsets, self.m)
+            for n in dict.fromkeys(sizes.tolist())
+        ]
+        self.nu = sum(s.count * s.size for s in self.stacks)
+        self.C = [s.C for s in self.stacks]
         # residuals are normalized by the original data
         self.c_norm = math.sqrt(
             sum(float(np.sum(c**2)) for c in problem.objective.values())
         )
         self.b_norm = float(np.linalg.norm(rhs))
+
+    def inner(self, A, B, start: float = 0.0) -> float:
+        """start + sum_b <A_b, B_b> over the cone blocks (A, B per stack)."""
+        values = np.empty(self.count + 1)
+        values[0] = start
+        for s, a, b in zip(self.stacks, A, B):
+            values[s.order + 1] = np.sum(a * b, axis=(1, 2))
+        return float(np.cumsum(values)[-1])
+
+    def apply(self, X) -> np.ndarray:
+        """The vector of sum_b <A_ib, X_b> (X per stack)."""
+        rows = np.zeros((self.count + 1, self.m))
+        for s, Xs in zip(self.stacks, X):
+            rows[s.order + 1] = s.apply(Xs)
+        return np.cumsum(rows, axis=0)[-1]
 
 
 def _free_ray(A_f: np.ndarray, c_f: np.ndarray, norms: np.ndarray):
@@ -604,6 +631,16 @@ class _CompactQR:
             stacked = np.vstack([self.R, math.sqrt(1e-12 * scale) * np.eye(k)])
             inner, self.R = np.linalg.qr(stacked)
             self.inner = inner[: self.top]
+        self.R = np.asfortranarray(self.R)
+
+    def solve_r(self, v: np.ndarray, trans: int = 0) -> np.ndarray:
+        """R^{-1} v, or R^{-T} v for trans=1, through LAPACK's dtrtrs."""
+        if not len(v):  # dtrtrs rejects the 0x0 factor
+            return np.zeros(0)
+        x, info = sla.lapack.dtrtrs(self.R, v, trans=trans)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular triangular factor")
+        return x
 
     def _apply(self, trans: str, vec: np.ndarray) -> np.ndarray:
         out, info = sla.lapack.dgemqrt(self.V, self.T, vec.reshape(-1, 1), trans=trans)
@@ -626,48 +663,46 @@ class _CompactQR:
 
 
 class _State:
-    """Iterate of the homogeneous embedding."""
+    """Iterate of the homogeneous embedding, one array per stack."""
 
     def __init__(self, cone: _Cone):
-        self.X = [np.eye(p.size) for p in cone.psd]
-        self.S = [np.eye(p.size) for p in cone.psd]
+        self.X = [np.tile(np.eye(s.size), (s.count, 1, 1)) for s in cone.stacks]
+        self.S = [np.tile(np.eye(s.size), (s.count, 1, 1)) for s in cone.stacks]
         self.y = np.zeros(cone.m)
-        self.tau = 1.0
-        self.kappa = 1.0
+        self.tau = self.kappa = 1.0
 
     def mu(self, cone: _Cone) -> float:
-        total = self.tau * self.kappa
-        for X, S in zip(self.X, self.S):
-            total += float(np.sum(X * S))
-        return total / (cone.nu + 1)
+        return cone.inner(self.X, self.S, self.tau * self.kappa) / (cone.nu + 1)
+
+
+def _t(mat: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mat, -1, -2)
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + _t(mat))
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """The diagonal matrices with the rows of v on their diagonals."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = v
+    return out
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
-    """Nesterov-Todd scaling point of a PSD block.
+    """Nesterov-Todd scaling points of a stack of PSD blocks.
 
     With X = L_X L_X', S = L_S L_S' and the SVD L_S'L_X = U diag(lam) V',
     R = L_X V diag(lam)^{-1/2} satisfies R'SR = R^{-1}XR^{-T} = diag(lam),
     so W = RR' is the NT point (WSW = X) and lam are the square roots of
     the eigenvalues of XS.
     """
-    L_X = np.linalg.cholesky(X)
-    L_S = np.linalg.cholesky(S)
-    _, lam, Vt = np.linalg.svd(L_S.T @ L_X)
-    if not lam[-1] > 0:
+    L_X, L_S = np.linalg.cholesky(X), np.linalg.cholesky(S)
+    _, lam, Vt = np.linalg.svd(_t(L_S) @ L_X)
+    if not np.all(lam[..., -1] > 0):
         raise np.linalg.LinAlgError("singular scaling point")
-    return (L_X @ Vt.T) / np.sqrt(lam), lam
-
-
-def _scaled_step(root: np.ndarray, dZ: np.ndarray) -> float:
-    """Largest a with diag(lam) + a*dZ PSD, given root = lam^{-1/2}."""
-    low = np.linalg.eigvalsh(root[:, None] * dZ * root).min()
-    if low >= -1e-16:
-        return math.inf
-    return 1.0 / (-low)
+    return (L_X @ _t(Vt)) / np.sqrt(lam)[..., None, :], lam
 
 
 class _HsdSolver:
@@ -677,28 +712,18 @@ class _HsdSolver:
         self.cone = _Cone(problem)
         self.state = _State(self.cone)
         self.mu_history: List[float] = []
-        # scaled constraint matrix, refilled and factored in place each
-        # iteration
+        # scaled constraint matrix, refilled and factored in place each iteration
         self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
 
     # -- residuals of the homogeneous model (scaled data) ----------------
 
     def _residuals(self, st: _State):
         cone = self.cone
-        r_p = cone.b * st.tau - self._apply_A(st.X)
-        r_d = [p.C * st.tau - S - p.combine(st.y) for p, S in zip(cone.psd, st.S)]
-        ctx = self._ctx(st.X)
+        r_p = cone.b * st.tau - cone.apply(st.X)
+        r_d = [s.C * st.tau - S - s.combine(st.y) for s, S in zip(cone.stacks, st.S)]
+        ctx = cone.inner(cone.C, st.X)
         r_g = st.kappa - float(cone.b @ st.y) + ctx
         return r_p, r_d, r_g, ctx
-
-    def _apply_A(self, X) -> np.ndarray:
-        out = np.zeros(self.cone.m)
-        for p, Xb in zip(self.cone.psd, X):
-            out += p.apply(Xb)
-        return out
-
-    def _ctx(self, X) -> float:
-        return sum(float(np.sum(p.C * Xb)) for p, Xb in zip(self.cone.psd, X))
 
     # -- Newton machinery -------------------------------------------------
     #
@@ -711,6 +736,8 @@ class _HsdSolver:
     # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates.  The 1x1
     # block of a nonnegative coordinate has R^2 = x/s and Lam = sqrt(xs),
     # so its scaled column is A_i sqrt(x/s) and its step bound x/(-dx).
+    # Each stack computes these for all its members at once and writes
+    # their rows of G, c_hat and e at the members' offsets, in block order.
     # The free blocks are solved out of the data at set-up, so with G the
     # stacked scaled constraints the Newton equations become the
     # least-squares system
@@ -722,19 +749,16 @@ class _HsdSolver:
         """Scaled constraint data and its orthogonal factorization."""
         cone = self.cone
         G = self.G
-        c_hat = np.zeros(cone.scaled_size)
+        c_hat = np.empty(cone.scaled_size)
         blocks = []
-        offset = 0
-        for p, X, S in zip(cone.psd, st.X, st.S):
+        for s, X, S in zip(cone.stacks, st.X, st.S):
             R, lam = _nt_scaling(X, S)
-            rows = G[offset : offset + p.dim]
-            if len(p.rows) < cone.m:
-                rows[:] = 0.0
-            for cons, part in p.scaled_columns(R):
-                rows[:, cons] = part.T
-            c_hat[offset : offset + p.dim] = p.svec(R.T @ p.C @ R)
+            for rows in s.partial:
+                G[rows] = 0.0
+            for j, cons, part in s.scaled_columns(R):
+                G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
+            c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam))
-            offset += p.dim
         fact = {"blocks": blocks, "qr": _CompactQR(G), "c_hat": c_hat}
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
@@ -744,31 +768,29 @@ class _HsdSolver:
         pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
         if not (pivot > 0 and math.isfinite(pivot)):
             raise np.linalg.LinAlgError("singular tau pivot")
-        fact["tau_col"] = tau_col
-        fact["tau_pivot"] = pivot
+        fact.update(tau_col=tau_col, tau_pivot=pivot)
         return fact
 
     def _solve(self, fact, e: np.ndarray, h: np.ndarray):
         """Solve xh - G dy = e, G'xh = h."""
         qr = fact["qr"]
-        t = sla.solve_triangular(qr.R, h, trans="T") - qr.project(e)
-        return e + qr.lift(t), sla.solve_triangular(qr.R, t)
+        t = qr.solve_r(h, trans=1) - qr.project(e)
+        return e + qr.lift(t), qr.solve_r(t)
 
     def _direction(self, st: _State, fact, resid, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets.
 
-        Rc holds, per block, the target of Lam o (dX~ + dS~) in the block's
-        scaled coordinates.
+        Rc holds, per stack, the targets of Lam o (dX~ + dS~) in the
+        members' scaled coordinates.
         """
         cone = self.cone
         r_p, r_d, r_g, _ = resid
 
         # e = Lam o^{-1} Rc - R' r_d R, block by block
-        e = []
-        for p, (R, lam), Rc_b, rd in zip(cone.psd, fact["blocks"], Rc, r_d):
-            jordan = 0.5 * (lam[:, None] + lam)
-            e.append(p.svec(Rc_b / jordan - R.T @ rd @ R))
-        e = np.concatenate(e) if e else np.zeros(0)
+        e = np.empty(cone.scaled_size)
+        for s, (R, lam), Rc_s, rd in zip(cone.stacks, fact["blocks"], Rc, r_d):
+            jordan = 0.5 * (lam[:, :, None] + lam[:, None, :])
+            e[s.rows] = s.svec(Rc_s / jordan - _t(R) @ rd @ R)
         xh, d_y = self._solve(fact, e, r_p)
 
         vx, vy = fact["tau_col"]
@@ -778,18 +800,14 @@ class _HsdSolver:
         d_y = d_y + d_tau * vy
 
         d = {"X": [], "S": [], "Xt": [], "St": []}
-        offset = 0
-        for p, (R, _), rd in zip(cone.psd, fact["blocks"], r_d):
-            dS = _sym(rd - p.combine(d_y) + p.C * d_tau)
-            dXt = p.smat(xh[offset : offset + p.dim])
+        for s, (R, _), rd in zip(cone.stacks, fact["blocks"], r_d):
+            dS = _sym(rd - s.combine(d_y) + s.C * d_tau)
+            dXt = s.smat(xh[s.rows])
             d["S"].append(dS)
-            d["St"].append(_sym(R.T @ dS @ R))
+            d["St"].append(_sym(_t(R) @ dS @ R))
             d["Xt"].append(dXt)
-            d["X"].append(_sym(R @ dXt @ R.T))
-            offset += p.dim
-        d["y"] = d_y
-        d["tau"] = d_tau
-        d["kappa"] = (rc_tau - st.kappa * d_tau) / st.tau
+            d["X"].append(_sym(R @ dXt @ _t(R)))
+        d.update(y=d_y, tau=d_tau, kappa=(rc_tau - st.kappa * d_tau) / st.tau)
         return d
 
     def _newton_residuals(self, st: _State, fact, d, resid, Rc, rc_tau):
@@ -800,17 +818,15 @@ class _HsdSolver:
         """
         cone = self.cone
         r_p, r_d, r_g, _ = resid
-        adx = self._apply_A(d["X"])
-        rho1 = r_p - (adx - cone.b * d["tau"])
+        rho1 = r_p - (cone.apply(d["X"]) - cone.b * d["tau"])
         rho2 = [
-            rd - (p.combine(d["y"]) + dS - p.C * d["tau"])
-            for p, rd, dS in zip(cone.psd, r_d, d["S"])
+            rd - (s.combine(d["y"]) + dS - s.C * d["tau"])
+            for s, rd, dS in zip(cone.stacks, r_d, d["S"])
         ]
-        cdx = self._ctx(d["X"])
-        rho3 = r_g - (float(cone.b @ d["y"]) - cdx - d["kappa"])
+        rho3 = r_g - (float(cone.b @ d["y"]) - cone.inner(cone.C, d["X"]) - d["kappa"])
         rho4 = [
-            Rc_b - 0.5 * (lam[:, None] + lam) * (dXt + dSt)
-            for Rc_b, (_, lam), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
+            Rc_s - 0.5 * (lam[:, :, None] + lam[:, None, :]) * (dXt + dSt)
+            for Rc_s, (_, lam), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
         ]
         rho6 = rc_tau - (d["tau"] * st.kappa + st.tau * d["kappa"])
         return rho1, rho2, rho3, rho4, rho6
@@ -834,15 +850,16 @@ class _HsdSolver:
         return d
 
     def _max_step(self, st: _State, fact, d) -> float:
-        """Largest step keeping the iterate in the cone.
-
-        A PSD block stays PSD while diag(lam) plus the step, both in the
-        block's scaled coordinates, does.
-        """
-        alpha = math.inf
+        """Largest step keeping the iterate in the cone: a block stays PSD
+        while diag(lam) + a*dZ (scaled coordinates) does, for a up to -1 over
+        the least eigenvalue of Lam^{-1/2} dZ Lam^{-1/2}."""
+        low = math.inf
         for (_, lam), dXt, dSt in zip(fact["blocks"], d["Xt"], d["St"]):
             root = 1.0 / np.sqrt(lam)
-            alpha = min(alpha, _scaled_step(root, dXt), _scaled_step(root, dSt))
+            for dZ in (dXt, dSt):
+                scaled = root[..., :, None] * dZ * root[..., None, :]
+                low = min(low, np.linalg.eigvalsh(scaled).min())
+        alpha = math.inf if low >= -1e-16 else 1.0 / (-low)
         if d["tau"] < 0:
             alpha = min(alpha, -st.tau / d["tau"])
         if d["kappa"] < 0:
@@ -865,8 +882,7 @@ class _HsdSolver:
         tau = st.tau
         # the pivot rows and the free block's dual rows hold exactly
         p_res = np.linalg.norm(cone.row_scale * r_p) / (tau * (1.0 + cone.b_norm))
-        d_sq = sum(float(np.sum(r**2)) for r in r_d)
-        d_res = math.sqrt(d_sq) / (tau * (1.0 + cone.c_norm))
+        d_res = math.sqrt(cone.inner(r_d, r_d)) / (tau * (1.0 + cone.c_norm))
         pobj = ctx / tau + cone.offset
         dobj = float(cone.b @ st.y) / tau + cone.offset
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -880,26 +896,14 @@ class _HsdSolver:
         out = {}
         if bty > 0:
             # C*tau - r_d equals sum_i y_i A_i + S in the original data scale
-            num_sq = 0.0
-            for p, rd in zip(cone.psd, r_d):
-                num_sq += float(np.sum((p.C * st.tau - rd) ** 2))
-            out["primal"] = math.sqrt(num_sq) / bty
+            num = [C * st.tau - rd for C, rd in zip(cone.C, r_d)]
+            out["primal"] = math.sqrt(cone.inner(num, num)) / bty
         if ctx < 0:
             ax = cone.row_scale * (cone.b * st.tau - r_p)
             out["dual"] = float(np.linalg.norm(ax)) / (-ctx)
         return out
 
     # -- main loop ----------------------------------------------------------
-
-    @staticmethod
-    def _snapshot(st: _State) -> _State:
-        copy = _State.__new__(_State)
-        copy.X = [np.array(X) for X in st.X]
-        copy.S = [np.array(S) for S in st.S]
-        copy.y = np.array(st.y)
-        copy.tau = st.tau
-        copy.kappa = st.kappa
-        return copy
 
     def run(self) -> SdpSolution:
         st = self.state
@@ -911,7 +915,7 @@ class _HsdSolver:
         status = SdpStatus.ITERATION_LIMIT
         iterations = 0
         cert_residual = math.nan
-        best_state = self._snapshot(st)
+        best_state = copy.deepcopy(st)
         best_merit = math.inf
 
         for iterations in range(opts.max_iterations + 1):
@@ -923,7 +927,7 @@ class _HsdSolver:
             merit = max(p_res, d_res, gap)
             if math.isfinite(merit) and merit < best_merit:
                 best_merit = merit
-                best_state = self._snapshot(st)
+                best_state = copy.deepcopy(st)
 
             if p_res <= opts.feas_tol and d_res <= opts.feas_tol and gap <= opts.gap_tol:
                 status = SdpStatus.OPTIMAL
@@ -946,18 +950,13 @@ class _HsdSolver:
 
             try:
                 step, alpha = self._search_direction(st, resid, mu)
+                alpha = min(opts.step_fraction * alpha, 1.0)
+                if not math.isfinite(alpha) or alpha <= 0:
+                    raise np.linalg.LinAlgError("no step inside the cone")
+                self._apply_step(st, step, alpha)
+                if not math.isfinite(st.mu(cone)):
+                    raise np.linalg.LinAlgError("iterate not finite")
             except (np.linalg.LinAlgError, ValueError):
-                status = SdpStatus.NUMERICAL_TROUBLE
-                st = best_state
-                break
-
-            alpha = min(opts.step_fraction * alpha, 1.0)
-            if not math.isfinite(alpha) or alpha <= 0:
-                status = SdpStatus.NUMERICAL_TROUBLE
-                st = best_state
-                break
-            self._apply_step(st, step, alpha)
-            if not math.isfinite(st.mu(cone)):
                 status = SdpStatus.NUMERICAL_TROUBLE
                 st = best_state
                 break
@@ -974,14 +973,14 @@ class _HsdSolver:
         fact = self._factorize(st)
         lams = [lam for _, lam in fact["blocks"]]
         # predictor: pure Newton step onto complementarity target 0
-        Rc_aff = [np.diag(-(lam * lam)) for lam in lams]
+        Rc_aff = [_diag(-(lam * lam)) for lam in lams]
         aff = self._direction_refined(st, fact, resid, Rc_aff, -(st.tau * st.kappa))
         alpha_aff = min(1.0, self._max_step(st, fact, aff))
         mu_aff = self._mu_after(st, aff, alpha_aff)
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         Rc = [
-            np.diag(sigma * mu - lam * lam) - _sym(dXt @ dSt)
+            _diag(sigma * mu - lam * lam) - _sym(dXt @ dSt)
             for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
@@ -989,10 +988,10 @@ class _HsdSolver:
         return d, self._max_step(st, fact, d)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:
-        total = (st.tau + alpha * d["tau"]) * (st.kappa + alpha * d["kappa"])
-        for X, S, dX, dS in zip(st.X, st.S, d["X"], d["S"]):
-            total += float(np.sum((X + alpha * dX) * (S + alpha * dS)))
-        return total / (self.cone.nu + 1)
+        start = (st.tau + alpha * d["tau"]) * (st.kappa + alpha * d["kappa"])
+        X = [X + alpha * dX for X, dX in zip(st.X, d["X"])]
+        S = [S + alpha * dS for S, dS in zip(st.S, d["S"])]
+        return self.cone.inner(X, S, start) / (self.cone.nu + 1)
 
     # -- assembling the public solution --------------------------------------
 
@@ -1006,12 +1005,13 @@ class _HsdSolver:
             None if b.kind is BlockKind.PSD else np.zeros(b.size)
             for b in self.problem.blocks
         ]
-        for p, mat in zip(self.cone.psd, mats):
+        for s, mat in zip(self.cone.stacks, mats):
             value = mat / scale
-            if p.entry is None:
-                out[p.index] = value
-            else:
-                out[p.index][p.entry] = value[0, 0]
+            for j, (bi, entry) in enumerate(zip(s.index, s.entry)):
+                if entry < 0:
+                    out[bi] = value[j]
+                else:
+                    out[bi][entry] = value[j, 0, 0]
         return out  # type: ignore[return-value]
 
     def _primal(self, X, scale: float, t: float, xf=None) -> List[np.ndarray]:
@@ -1053,7 +1053,7 @@ class _HsdSolver:
             s = self._collect_blocks(st.S, bty)
         elif status is SdpStatus.DUAL_INFEASIBLE:
             if cone.free_ray is None:
-                primal = self._primal(st.X, -self._ctx(st.X), 0.0)
+                primal = self._primal(st.X, -cone.inner(cone.C, st.X), 0.0)
             else:  # found at set-up: the ray has no cone part
                 primal = self._primal([0 * X for X in st.X], 1.0, 0.0, cone.free_ray)
         else:

@@ -176,6 +176,26 @@ variables:
     assert "M['x'] must be a number" in capsys.readouterr().err
 
 
+def test_overflowing_expression_exit_code(tmp_path, capsys):
+    # a coefficient that overflows while the document is parsed is a
+    # malformed document, not a violated precondition of the solve
+    doc = tmp_path / "overflow.yaml"
+    doc.write_text(
+        """
+objective: "x + 1e200*1e200*y"
+A: []
+B: ["1 - x^2", "1 - y^2"]
+phi: "v - y"
+M: 1.0
+variables:
+  x: [x]
+  y: [y]
+"""
+    )
+    assert main(["solve", str(doc), "--k", "3", "--eps", "5e-4"]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_solve_k_below_threshold_exit_code(capsys):
     assert main(["solve", "p1_mpec", "--eps", "0.001", "--k", "1..2"]) == 4
 

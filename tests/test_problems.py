@@ -62,6 +62,17 @@ def test_load_rejects_overflowing_literal():
         load_problem(doc)
 
 
+@pytest.mark.parametrize(
+    "expression, position",
+    [("x + 1e200*1e200*y", 9), ("(1e200*x)^2 + y", 9), ("1e308*x + 1e308*x + y", 8)],
+)
+def test_load_rejects_overflowing_arithmetic(expression, position):
+    # each operation is finite on its own input and overflows a coefficient
+    doc = P1_DOC.replace('objective: "x + y"', f'objective: "{expression}"')
+    with pytest.raises(ProblemFormatError, match=f"overflow.*position {position}"):
+        load_problem(doc)
+
+
 def test_load_missing_section():
     broken = P1_DOC.replace('phi: "x*v^2/2 - v^3/3 - (x*y^2/2 - y^3/3)"', "")
     with pytest.raises(ProblemFormatError, match="phi"):

@@ -5,10 +5,12 @@ Tie-form moment relaxations make the Schur complement ill conditioned like
 the behaviour of the scaled QR solve: tight tolerances are still reached,
 and singular data (dependent rows, dependent or unused free columns) is
 regularized or eliminated instead of breaking the solve.  Nonnegative
-blocks of several coordinates, which the solver runs as 1x1 PSD blocks,
-come back as one vector at an optimum and in a Farkas ray.  Free columns
-that the set-up elimination mixes into other rows come back with the full
-dual vector, and a certificate carries no iterate residuals.  The remaining
+blocks of several coordinates, which the solver runs as a stack of 1x1 PSD
+blocks, come back as one vector at an optimum and in a Farkas ray, and a
+60-coordinate LP matches HiGHS.  Blocks of mixed sizes, stacked by size,
+come back at their own indices whatever their order.  Free columns that
+the set-up elimination mixes into other rows come back with the full dual
+vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, and the value-fit programs
 against reference values.
@@ -299,25 +301,107 @@ def test_sparse_store_matches_dense_constraints(p1_value_program):
     rng = np.random.default_rng(5)
     y = rng.normal(size=len(rest))
     # the free columns are unit vectors, so the elimination only drops rows
-    assert cone.psd and len(cone.free.pivot) and not cone.free.M.any()
-    for p in cone.psd:
-        raw = rng.normal(size=(p.size, p.size))
-        X = raw + raw.T
-        R = rng.normal(size=(p.size, p.size))
-        inner = np.zeros(len(rest))
-        combined = np.zeros((p.size, p.size))
-        for k, i in enumerate(rest):
-            A = prob.constraints[i].coeffs.get(p.index)
-            if A is not None:
-                inner[k] = np.sum(A * X)
-                combined += y[k] * A
+    assert cone.stacks and len(cone.free.pivot) and not cone.free.M.any()
+    for s in cone.stacks:
+        raw = rng.normal(size=(s.count, s.size, s.size))
+        X = raw + np.swapaxes(raw, 1, 2)
+        R = rng.normal(size=(s.count, s.size, s.size))
         # the store holds the rows prescaled by 1 / row_scale
-        assert _close(p.apply(X) * cone.row_scale, inner)
-        assert _close(p.combine(y * cone.row_scale), combined)
-        for cons, part in p.scaled_columns(R):
+        applied = s.apply(X) * cone.row_scale
+        combined = s.combine(y * cone.row_scale)
+        for j, bi in enumerate(s.index):
+            inner = np.zeros(len(rest))
+            dense = np.zeros((s.size, s.size))
+            for k, i in enumerate(rest):
+                A = prob.constraints[i].coeffs.get(bi)
+                if A is not None:
+                    inner[k] = np.sum(A * X[j])
+                    dense += y[k] * A
+            assert _close(applied[j], inner)
+            assert _close(combined[j], dense)
+        for j, cons, part in s.scaled_columns(R):
             for k, column in zip(cons, part):
-                A = prob.constraints[rest[k]].coeffs[p.index] / cone.row_scale[k]
-                assert _close(p.smat(column), R.T @ A @ R)
+                A = prob.constraints[rest[k]].coeffs[s.index[j]] / cone.row_scale[k]
+                assert _close(s.smat(column), R[j].T @ A @ R[j])
+
+
+def _mixed_blocks_problem(order):
+    """PSD blocks of sizes 3, 2, 3 and 1 and a nonnegative block of size 4,
+    interleaved, taken in the given order.
+
+    The data come from a strictly complementary pair (X*, S*) and y*.  For
+    these ranks the dual is degenerate below 7 rows and the primal above
+    12; with 9 rows the optimum is unique.
+    """
+    rng = np.random.default_rng(31)
+    blocks = [(PSD, 3, 1), (NONNEG, 4, 2), (PSD, 2, 1), (PSD, 3, 2), (PSD, 1, 0)]
+    m = 9
+    y_star = rng.normal(size=m)
+    X_star, mats, C = [], [], []
+    for kind, n, rank in blocks:
+        if kind is NONNEG:
+            x = np.zeros(n)
+            x[:rank] = rng.uniform(0.5, 2.0, size=rank)
+            s = np.zeros(n)
+            s[rank:] = rng.uniform(0.5, 2.0, size=n - rank)
+            rows = rng.normal(size=(m, n))
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            x = (q[:, :rank] * rng.uniform(0.5, 2.0, size=rank)) @ q[:, :rank].T
+            s = (q[:, rank:] * rng.uniform(0.5, 2.0, size=n - rank)) @ q[:, rank:].T
+            raw = rng.normal(size=(m, n, n))
+            rows = raw + np.swapaxes(raw, 1, 2)
+        X_star.append(x)
+        mats.append(rows)
+        C.append(s + np.tensordot(y_star, rows, axes=1))
+    b = [sum(float(np.sum(mats[bi][i] * X_star[bi])) for bi in range(5)) for i in range(m)]
+    where = {bi: pos for pos, bi in enumerate(order)}
+    prob = SdpProblem(
+        [SdpBlock(blocks[bi][0], blocks[bi][1]) for bi in order],
+        {where[bi]: C[bi] for bi in order},
+        [SdpConstraint({where[bi]: mats[bi][i] for bi in order}, b[i]) for i in range(m)],
+    )
+    return prob, where
+
+
+def test_stacks_scatter_and_gather_blocks_in_order():
+    given, _ = _mixed_blocks_problem(range(5))
+    permuted, where = _mixed_blocks_problem([4, 2, 0, 3, 1])
+    cone = _Cone(given)
+    # one stack per size: the two 3x3 blocks, the 2x2 block, and the four
+    # coordinates of the nonnegative block with the 1x1 PSD block
+    assert sorted((s.size, s.count) for s in cone.stacks) == [(1, 5), (2, 1), (3, 2)]
+    first, second = solve(given), solve(permuted)
+    assert first.status is SdpStatus.OPTIMAL and second.status is SdpStatus.OPTIMAL
+    assert abs(first.primal_objective - second.primal_objective) <= 1e-9
+    for bi, block in enumerate(given.blocks):
+        shape = (block.size,) if block.kind is NONNEG else (block.size, block.size)
+        for values in (first.primal, first.s):
+            assert values[bi].shape == shape
+        for values in (second.primal, second.s):
+            assert values[where[bi]].shape == shape
+        assert np.abs(first.primal[bi] - second.primal[where[bi]]).max() <= 1e-7
+        assert np.abs(first.s[bi] - second.s[where[bi]]).max() <= 1e-7
+
+
+def test_large_nonneg_block_matches_highs():
+    # a random LP with one nonnegative block of 60 coordinates and 30 rows
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(30, 60))
+    b = A @ rng.uniform(0.5, 1.5, size=60)
+    c = A.T @ rng.normal(size=30) + rng.uniform(0.5, 1.5, size=60)
+    prob = SdpProblem(
+        [SdpBlock(NONNEG, 60)], {0: c}, [SdpConstraint({0: a}, bi) for a, bi in zip(A, b)]
+    )
+    cone = _Cone(prob)
+    assert [(s.size, s.count) for s in cone.stacks] == [(1, 60)]
+    reference = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert reference.status == 0
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert abs(sol.primal_objective - reference.fun) <= 1e-6 * abs(reference.fun)
+    assert max(residuals(prob, sol.primal, sol.y, sol.s)) <= 1e-7
 
 
 @pytest.mark.parametrize(
