@@ -2,17 +2,19 @@
 
 For a fixed perturbation eps > 0 the loop walks the approximation order k
 upward.  Each iteration (a) fits the order-k value-function polynomial,
-(b) tests the perturbed feasible set
+(b) minimizes the objective over the perturbed feasible set
 
     S_k = { z in Omega : g_i(z) >= -eps, h_j(z) >= -eps, J_k(z) >= -eps }
 
-for certified emptiness (empty: bump k and retry -- the approximation is
-still too far below the true value function), and (c) otherwise minimizes
-the objective over S_k through the bounded moment hierarchy, extracting
-candidate minimizers when the relaxation goes flat.  The running best
-value is non-increasing by construction; the loop stops when it stalls
-for a configured number of successful iterations, when k exceeds its cap,
-or when every iteration certified emptiness.
+through the bounded moment hierarchy, extracting candidate minimizers when
+the relaxation goes flat.  The hierarchy's first order is also the
+emptiness test: an order that ends with a Putinar ray certifies S_k empty
+(bump k and retry -- the approximation is still too far below the true
+value function), and the record's set status is then EmptyCertified;
+every other record is Unknown.  The running best value is non-increasing
+by construction; the loop stops when it stalls for a configured number of
+successful iterations, when k exceeds its cap, or when every iteration
+certified emptiness.
 
 The perturbation-scaling fit estimates the local power law of the
 reference value as a function of eps from oracle sweeps; a flat sweep is
@@ -33,15 +35,14 @@ import numpy as np
 from .polynomials import Polynomial
 from .problems import MpecProblem
 from .sdp import SolverOptions
-from .sos import (
-    FeasibilityStatus,
-    RelaxationError,
-    certify_feasibility,
-    minimize_hierarchy,
-)
+from .sos import FeasibilityStatus, RelaxationError, minimize_hierarchy
+# kept importable here because perfbench/tracer.py wraps this name
+from .sos import certify_feasibility  # noqa: F401
 from .valuefn import ValueFunctionApprox, compute_value_approximation
 
 POINT_FEAS_TOL = 1e-6
+EMPTY = FeasibilityStatus.EMPTY_CERTIFIED.value
+UNKNOWN = FeasibilityStatus.UNKNOWN.value
 
 
 class Termination(enum.Enum):
@@ -207,16 +208,7 @@ def solve_mpec(
             continue
 
         gens = _perturbed_generators(problem, approx, eps)
-        t_min = max([1, k] + [math.ceil(g.degree / 2) for g in gens])
-
-        feas = certify_feasibility(
-            gens, t_min, options, scaling=problem.box.halfwidths
-        )
-        if feas.status is FeasibilityStatus.EMPTY_CERTIFIED:
-            records.append(record(approx, feas.status.value, t_min))
-            continue
-
-        t0 = max(t_min, half_deg_f)
+        t0 = max([1, k, half_deg_f] + [math.ceil(g.degree / 2) for g in gens])
         try:
             hier = minimize_hierarchy(
                 f,
@@ -227,13 +219,10 @@ def solve_mpec(
                 scaling=problem.box.halfwidths,
             )
         except RelaxationError as err:
-            records.append(
-                record(approx, feas.status.value, error=f"relaxation failed: {err}")
-            )
+            records.append(record(approx, UNKNOWN, error=f"relaxation failed: {err}"))
             continue
         if hier.infeasible:
-            empty = FeasibilityStatus.EMPTY_CERTIFIED.value
-            records.append(record(approx, empty, hier.order))
+            records.append(record(approx, EMPTY, hier.order))
             continue
 
         value = hier.bound
@@ -247,9 +236,7 @@ def solve_mpec(
         improvement = math.inf if previous is None else previous - best
         stall = stall + 1 if improvement < config.stop_tol else 0
 
-        records.append(
-            record(approx, feas.status.value, hier.order, value, hier.flat, points)
-        )
+        records.append(record(approx, UNKNOWN, hier.order, value, hier.flat, points))
         if stall >= config.stall_iterations:
             termination = Termination.CONVERGED
             break
@@ -425,6 +412,8 @@ def verify_report(report: dict) -> List[str]:
     problems = []
     best = None
     for rec in report["records"]:
+        if rec["set_status"] == EMPTY and (rec["value"] is not None or rec["points"]):
+            problems.append(f"order {rec['order']}: empty set carries a value or points")
         if rec["value"] is not None:
             best = rec["value"] if best is None else min(best, rec["value"])
             if rec["best_value"] is None or abs(rec["best_value"] - best) > 1e-12:

@@ -397,7 +397,6 @@ class MomentSolution:
     moments: np.ndarray               # aligned with relax.y_basis
     bound: float
     ranks: List[int]
-    rank_tolerance: float
     flat: bool
     atoms: List[np.ndarray] = field(default_factory=list)
     status: SdpStatus = SdpStatus.OPTIMAL
@@ -560,7 +559,6 @@ def solve_moment_relaxation(
             moments=np.zeros(len(relax.y_basis)),
             bound=math.inf,
             ranks=[],
-            rank_tolerance=RANK_TOL,
             flat=False,
             status=sol.status,
             raw=sol,
@@ -579,7 +577,6 @@ def solve_moment_relaxation(
         moments=moments,
         bound=bound,
         ranks=ranks,
-        rank_tolerance=RANK_TOL,
         flat=flat,
         atoms=atoms,
         status=sol.status,
@@ -616,9 +613,10 @@ def certify_feasibility(
     Only the infeasibility direction is a proof: a Putinar certificate
     -1 = sigma_0 + sum_j sigma_j h_j implies the set is empty, while a
     feasible relaxation of finite order says nothing definite unless the
-    moments are flat and an actual witness point can be extracted.  The
-    objective is a linear probe, which pushes the moments to an extreme
-    point of the set, where they extract to an explicit witness when flat.
+    moments are flat and an actual witness point can be extracted.  This is
+    ``minimize_hierarchy`` at the one order t with a linear probe as the
+    objective, which pushes the moments to an extreme point of the set,
+    where they extract to an explicit witness when flat.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -630,18 +628,17 @@ def certify_feasibility(
             for i in range(len(variables))
         },
     )
-    relax, sdp = build_moment_relaxation(probe, generators, order, scaling)
     try:
-        msol = solve_moment_relaxation(relax, sdp, options)
+        hier = minimize_hierarchy(probe, generators, order, order, options, scaling)
     except RelaxationError as err:
         return FeasibilityResult(FeasibilityStatus.UNKNOWN, detail=str(err))
-    if msol.status is SdpStatus.DUAL_INFEASIBLE:
+    if hier.infeasible:
         return FeasibilityResult(
             FeasibilityStatus.EMPTY_CERTIFIED,
-            certificate_residual=msol.raw.certificate_residual,
+            certificate_residual=hier.certificate_residual,
         )
-    if msol.flat and msol.atoms:
-        return FeasibilityResult(FeasibilityStatus.NONEMPTY, witness=msol.atoms[0])
+    if hier.flat:
+        return FeasibilityResult(FeasibilityStatus.NONEMPTY, witness=hier.atoms[0])
     return FeasibilityResult(
         FeasibilityStatus.UNKNOWN, detail="feasible relaxation without flatness"
     )
@@ -653,8 +650,8 @@ class HierarchyResult:
     flat: bool
     atoms: List[np.ndarray]
     order: int
-    bounds_by_order: List[Tuple[int, float]]
     infeasible: bool = False
+    certificate_residual: float = math.nan  # of the Putinar ray, if infeasible
 
 
 def minimize_hierarchy(
@@ -668,9 +665,11 @@ def minimize_hierarchy(
     """Solve relaxations of increasing order until the moments go flat.
 
     Returns the best (largest) certified lower bound over the orders tried
-    together with extracted minimizers when flatness was reached.
+    together with extracted minimizers when flatness was reached.  The
+    first order that ends with a Putinar ray proves the set empty: the
+    result is then ``infeasible`` at that order, with the ray's residual.
     """
-    bounds = []
+    solved = False
     best = -math.inf
     flat = False
     atoms: List[np.ndarray] = []
@@ -689,10 +688,10 @@ def minimize_hierarchy(
                 flat=False,
                 atoms=[],
                 order=t,
-                bounds_by_order=bounds,
                 infeasible=True,
+                certificate_residual=msol.raw.certificate_residual,
             )
-        bounds.append((t, msol.bound))
+        solved = True
         if msol.bound > best:
             best = msol.bound
             used = t
@@ -701,8 +700,6 @@ def minimize_hierarchy(
             atoms = msol.atoms
             used = t
             break
-    if not bounds:
+    if not solved:
         raise RelaxationError("; ".join(failures) or "no relaxation order solved")
-    return HierarchyResult(
-        bound=best, flat=flat, atoms=atoms, order=used, bounds_by_order=bounds
-    )
+    return HierarchyResult(bound=best, flat=flat, atoms=atoms, order=used)

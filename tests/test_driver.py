@@ -232,6 +232,31 @@ def test_report_tampering_detected(p1_trace):
     assert verify_report(report)
 
 
+def test_report_empty_status_with_value_detected(p1_trace):
+    report = json.loads(json.dumps(trace_to_report(p1_trace)))
+    valued = next(r for r in report["records"] if r["value"] is not None)
+    valued["set_status"] = "EmptyCertified"
+    assert verify_report(report)
+
+
+def test_one_sdp_per_fit_and_per_hierarchy_order(p1, monkeypatch):
+    """Two fits, hierarchy orders 3 and 4 at k=3 (flat at 4), and at k=4
+    one order: the first hierarchy order is the emptiness test."""
+    import mpecsos.sos
+
+    inner = mpecsos.sos.solve
+    calls = []
+    monkeypatch.setattr(
+        mpecsos.sos, "solve", lambda *a, **k: calls.append(1) or inner(*a, **k)
+    )
+    trace = solve_mpec(p1, AlgoConfig(epsilon=5e-4, k_start=3, k_max=4))
+    assert len(calls) == 5
+    last = trace.records[-1]
+    assert last.order == 4
+    assert last.set_status == "EmptyCertified"
+    assert last.relaxation_order == 4
+
+
 def test_solve_deterministic(p3):
     config = AlgoConfig(epsilon=1e-4, k_start=2, k_max=2)
     a = solve_mpec(p3, config)

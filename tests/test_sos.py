@@ -457,3 +457,5 @@ def test_minimize_hierarchy_infeasible_set():
     gens = [parse_polynomial("x", ["x"]), parse_polynomial("-x - 1", ["x"])]
     result = minimize_hierarchy(f, gens, 1, 2)
     assert result.infeasible
+    assert result.order == 1
+    assert result.certificate_residual <= 1e-8
