@@ -12,9 +12,10 @@ emptiness test: an order that ends with a Putinar ray certifies S_k empty
 (bump k and retry -- the approximation is still too far below the true
 value function), and the record's set status is then EmptyCertified;
 every other record is Unknown.  The running best value is non-increasing
-by construction; the loop stops when it stalls for a configured number of
-successful iterations, when k exceeds its cap, or when every iteration
-certified emptiness.
+by construction; the loop stops when it improves by less than STOP_TOL for
+STALL_ITERATIONS successful iterations in a row, when k exceeds its cap,
+or when every iteration certified emptiness.  Each hierarchy runs at most
+RELAX_ORDER_EXTRA orders above its first.
 
 The perturbation-scaling fit estimates the local power law of the
 reference value as a function of eps from oracle sweeps; a flat sweep is
@@ -41,6 +42,9 @@ from .sos import certify_feasibility  # noqa: F401
 from .valuefn import ValueFunctionApprox, compute_value_approximation
 
 POINT_FEAS_TOL = 1e-6
+RELAX_ORDER_EXTRA = 2
+STOP_TOL = 1e-6
+STALL_ITERATIONS = 2
 EMPTY = FeasibilityStatus.EMPTY_CERTIFIED.value
 UNKNOWN = FeasibilityStatus.UNKNOWN.value
 
@@ -56,9 +60,6 @@ class AlgoConfig:
     epsilon: float
     k_start: int
     k_max: int
-    relax_order_extra: int = 2
-    stop_tol: float = 1e-6
-    stall_iterations: int = 2
     epsilon_ladder: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
@@ -66,8 +67,6 @@ class AlgoConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.k_max < self.k_start:
             raise ValueError("k_max must be at least k_start")
-        if not 0 < self.stop_tol < math.inf or self.stall_iterations < 1:
-            raise ValueError("invalid stopping parameters")
         if self.epsilon_ladder is not None:
             ladder = tuple(self.epsilon_ladder)
             if not all(0 < e < math.inf for e in ladder):
@@ -126,19 +125,8 @@ def point_feasibility(
     tol: float = POINT_FEAS_TOL,
 ) -> bool:
     """Candidate point satisfies every perturbed constraint within tol."""
-    pt = list(point)
-    for g in problem.constraints_g:
-        if g.evaluate(pt) < -eps - tol:
-            return False
-    for h in problem.constraints_h:
-        if h.evaluate(pt) < -eps - tol:
-            return False
-    for bpoly in problem.box.polynomials(problem.z_vars):
-        if bpoly.evaluate(pt) < -tol:
-            return False
-    if approx.polynomial.evaluate(pt) < -eps - tol:
-        return False
-    return True
+    gens = _perturbed_generators(problem, approx, eps)
+    return all(p.evaluate(point) >= -tol for p in gens)
 
 
 def solve_mpec(
@@ -214,7 +202,7 @@ def solve_mpec(
                 f,
                 gens,
                 t0,
-                t0 + config.relax_order_extra,
+                t0 + RELAX_ORDER_EXTRA,
                 options,
                 scaling=problem.box.halfwidths,
             )
@@ -234,10 +222,10 @@ def solve_mpec(
         previous = best
         best = value if best is None else min(best, value)
         improvement = math.inf if previous is None else previous - best
-        stall = stall + 1 if improvement < config.stop_tol else 0
+        stall = stall + 1 if improvement < STOP_TOL else 0
 
         records.append(record(approx, UNKNOWN, hier.order, value, hier.flat, points))
-        if stall >= config.stall_iterations:
+        if stall >= STALL_ITERATIONS:
             termination = Termination.CONVERGED
             break
 

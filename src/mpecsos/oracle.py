@@ -23,10 +23,13 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problems import MpecProblem
+# sym_grid stays importable from this module
+from .problems import MpecProblem, box_grid, grid_points, sym_grid  # noqa: F401
 
 MAX_TOTAL_DIMS = 4
 _CHUNK_BUDGET = 4_000_000
+# points per axis of each refinement window of the reference solve
+_REFINE_GRID = 41
 
 # Cache of inner-value grids keyed by (problem fingerprint, grid shape);
 # the inner value function does not depend on the perturbation, so sweeps
@@ -60,14 +63,11 @@ class OracleConfig:
     inner_grid: Optional[int] = None
     outer_grid: Optional[int] = None
     refinement_rounds: int = 2
-    refine_grid: int = 41
 
     def __post_init__(self):
         for value in (self.inner_grid, self.outer_grid):
             if value is not None and value < 3:
                 raise ValueError("grid counts must be at least 3")
-        if self.refine_grid < 3:
-            raise ValueError("refine_grid must be at least 3")
 
     def inner_count(self, m: int) -> int:
         if self.inner_grid is not None:
@@ -86,14 +86,6 @@ class PerturbedReference:
     point: Tuple[float, ...]
 
 
-def sym_grid(halfwidth: float, count: int) -> np.ndarray:
-    """Symmetric grid with exact endpoints and an exact zero when odd."""
-    grid = np.linspace(-halfwidth, halfwidth, count)
-    if count % 2 == 1:
-        grid[count // 2] = 0.0
-    return grid
-
-
 def _check_dims(problem: MpecProblem):
     dims = problem.n + problem.m
     if dims > MAX_TOTAL_DIMS:
@@ -103,10 +95,13 @@ def _check_dims(problem: MpecProblem):
         )
 
 
-def _inner_nodes(problem: MpecProblem, count: int) -> np.ndarray:
-    axes = [sym_grid(c, count) for c in problem.y_halfwidths()]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+def _window(center: np.ndarray, widths: np.ndarray, round_index: int, count: int):
+    """Grid of ``count`` points per axis over center +- widths / 10^round_index,
+    clipped to the box of half-widths ``widths``."""
+    half = widths / (10.0**round_index)
+    lo = np.maximum(center - half, -widths)
+    hi = np.minimum(center + half, widths)
+    return grid_points([np.linspace(a, b, count) for a, b in zip(lo, hi)])
 
 
 def _masked_inner_scan(
@@ -147,7 +142,7 @@ def inner_value_grid(
 ) -> np.ndarray:
     """Inner value at each outer point; NaN where the slice is empty."""
     _check_dims(problem)
-    nodes = _inner_nodes(problem, config.inner_count(problem.m))
+    nodes = box_grid(problem.y_halfwidths(), config.inner_count(problem.m))
     values, _ = _masked_inner_scan(problem, np.asarray(points, float), nodes)
     return np.where(np.isfinite(values), values, np.nan)
 
@@ -169,7 +164,7 @@ def inner_value(
     count = config.inner_count(problem.m)
     widths = np.array(problem.y_halfwidths())
 
-    nodes = _inner_nodes(problem, count)
+    nodes = box_grid(widths, count)
     values, arg = _masked_inner_scan(problem, point, nodes)
     if arg[0] < 0:
         return EMPTY_INNER
@@ -177,25 +172,12 @@ def inner_value(
     best_node = nodes[arg[0]]
 
     for round_index in range(1, config.refinement_rounds + 1):
-        half = widths / (10.0**round_index)
-        axes = []
-        for j in range(problem.m):
-            lo = max(best_node[j] - half[j], -widths[j])
-            hi = min(best_node[j] + half[j], widths[j])
-            axes.append(np.linspace(lo, hi, count))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        local = np.stack([g.ravel() for g in mesh], axis=-1)
+        local = _window(best_node, widths, round_index, count)
         values, arg = _masked_inner_scan(problem, point, local)
         if arg[0] >= 0 and values[0] < best_val:
             best_val = float(values[0])
             best_node = local[arg[0]]
     return best_val
-
-
-def _outer_grid_points(problem: MpecProblem, count: int) -> np.ndarray:
-    axes = [sym_grid(c, count) for c in problem.box.halfwidths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def _cached_value_grid(problem: MpecProblem, config: OracleConfig):
@@ -211,7 +193,7 @@ def _cached_value_grid(problem: MpecProblem, config: OracleConfig):
             return hit
     # the scan runs unlocked: two threads may compute the same grid, and
     # the later one simply replaces an identical entry
-    points = _outer_grid_points(problem, config.outer_count(problem.n + problem.m))
+    points = box_grid(problem.box.halfwidths, config.outer_count(problem.n + problem.m))
     values = inner_value_grid(problem, points, config)
     with _VALUE_GRID_LOCK:
         _VALUE_GRID_CACHE[key] = (points, values)
@@ -257,14 +239,7 @@ def solve_perturbed_reference(
 
     widths = np.array(problem.box.halfwidths)
     for round_index in range(1, config.refinement_rounds + 1):
-        half = widths / (10.0**round_index)
-        axes = []
-        for i in range(len(widths)):
-            lo = max(best_point[i] - half[i], -widths[i])
-            hi = min(best_point[i] + half[i], widths[i])
-            axes.append(np.linspace(lo, hi, config.refine_grid))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        local = np.stack([g.ravel() for g in mesh], axis=-1)
+        local = _window(best_point, widths, round_index, _REFINE_GRID)
         local_j = inner_value_grid(problem, local, config)
         local_mask = _feasible_mask(problem, local, local_j, eps)
         if not local_mask.any():

@@ -201,14 +201,7 @@ class Polynomial:
             raise ValueError(
                 f"point of length {len(point)} for {len(self.variables)} variables"
             )
-        total = 0.0
-        for alpha, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(alpha, point):
-                if e:
-                    term *= float(v) ** e
-            total += term
-        return total
+        return float(self.evaluate_broadcast([np.float64(v) for v in point]))
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (N, num_vars) array of points."""
@@ -217,14 +210,7 @@ class Polynomial:
             raise ValueError(
                 f"expected (N, {len(self.variables)}) array, got {pts.shape}"
             )
-        total = np.zeros(pts.shape[0])
-        for alpha, coeff in self.terms.items():
-            term = np.full(pts.shape[0], coeff)
-            for i, e in enumerate(alpha):
-                if e:
-                    term *= pts[:, i] ** e
-            total += term
-        return total
+        return self.evaluate_broadcast(list(pts.T))
 
     def evaluate_broadcast(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate with one (broadcastable) array per variable."""

@@ -12,7 +12,8 @@ Instance documents are YAML with sections ``variables.x``, ``variables.y``,
 ``objective``, ``A`` (list of g_i), ``B`` (list of h_j), ``phi`` and ``M``.
 Polynomial values are expression strings in the documented grammar.  The
 inner variables mirror the y-variables and are named ``v`` when there is a
-single y-variable and ``v1, v2, ...`` otherwise.
+single y-variable and ``v1, v2, ...`` otherwise.  The product grids over
+the box that the oracle and the diagnostics sample are built here too.
 """
 
 from __future__ import annotations
@@ -305,6 +306,28 @@ def bundled_instance(name: str) -> MpecProblem:
 
 
 # ----------------------------------------------------------------------
+# product grids
+
+
+def sym_grid(halfwidth: float, count: int) -> np.ndarray:
+    """Symmetric grid with exact endpoints and an exact zero when odd."""
+    grid = np.linspace(-halfwidth, halfwidth, count)
+    if count % 2 == 1:
+        grid[count // 2] = 0.0
+    return grid
+
+
+def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the product of the axes, one row each, last axis fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def box_grid(halfwidths: Sequence[float], count: int) -> np.ndarray:
+    """The product of one ``sym_grid`` of ``count`` points per half-width."""
+    return grid_points([sym_grid(c, count) for c in halfwidths])
+
+
+# ----------------------------------------------------------------------
 # sampled assumption checks
 
 
@@ -369,16 +392,10 @@ def validate_assumptions(problem: MpecProblem, sample_count: int = 4000) -> Vali
     # (b) the inner set B(x) is nonempty over a grid of x inside the box.
     nx = max(3, int(round(sample_count ** (1.0 / max(problem.n, 1)))))
     nx = min(nx, 41)
-    x_axes = [np.linspace(-c, c, nx) for c in problem.x_halfwidths()]
-    x_grid = np.stack(
-        [g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1
-    )
+    x_grid = grid_points([np.linspace(-c, c, nx) for c in problem.x_halfwidths()])
     nv = max(9, int(round(sample_count ** (1.0 / max(problem.m, 1)))))
     nv = min(nv, 201)
-    v_axes = [np.linspace(-c, c, nv) for c in problem.y_halfwidths()]
-    v_grid = np.stack(
-        [g.ravel() for g in np.meshgrid(*v_axes, indexing="ij")], axis=-1
-    )
+    v_grid = grid_points([np.linspace(-c, c, nv) for c in problem.y_halfwidths()])
     h_xv = problem.h_in_xv()
     ambient = problem.ambient_vars
     empty_count = 0

@@ -82,16 +82,19 @@ class SdpConstraint:
     rhs: float
 
 
+# iterations of the interior-point loop before it ends IterationLimit
+MAX_ITERATIONS = 200
+
+
 @dataclass
 class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    max_iterations: int = 200
     step_fraction: float = 0.98
 
     def __post_init__(self):
-        if self.gap_tol <= 0 or self.feas_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.gap_tol < math.inf and 0 < self.feas_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0 < self.step_fraction < 1:
             raise ValueError("step_fraction must lie in (0, 1)")
 
@@ -169,10 +172,10 @@ class SdpProblem:
                     rows, cols = np.nonzero(arr)
                     for r, c in zip(rows, cols):
                         if r <= c:
-                            lines.append(f"{index} {bi} {r} {c} {arr[r, c]!r}")
+                            lines.append(f"{index} {bi} {r} {c} {float(arr[r, c])!r}")
                 else:
                     for r in np.nonzero(arr)[0]:
-                        lines.append(f"{index} {bi} {r} 0 {arr[r]!r}")
+                        lines.append(f"{index} {bi} {r} 0 {float(arr[r])!r}")
 
         emit(0, self.objective)
         for ci, con in enumerate(self.constraints, start=1):
@@ -424,7 +427,10 @@ class _Cone:
             if bi in problem.objective:
                 c_f[cols] = problem.objective[bi]
         free = self.free = _FreeElimination(A_f, c_f)
-        self.free_ray, self.free_ray_residual = _free_ray(A_f, c_f, norms)
+        ray = free.ray  # its residual is the norm of A_f d in the original scale
+        self.free_ray_residual = (
+            math.nan if ray is None else float(np.linalg.norm(norms * (A_f @ ray)))
+        )
 
         rhs = problem.rhs()
         self.row_scale = norms[free.rest]
@@ -506,28 +512,6 @@ class _Cone:
         return np.cumsum(rows, axis=0)[-1]
 
 
-def _free_ray(A_f: np.ndarray, c_f: np.ndarray, norms: np.ndarray):
-    """A free direction d with A_f d = 0 and c_f'd = -1, or None if there is
-    none, and the norm of A_f d in the original row scale.
-
-    The free block's dual rows A_f'y = c_f carry no slack, so the dual is
-    infeasible exactly when c_f leaves the row space of A_f; minus the
-    component of c_f orthogonal to it is then a ray of the primal.  The
-    interior-point iteration cannot find this ray itself: the elimination
-    leaves a free column outside the independent set at zero.
-    """
-    m, nf = A_f.shape
-    z = np.linalg.lstsq(A_f.T, c_f, rcond=max(m, nf) * np.finfo(float).eps)[0]
-    ray = A_f.T @ z - c_f
-    size = float(np.linalg.norm(ray))
-    if not size > 1e-8 * max(1.0, float(np.linalg.norm(c_f))):
-        return None, math.nan
-    if np.linalg.norm(A_f @ ray) > 1e-12 * size:
-        return None, math.nan
-    ray = ray / -float(c_f @ ray)
-    return ray, float(np.linalg.norm(norms * (A_f @ ray)))
-
-
 def _singular_triangle(R: np.ndarray) -> bool:
     """True when a triangular factor is singular to working precision."""
     diag = np.abs(np.diag(R))
@@ -546,11 +530,16 @@ class _FreeElimination:
     A_rest - M A_pivot with right side b_rest - M b_pivot and the objective
     C - sum_l v_l A_pivot,l, plus the constant v'b_pivot, where
     M = L2 L1^{-1} and v = L1^{-T} U^{-T} c_J.  The free block's dual rows
-    A_f'y = c_f then hold exactly with y_pivot = v - M'y_rest.  A free
-    variable outside J only repeats a combination of the others and is left
-    at zero.  When every free column is a unit vector on its own row, as in
-    the Gram-form programs, M is zero and the other rows pass unchanged.
-    ``rest`` lists those rows in their original order.
+    A_f'y = c_f then hold on J exactly with y_pivot = v - M'y_rest.  A free
+    column N outside J is A_f[:, J] W with W = U^{-1} L1^{-1} A_f[pivot, N],
+    so its dual row holds exactly when c_N = W'c_J; the variable only
+    repeats a combination of the others and is left at zero.  Otherwise the
+    dual is infeasible, and d_N = W'c_J - c_N, d_J = -W d_N is a primal ray
+    (A_f d = 0, c_f'd = -|d_N|^2 < 0), kept in ``ray`` scaled to c_f'd = -1;
+    the interior-point iteration could not find it, as it never moves x_N.
+    When every free column is a unit vector on its own row, as in the
+    Gram-form programs, M is zero, no column falls outside J and the other
+    rows pass unchanged.  ``rest`` lists those rows in their original order.
     """
 
     def __init__(self, A_f: np.ndarray, c_f: np.ndarray):
@@ -577,13 +566,25 @@ class _FreeElimination:
         self.v = sla.solve_triangular(
             self.L1, w, lower=True, unit_diagonal=True, trans="T"
         )
+        outside = np.setdiff1d(np.arange(nf), self.columns)
+        W = self._solve_lu(A_f[self.pivot][:, outside])
+        d_out = W.T @ c_f[self.columns] - c_f[outside]
+        self.ray = None
+        if np.linalg.norm(d_out) > 1e-8 * max(1.0, float(np.linalg.norm(c_f))):
+            ray = np.zeros(nf)
+            ray[outside], ray[self.columns] = d_out, -W @ d_out
+            self.ray = ray / -float(c_f @ ray)
+
+    def _solve_lu(self, r: np.ndarray) -> np.ndarray:
+        """U^{-1} L1^{-1} r."""
+        return sla.solve_triangular(
+            self.U, sla.solve_triangular(self.L1, r, lower=True, unit_diagonal=True)
+        )
 
     def restore_x(self, r: np.ndarray) -> np.ndarray:
         """Free values U^{-1} L1^{-1} r on J and zero elsewhere."""
         x = np.zeros(self.size)
-        x[self.columns] = sla.solve_triangular(
-            self.U, sla.solve_triangular(self.L1, r, lower=True, unit_diagonal=True)
-        )
+        x[self.columns] = self._solve_lu(r)
         return x
 
     def restore_y(self, z: np.ndarray, t: float) -> np.ndarray:
@@ -909,7 +910,7 @@ class _HsdSolver:
         st = self.state
         cone = self.cone
         opts = self.opts
-        if cone.free_ray is not None:
+        if cone.free.ray is not None:
             cert = cone.free_ray_residual
             return self._package(st, SdpStatus.DUAL_INFEASIBLE, 0, cert)
         status = SdpStatus.ITERATION_LIMIT
@@ -918,7 +919,7 @@ class _HsdSolver:
         best_state = copy.deepcopy(st)
         best_merit = math.inf
 
-        for iterations in range(opts.max_iterations + 1):
+        for iterations in range(MAX_ITERATIONS + 1):
             resid = self._residuals(st)
             mu = st.mu(cone)
             self.mu_history.append(mu)
@@ -944,7 +945,7 @@ class _HsdSolver:
                 cert_residual = certs["dual"]
                 break
 
-            if iterations == opts.max_iterations:
+            if iterations == MAX_ITERATIONS:
                 st = best_state
                 break
 
@@ -1052,10 +1053,10 @@ class _HsdSolver:
             y = cone.free.restore_y(st.y, 0.0) / cone.norms / bty
             s = self._collect_blocks(st.S, bty)
         elif status is SdpStatus.DUAL_INFEASIBLE:
-            if cone.free_ray is None:
+            if cone.free.ray is None:
                 primal = self._primal(st.X, -cone.inner(cone.C, st.X), 0.0)
             else:  # found at set-up: the ray has no cone part
-                primal = self._primal([0 * X for X in st.X], 1.0, 0.0, cone.free_ray)
+                primal = self._primal([0 * X for X in st.X], 1.0, 0.0, cone.free.ray)
         else:
             resid = self._residuals(st)
             p_res, d_res, gap, pobj, dobj = self._convergence_metrics(st, resid)

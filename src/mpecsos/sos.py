@@ -396,7 +396,6 @@ def build_moment_relaxation(
 class MomentSolution:
     moments: np.ndarray               # aligned with relax.y_basis
     bound: float
-    ranks: List[int]
     flat: bool
     atoms: List[np.ndarray] = field(default_factory=list)
     status: SdpStatus = SdpStatus.OPTIMAL
@@ -518,14 +517,8 @@ def extract_atoms(
 
 
 def _verify_atoms(atoms, moments, relax):
-    vdm = np.zeros((len(relax.y_basis), len(atoms)))
-    for j, atom in enumerate(atoms):
-        for i, mono in enumerate(relax.y_basis.monomials):
-            val = 1.0
-            for x, e in zip(atom, mono):
-                if e:
-                    val *= x**e
-            vdm[i, j] = val
+    exponents = np.array(relax.y_basis.monomials)
+    vdm = np.prod(np.array(atoms)[None] ** exponents[:, None], axis=2)
     wts, *_ = np.linalg.lstsq(vdm, moments, rcond=None)
     rebuilt = vdm @ wts
     err = np.abs(rebuilt - moments).max()
@@ -558,14 +551,13 @@ def solve_moment_relaxation(
         return MomentSolution(
             moments=np.zeros(len(relax.y_basis)),
             bound=math.inf,
-            ranks=[],
             flat=False,
             status=sol.status,
             raw=sol,
         )
     moments = -sol.y
     bound = float(sol.primal[-1][0])  # lambda, the last (free) block
-    flat, ranks = check_flatness(moments, relax)
+    flat, _ = check_flatness(moments, relax)
     atoms: List[np.ndarray] = []
     if flat:
         try:
@@ -576,7 +568,6 @@ def solve_moment_relaxation(
     return MomentSolution(
         moments=moments,
         bound=bound,
-        ranks=ranks,
         flat=flat,
         atoms=atoms,
         status=sol.status,

@@ -31,9 +31,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .boxmoments import moment_vector
-from .oracle import OracleConfig, inner_value_grid, sym_grid
+from .oracle import OracleConfig, inner_value_grid
 from .polynomials import Polynomial, grlex_key
-from .problems import MpecProblem
+from .problems import MpecProblem, box_grid
 from .sdp import SdpProblem, SolverOptions
 from .sos import SosIdentityProgram, build_sos_identity, solve_sos_identity
 
@@ -86,14 +86,11 @@ def build_value_program(
     for h in problem.h_in_xv():
         bound = (two_k - h.degree) // 2
         multipliers.append((h.in_variables(ambient), bound))
-    fit_y = [y for y in fit_vars if y in problem.y_vars]
+    y_box = problem.box.polynomials(problem.z_vars)[problem.n :]
+    for name, ybox in zip(problem.y_vars, y_box):
+        if name in fit_vars:
+            multipliers.append((ybox.in_variables(ambient), (two_k - 2) // 2))
     widths = dict(zip(problem.z_vars, problem.box.halfwidths))
-    for name in fit_y:
-        c = widths[name]
-        ybox = Polynomial.constant(ambient, c * c) - Polynomial.variable(
-            ambient, name
-        ) ** 2
-        multipliers.append((ybox, (two_k - 2) // 2))
 
     gamma = moment_vector(
         len(fit_vars), two_k, tuple(widths[name] for name in fit_vars)
@@ -128,12 +125,6 @@ def compute_value_approximation(
     )
 
 
-def _evaluation_grid(problem: MpecProblem, points_per_dim: int) -> np.ndarray:
-    axes = [sym_grid(c, points_per_dim) for c in problem.box.halfwidths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def _oracle_on_grid(problem, points, config):
     values = inner_value_grid(problem, points, config or OracleConfig())
     missing = int(np.isnan(values).sum())
@@ -157,7 +148,7 @@ def lower_bound_violation(
     A correct certificate keeps this at roundoff level; values well above
     1e-6 mean the program (or the oracle) is wrong.
     """
-    points = _evaluation_grid(problem, grid_points_per_dim)
+    points = box_grid(problem.box.halfwidths, grid_points_per_dim)
     truth = _oracle_on_grid(problem, points, config)
     mask = ~np.isnan(truth)
     approx_vals = approx.polynomial.evaluate_array(points[mask])
@@ -172,7 +163,7 @@ def l1_distance(
     config: Optional[OracleConfig] = None,
 ) -> float:
     """Grid estimate of the normalized L1 gap to the oracle value."""
-    points = _evaluation_grid(problem, grid_points_per_dim)
+    points = box_grid(problem.box.halfwidths, grid_points_per_dim)
     truth = _oracle_on_grid(problem, points, config)
     mask = ~np.isnan(truth)
     approx_vals = approx.polynomial.evaluate_array(points[mask])
@@ -187,6 +178,6 @@ def oracle_integral(
     config: Optional[OracleConfig] = None,
 ) -> float:
     """Grid estimate of the oracle value integrated against the box measure."""
-    points = _evaluation_grid(problem, grid_points_per_dim)
+    points = box_grid(problem.box.halfwidths, grid_points_per_dim)
     truth = _oracle_on_grid(problem, points, config)
     return float(np.nanmean(truth))

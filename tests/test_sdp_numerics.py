@@ -12,8 +12,8 @@ come back at their own indices whatever their order.  Free columns that
 the set-up elimination mixes into other rows come back with the full dual
 vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
-constraint data against the dense problem, and the value-fit programs
-against reference values.
+constraint data against the dense problem, the value-fit programs against
+reference values, the check of the solver tolerances and the text dump.
 """
 
 import math
@@ -136,16 +136,12 @@ def test_free_only_problem_with_repeated_row():
     assert value == pytest.approx(1.0, abs=1e-7)
 
 
-def test_free_ray_certifies_dual_infeasibility():
-    # minimize t where t is free and only has a zero coefficient in the one
-    # row, which fixes x >= 0 to 2: t can decrease without bound
-    prob = SdpProblem(
-        [SdpBlock(FREE, 1), SdpBlock(NONNEG, 1)],
-        {0: np.array([1.0])},
-        [SdpConstraint({0: np.array([0.0]), 1: np.array([2.0])}, 2.0)],
-    )
+def _assert_free_ray(prob):
+    """The solve ends DualInfeasible at set-up with a ray: A ray = 0 and
+    objective -1."""
     sol = solve(prob)
     assert sol.status is SdpStatus.DUAL_INFEASIBLE
+    assert sol.iterations == 0
     ray = sol.primal
     a_ray = [
         sum(float(np.sum(cf * ray[bi])) for bi, cf in con.coeffs.items())
@@ -156,6 +152,34 @@ def test_free_ray_certifies_dual_infeasibility():
     assert c_ray == pytest.approx(-1.0)
     assert ray[1].min() >= 0.0
     assert sol.certificate_residual <= 1e-12
+
+
+def test_free_ray_certifies_dual_infeasibility():
+    # minimize t where t is free and only has a zero coefficient in the one
+    # row, which fixes x >= 0 to 2: t can decrease without bound
+    _assert_free_ray(
+        SdpProblem(
+            [SdpBlock(FREE, 1), SdpBlock(NONNEG, 1)],
+            {0: np.array([1.0])},
+            [SdpConstraint({0: np.array([0.0]), 1: np.array([2.0])}, 2.0)],
+        )
+    )
+
+
+def test_free_ray_from_dependent_free_columns():
+    # minimize t1 + 2 t2 subject to t1 + t2 - x = 0, x = 3: one free column
+    # is independent and the other repeats it, at a different cost, so
+    # t = (s, -s) lowers the objective without bound
+    _assert_free_ray(
+        SdpProblem(
+            [SdpBlock(FREE, 2), SdpBlock(NONNEG, 1)],
+            {0: np.array([1.0, 2.0])},
+            [
+                SdpConstraint({0: np.array([1.0, 1.0]), 1: np.array([-1.0])}, 0.0),
+                SdpConstraint({1: np.array([1.0])}, 3.0),
+            ],
+        )
+    )
 
 
 def test_certificates_carry_no_iterate_residuals():
@@ -176,6 +200,45 @@ def test_certificates_carry_no_iterate_residuals():
         assert sol.status is status
         assert math.isnan(sol.primal_residual) and math.isnan(sol.dual_residual)
         assert sol.certificate_residual <= 1e-8
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["gap_tol", "feas_tol"])
+def test_options_reject_non_finite_tolerances(name, value):
+    # a NaN tolerance compares false, so no solve could ever end Optimal
+    with pytest.raises(ValueError, match="finite"):
+        SolverOptions(**{name: value})
+
+
+def test_dump_lines_rebuild_the_problem():
+    # every data line is "constraint block row col value" in plain numbers
+    prob = SdpProblem(
+        [SdpBlock(PSD, 2), SdpBlock(NONNEG, 3)],
+        {0: np.array([[1.0, 0.5], [0.5, 2.0]]), 1: np.array([0.0, 3.0, 0.25])},
+        [
+            SdpConstraint({0: np.eye(2), 1: np.array([1.0, 0.0, -1.0])}, 1.0),
+            SdpConstraint({0: np.array([[0.0, 1.0 / 3], [1.0 / 3, 0.0]])}, 0.5),
+        ],
+    )
+    lines = prob.dump().splitlines()
+    assert lines[0] == "blocks psd:2 nonneg:3"
+    assert [float(v) for v in lines[1].split()[1:]] == [1.0, 0.5]
+    rebuilt = [
+        {0: np.zeros((2, 2)), 1: np.zeros(3)} for _ in range(prob.num_constraints + 1)
+    ]
+    for line in lines[2:]:
+        index, block, row, col, text = line.split()
+        value = float(text)
+        target = rebuilt[int(index)][int(block)]
+        if target.ndim == 2:
+            target[int(row), int(col)] = target[int(col), int(row)] = value
+        else:
+            assert int(col) == 0
+            target[int(row)] = value
+    originals = [prob.objective] + [con.coeffs for con in prob.constraints]
+    for want, got in zip(originals, rebuilt):
+        for bi, coeff in got.items():
+            assert np.array_equal(want.get(bi, np.zeros_like(coeff)), coeff)
 
 
 @pytest.mark.parametrize("seed", range(5))
