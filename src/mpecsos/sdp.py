@@ -22,11 +22,12 @@ sqrt(x/s).
 Each PSD block is scaled by its NT point R, which maps both X and S to the
 same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
 so a block contributes n(n+1)/2 rows (its svec coordinates) to the scaled
-constraint matrix.  The Newton system is solved through a QR factorization
-of that matrix rather than a factorization of the Schur complement it
-squares.  Its condition number therefore grows like 1/mu instead of
-1/mu^2, which keeps the last digits of the direction when the
-complementarity reaches 1e-9.
+constraint matrix G.  The Newton system is solved through a Cholesky
+factor of the Schur complement G'G while that is well conditioned, and
+through a QR factorization of G for the rest of the solve once it is not:
+G'G's condition number grows like 1/mu^2 and G's like 1/mu, so the QR
+keeps the last digits of the direction when the complementarity reaches
+1e-9, at two to three times the cost of the Cholesky factor.
 
 Constraint data are kept sparse, as coordinate triples (svec entries),
 and every product with them goes through np.bincount: the Gram-form
@@ -198,6 +199,8 @@ class SdpSolution:
     mu_history: List[float] = field(default_factory=list)
     # for infeasible statuses: norm of the (normalized) ray residual
     certificate_residual: float = math.nan
+    # why an IterationLimit or NumericalTrouble run stopped, else empty
+    stall: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -512,9 +515,10 @@ class _Cone:
         return np.cumsum(rows, axis=0)[-1]
 
 
-def _singular_triangle(R: np.ndarray) -> bool:
-    """True when a triangular factor is singular to working precision."""
-    diag = np.abs(np.diag(R))
+def _singular_triangle(R: np.ndarray, squared: bool = False) -> bool:
+    """True when a triangular factor, or with ``squared`` the product R'R
+    it factors, is singular to working precision."""
+    diag = np.abs(np.diag(R)) ** (2 if squared else 1)
     if not diag.size:
         return False
     return not diag.min() > max(R.shape) * np.finfo(float).eps * diag.max()
@@ -598,18 +602,60 @@ class _FreeElimination:
 # panel width of the blocked Householder QR
 _QR_BLOCK = 32
 
+# Spread of the Schur complement factor (its squared diagonal ratio, an
+# estimate of cond(G'G)) past which a solve leaves it for the QR of G.
+# Measured: at 1e10 and above, the rounding of the G'G products moves the
+# optimum of a solve by 2.4e-9 between two orderings of the same blocks; at
+# 1e8 by 3e-14, while the value fits still take most of their iterations
+# on the Cholesky factor.
+_SWITCH_SPREAD = 1e8
+
+
+class _SchurCholesky:
+    """Cholesky factor U'U of the Schur complement G'G of the scaled columns.
+
+    dsyrk forms G'G reading the Fortran-ordered G in place, at half the
+    flops of a general product, and dpotrf factors it.  Dependent columns,
+    which show as a failed factor or a G'G singular to working precision
+    (its pivots, the squared diagonal of U, under the rank tolerance of
+    `_CompactQR`), get the shift of `_CompactQR`, so the two factors solve
+    the same system.  ``spread`` = (max / min diagonal of U)^2 estimates the
+    condition number of G'G, the square of that of G.
+    """
+
+    def __init__(self, G: np.ndarray):
+        self.G = G
+        M = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
+        self.U, info = sla.lapack.dpotrf(M)
+        if info != 0 or _singular_triangle(self.U, squared=True):
+            M[np.diag_indices_from(M)] += 1e-12 * max(1.0, float(np.diag(M).max()))
+            self.U, info = sla.lapack.dpotrf(M)
+            if info != 0:
+                raise np.linalg.LinAlgError("Cholesky factor of G'G failed after the shift")
+        diag = np.abs(np.diag(self.U))
+        self.spread = float((diag.max() / diag.min()) ** 2) if diag.size else 1.0
+
+    def solve(self, e: np.ndarray, h: np.ndarray):
+        """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e)."""
+        if not len(h):  # dpotrs rejects the 0x0 factor
+            return e.copy(), np.zeros(0)
+        dy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ e)
+        return e + self.G @ dy, dy
+
 
 class _CompactQR:
     """Householder QR of the scaled cone columns, kept in compact form.
 
     H = Q [R0; 0], with Q stored as reflectors in blocked (compact WY)
     form by LAPACK's dgeqrt: its recursive panels run at matrix-matrix
-    speed on the tall H here, about twice as fast as dgeqrf.  When R0 is
-    singular to working precision the constraints are linearly dependent
-    (an ill-conditioned but regular H has a spread near 1/mu, far from the
-    rank tolerance), and H'H is shifted by a small multiple of the
-    identity: [R0; sqrt(shift) I] = Q' R is factored again and Q' folded
-    into the products below.
+    speed on the tall H here, about twice as fast as dgeqrf.  H is
+    overwritten.  The condition number of the solve is that of H, not of
+    H'H, which keeps the last digits when the iterate nears the boundary.
+    When R0 is singular to working precision the constraints are linearly
+    dependent (an ill-conditioned but regular H has a spread near 1/mu,
+    far from the rank tolerance), and H'H is shifted by a small multiple
+    of the identity: [R0; sqrt(shift) I] = Q' R is factored again and Q'
+    folded into the products below.
     """
 
     def __init__(self, H: np.ndarray):
@@ -661,6 +707,11 @@ class _CompactQR:
         if not self.top:
             return np.zeros(self.rows)
         return self._apply("N", np.concatenate([t, np.zeros(self.rows - self.top)]))
+
+    def solve(self, e: np.ndarray, h: np.ndarray):
+        """(xh, dy) with xh - H dy = e and H'xh = h, through Q and R."""
+        t = self.solve_r(h, trans=1) - self.project(e)
+        return e + self.lift(t), self.solve_r(t)
 
 
 class _State:
@@ -715,6 +766,8 @@ class _HsdSolver:
         self.mu_history: List[float] = []
         # scaled constraint matrix, refilled and factored in place each iteration
         self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
+        # set once the Schur complement is too ill-conditioned; one-way
+        self.qr_only = False
 
     # -- residuals of the homogeneous model (scaled data) ----------------
 
@@ -742,12 +795,16 @@ class _HsdSolver:
     # The free blocks are solved out of the data at set-up, so with G the
     # stacked scaled constraints the Newton equations become the
     # least-squares system
-    #     xh - G dy = e,    G'xh = h,
-    # which is solved through an orthogonal factorization of G: its
-    # condition number is that of G (about 1/mu), not of G'G (1/mu^2).
+    #     xh - G dy = e,    G'xh = h.
+    # Each iteration first solves it through a Cholesky factor of the Schur
+    # complement G'G, whose condition number grows like 1/mu^2.  Once its
+    # spread passes _SWITCH_SPREAD, that iteration and the rest of the
+    # solve use a QR factorization of G instead, whose condition number is
+    # that of G (about 1/mu): it keeps the last digits of the direction in
+    # the end game, where G'G has lost them.
 
     def _factorize(self, st: _State):
-        """Scaled constraint data and its orthogonal factorization."""
+        """Scaled constraint data and its factorization."""
         cone = self.cone
         G = self.G
         c_hat = np.empty(cone.scaled_size)
@@ -760,23 +817,21 @@ class _HsdSolver:
                 G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam))
-        fact = {"blocks": blocks, "qr": _CompactQR(G), "c_hat": c_hat}
+        factor = None if self.qr_only else _SchurCholesky(G)
+        if factor is None or factor.spread > _SWITCH_SPREAD:
+            self.qr_only = True
+            factor = _CompactQR(G)
+        fact = {"blocks": blocks, "factor": factor, "c_hat": c_hat}
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
         # kappa/tau + ||xh_tau||^2, where xh_tau is the scaled primal step
         # of the column: a sum of squares, with no cancellation to clamp.
-        tau_col = self._solve(fact, -c_hat, cone.b)
+        tau_col = factor.solve(-c_hat, cone.b)
         pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
         if not (pivot > 0 and math.isfinite(pivot)):
             raise np.linalg.LinAlgError("singular tau pivot")
         fact.update(tau_col=tau_col, tau_pivot=pivot)
         return fact
-
-    def _solve(self, fact, e: np.ndarray, h: np.ndarray):
-        """Solve xh - G dy = e, G'xh = h."""
-        qr = fact["qr"]
-        t = qr.solve_r(h, trans=1) - qr.project(e)
-        return e + qr.lift(t), qr.solve_r(t)
 
     def _direction(self, st: _State, fact, resid, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets.
@@ -792,7 +847,7 @@ class _HsdSolver:
         for s, (R, lam), Rc_s, rd in zip(cone.stacks, fact["blocks"], Rc, r_d):
             jordan = 0.5 * (lam[:, :, None] + lam[:, None, :])
             e[s.rows] = s.svec(Rc_s / jordan - _t(R) @ rd @ R)
-        xh, d_y = self._solve(fact, e, r_p)
+        xh, d_y = fact["factor"].solve(e, r_p)
 
         vx, vy = fact["tau_col"]
         numer = r_g + rc_tau / st.tau - float(cone.b @ d_y) + float(fact["c_hat"] @ xh)
@@ -916,6 +971,7 @@ class _HsdSolver:
         status = SdpStatus.ITERATION_LIMIT
         iterations = 0
         cert_residual = math.nan
+        stall = ""
         best_state = copy.deepcopy(st)
         best_merit = math.inf
 
@@ -946,6 +1002,7 @@ class _HsdSolver:
                 break
 
             if iterations == MAX_ITERATIONS:
+                stall = "iteration limit"
                 st = best_state
                 break
 
@@ -957,12 +1014,13 @@ class _HsdSolver:
                 self._apply_step(st, step, alpha)
                 if not math.isfinite(st.mu(cone)):
                     raise np.linalg.LinAlgError("iterate not finite")
-            except (np.linalg.LinAlgError, ValueError):
+            except (np.linalg.LinAlgError, ValueError) as exc:
                 status = SdpStatus.NUMERICAL_TROUBLE
+                stall = str(exc)
                 st = best_state
                 break
 
-        return self._package(st, status, iterations, cert_residual)
+        return self._package(st, status, iterations, cert_residual, stall)
 
     def _search_direction(self, st: _State, resid, mu: float):
         """Mehrotra predictor-corrector step from one factorization.
@@ -1034,7 +1092,12 @@ class _HsdSolver:
         return out
 
     def _package(
-        self, st: _State, status: SdpStatus, iterations: int, cert_residual: float
+        self,
+        st: _State,
+        status: SdpStatus,
+        iterations: int,
+        cert_residual: float,
+        stall: str = "",
     ) -> SdpSolution:
         """The public solution of a final state, over the original rows.
 
@@ -1077,6 +1140,7 @@ class _HsdSolver:
             iterations=iterations,
             mu_history=self.mu_history,
             certificate_residual=cert_residual,
+            stall=stall,
         )
 
 

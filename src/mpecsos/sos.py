@@ -274,11 +274,12 @@ def _solve_checked(
     sol = solve(sdp, options)
     if sol.status in certificates:
         return sol
+    reason = f"{sol.status.value} ({sol.stall})" if sol.stall else sol.status.value
     if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.ITERATION_LIMIT):
-        raise RelaxationError(f"{what} not solved: {sol.status.value}")
+        raise RelaxationError(f"{what} not solved: {reason}")
     if sol.status is SdpStatus.ITERATION_LIMIT:
         if max(sol.primal_residual, sol.dual_residual, sol.gap) > 1e-6:
-            raise RelaxationError(f"{what} stalled with poor residuals")
+            raise RelaxationError(f"{what} stalled with poor residuals: {reason}")
     return sol
 
 

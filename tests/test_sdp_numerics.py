@@ -13,14 +13,18 @@ the set-up elimination mixes into other rows come back with the full dual
 vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, the value-fit programs against
-reference values, the check of the solver tolerances and the text dump.
+reference values, the check of the solver tolerances and the text dump,
+the two factors of the Newton system (Cholesky of G'G, QR of G) and the
+switch between them, and the stall named on a run that stops early.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import mpecsos.sdp as sdp
 from mpecsos.polynomials import parse_polynomial
 from mpecsos.problems import bundled_instance
 from mpecsos.sdp import (
@@ -30,12 +34,14 @@ from mpecsos.sdp import (
     SdpProblem,
     SdpStatus,
     SolverOptions,
+    _CompactQR,
     _Cone,
     _nt_scaling,
+    _SchurCholesky,
     residuals,
     solve,
 )
-from mpecsos.sos import build_moment_relaxation
+from mpecsos.sos import RelaxationError, _solve_checked, build_moment_relaxation
 from mpecsos.valuefn import build_value_program, compute_value_approximation
 
 FREE, NONNEG, PSD = BlockKind.FREE, BlockKind.NONNEG, BlockKind.PSD
@@ -475,3 +481,91 @@ def test_p1_value_fit_matches_reference(order, rho):
     # reference values from the solver with HKM directions and dense data
     approx = compute_value_approximation(bundled_instance("p1_mpec"), order)
     assert approx.rho == pytest.approx(rho, abs=1e-7)
+
+
+def test_factor_routes_agree_on_a_well_conditioned_matrix():
+    rng = np.random.default_rng(11)
+    G = np.asfortranarray(rng.normal(size=(60, 12)))
+    e, h = rng.normal(size=60), rng.normal(size=12)
+    chol = _SchurCholesky(G.copy(order="F"))
+    assert chol.spread < sdp._SWITCH_SPREAD
+    # _CompactQR factors its argument in place
+    routes = [chol.solve(e, h), _CompactQR(G.copy(order="F")).solve(e, h)]
+    for xh, dy in routes:
+        assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * np.linalg.norm(e)
+        assert np.linalg.norm(G.T @ xh - h) <= 1e-10 * np.linalg.norm(h)
+    (x_chol, y_chol), (x_qr, y_qr) = routes
+    assert np.linalg.norm(x_chol - x_qr) <= 1e-10 * np.linalg.norm(x_qr)
+    assert np.linalg.norm(y_chol - y_qr) <= 1e-10 * np.linalg.norm(y_qr)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_factor_routes_shift_a_repeated_column(seed):
+    # on the singular G'G, dpotrf fails for seed 0 and leaves a pivot near
+    # rounding for seed 3; both factors must then be those of G'G + shift I
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(60, 12))
+    G[:, 5] = G[:, 2]
+    G = np.asfortranarray(G)
+    gram = G.T @ G
+    top = float(np.max(np.diag(gram)))
+    shifted = gram + 1e-12 * top * np.eye(12)
+    e, h = rng.normal(size=60), rng.normal(size=12)
+    chol, qr = _SchurCholesky(G.copy(order="F")), _CompactQR(G.copy(order="F"))
+    for factor, triangle in ((chol, chol.U), (qr, qr.R)):
+        # the shift is 1e-12 * top, far above the rounding of the products
+        assert np.abs(triangle.T @ triangle - shifted).max() <= 1e-14 * top
+        xh, dy = factor.solve(e, h)
+        assert np.isfinite(xh).all() and np.isfinite(dy).all()
+        scale = np.linalg.norm(e) + np.linalg.norm(G) * np.linalg.norm(dy)
+        assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * scale
+
+
+def test_value_fit_switches_from_cholesky_to_qr_once(monkeypatch):
+    routes = []
+
+    class Cholesky(_SchurCholesky):
+        def __init__(self, G):
+            super().__init__(G)
+            routes.append(("cholesky", self.spread))
+
+    class QR(_CompactQR):
+        def __init__(self, H):
+            super().__init__(H)
+            routes.append(("qr", None))
+
+    monkeypatch.setattr(sdp, "_SchurCholesky", Cholesky)
+    monkeypatch.setattr(sdp, "_CompactQR", QR)
+    _, prob = build_value_program(bundled_instance("p1_mpec"), 3)
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL
+    kinds = [kind for kind, _ in routes]
+    first_qr = kinds.index("qr")
+    # the Cholesky factor serves until its spread passes the constant, and
+    # that iteration and every later one use the QR
+    assert first_qr >= 2 and kinds[first_qr - 1] == "cholesky"
+    assert kinds[first_qr:] == ["qr"] * (len(kinds) - first_qr)
+    spreads = [spread for _, spread in routes[:first_qr]]
+    assert max(spreads[:-1]) <= sdp._SWITCH_SPREAD < spreads[-1]
+
+
+def test_stall_names_the_iteration_limit(monkeypatch):
+    prob, _ = _mixed_blocks_problem(range(5))
+    assert solve(prob).stall == ""
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    sol = solve(prob)
+    assert sol.status is SdpStatus.ITERATION_LIMIT and sol.iterations == 2
+    assert sol.stall == "iteration limit"
+
+
+def test_stall_names_the_numerical_trouble(monkeypatch):
+    def singular(X, S):
+        raise np.linalg.LinAlgError("singular scaling point")
+
+    monkeypatch.setattr(sdp, "_nt_scaling", singular)
+    prob, _ = _mixed_blocks_problem(range(5))
+    sol = solve(prob)
+    assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+    assert sol.stall == "singular scaling point"
+    with pytest.raises(RelaxationError, match=re.escape("(singular scaling point)")):
+        _solve_checked(prob, None, "test program")
