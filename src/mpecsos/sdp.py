@@ -515,10 +515,9 @@ class _Cone:
         return np.cumsum(rows, axis=0)[-1]
 
 
-def _singular_triangle(R: np.ndarray, squared: bool = False) -> bool:
-    """True when a triangular factor, or with ``squared`` the product R'R
-    it factors, is singular to working precision."""
-    diag = np.abs(np.diag(R)) ** (2 if squared else 1)
+def _singular_triangle(R: np.ndarray) -> bool:
+    """True when a triangular factor is singular to working precision."""
+    diag = np.abs(np.diag(R))
     if not diag.size:
         return False
     return not diag.min() > max(R.shape) * np.finfo(float).eps * diag.max()
@@ -603,37 +602,39 @@ class _FreeElimination:
 _QR_BLOCK = 32
 
 # Spread of the Schur complement factor (its squared diagonal ratio, an
-# estimate of cond(G'G)) past which a solve leaves it for the QR of G.
-# Measured: at 1e10 and above, the rounding of the G'G products moves the
-# optimum of a solve by 2.4e-9 between two orderings of the same blocks; at
-# 1e8 by 3e-14, while the value fits still take most of their iterations
-# on the Cholesky factor.
-_SWITCH_SPREAD = 1e8
+# estimate of cond(G'G)) past which a solve leaves it for the QR of G.  A
+# Cholesky solve loses about log10 cond(G'G) digits, the QR half as many,
+# and the spread can read two orders below cond(G'G): 1.1e6 against 1.4e8
+# by SVD on p2's order-4 relaxation.  With the switch at 1e8 that solve
+# never leaves the Cholesky factor, and its residuals stall at 1.6e-9,
+# short of the 1e-9 tolerances the QR alone reaches.  At 1e4 it switches
+# after eight Cholesky iterations and ends at 6.8e-10, also with its
+# right side moved by a few ulps (16 of 16 trials, as at 1e3; 4 of 16 at
+# 1e5), while the p1 value fits still take 7 to 9 of their 14 to 16
+# iterations on the Cholesky factor.
+_SWITCH_SPREAD = 1e4
 
 
 class _SchurCholesky:
     """Cholesky factor U'U of the Schur complement G'G of the scaled columns.
 
     dsyrk forms G'G reading the Fortran-ordered G in place, at half the
-    flops of a general product, and dpotrf factors it.  Dependent columns,
-    which show as a failed factor or a G'G singular to working precision
-    (its pivots, the squared diagonal of U, under the rank tolerance of
-    `_CompactQR`), get the shift of `_CompactQR`, so the two factors solve
-    the same system.  ``spread`` = (max / min diagonal of U)^2 estimates the
-    condition number of G'G, the square of that of G.
+    flops of a general product, and dpotrf factors it.  ``spread`` = (max /
+    min diagonal of U)^2 estimates the condition number of G'G, the square
+    of that of G; a failed factor (dependent columns, or G'G indefinite in
+    rounding) has an infinite spread, so the solver takes the QR of G,
+    which shifts dependent columns itself.
     """
 
     def __init__(self, G: np.ndarray):
         self.G = G
         M = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
         self.U, info = sla.lapack.dpotrf(M)
-        if info != 0 or _singular_triangle(self.U, squared=True):
-            M[np.diag_indices_from(M)] += 1e-12 * max(1.0, float(np.diag(M).max()))
-            self.U, info = sla.lapack.dpotrf(M)
-            if info != 0:
-                raise np.linalg.LinAlgError("Cholesky factor of G'G failed after the shift")
         diag = np.abs(np.diag(self.U))
-        self.spread = float((diag.max() / diag.min()) ** 2) if diag.size else 1.0
+        if info != 0:
+            self.spread = math.inf
+        else:
+            self.spread = float((diag.max() / diag.min()) ** 2) if diag.size else 1.0
 
     def solve(self, e: np.ndarray, h: np.ndarray):
         """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e)."""

@@ -14,8 +14,9 @@ vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, the value-fit programs against
 reference values, the check of the solver tolerances and the text dump,
-the two factors of the Newton system (Cholesky of G'G, QR of G) and the
-switch between them, and the stall named on a run that stops early.
+the two factors of the Newton system (Cholesky of G'G, QR of G), the
+switch between them and a relaxation that needs it to reach 1e-9, and the
+stall named on a run that stops early.
 """
 
 import math
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 import mpecsos.sdp as sdp
+from mpecsos.driver import _perturbed_generators
 from mpecsos.polynomials import parse_polynomial
 from mpecsos.problems import bundled_instance
 from mpecsos.sdp import (
@@ -502,7 +504,8 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_factor_routes_shift_a_repeated_column(seed):
     # on the singular G'G, dpotrf fails for seed 0 and leaves a pivot near
-    # rounding for seed 3; both factors must then be those of G'G + shift I
+    # rounding for seed 3; either way the Cholesky factor hands the solve to
+    # the QR, whose factor is that of G'G + shift I
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(60, 12))
     G[:, 5] = G[:, 2]
@@ -511,14 +514,14 @@ def test_factor_routes_shift_a_repeated_column(seed):
     top = float(np.max(np.diag(gram)))
     shifted = gram + 1e-12 * top * np.eye(12)
     e, h = rng.normal(size=60), rng.normal(size=12)
-    chol, qr = _SchurCholesky(G.copy(order="F")), _CompactQR(G.copy(order="F"))
-    for factor, triangle in ((chol, chol.U), (qr, qr.R)):
-        # the shift is 1e-12 * top, far above the rounding of the products
-        assert np.abs(triangle.T @ triangle - shifted).max() <= 1e-14 * top
-        xh, dy = factor.solve(e, h)
-        assert np.isfinite(xh).all() and np.isfinite(dy).all()
-        scale = np.linalg.norm(e) + np.linalg.norm(G) * np.linalg.norm(dy)
-        assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * scale
+    assert _SchurCholesky(G.copy(order="F")).spread > sdp._SWITCH_SPREAD
+    qr = _CompactQR(G.copy(order="F"))
+    # the shift is 1e-12 * top, far above the rounding of the products
+    assert np.abs(qr.R.T @ qr.R - shifted).max() <= 1e-14 * top
+    xh, dy = qr.solve(e, h)
+    assert np.isfinite(xh).all() and np.isfinite(dy).all()
+    scale = np.linalg.norm(e) + np.linalg.norm(G) * np.linalg.norm(dy)
+    assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * scale
 
 
 def test_value_fit_switches_from_cholesky_to_qr_once(monkeypatch):
@@ -569,3 +572,15 @@ def test_stall_names_the_numerical_trouble(monkeypatch):
     assert sol.stall == "singular scaling point"
     with pytest.raises(RelaxationError, match=re.escape("(singular scaling point)")):
         _solve_checked(prob, None, "test program")
+
+
+def test_p2_relaxation_reaches_tight_tolerances():
+    # p2's order-4 relaxation at k = 3, eps 1e-3: its Schur complement is
+    # worse conditioned than the spread of its Cholesky factor shows, and
+    # only a switch to the QR in time lets the residuals pass 1e-9
+    p2 = bundled_instance("p2_bilevel")
+    gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
+    _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
+    sol = solve(prob, SolverOptions(gap_tol=1e-9, feas_tol=1e-9))
+    assert sol.status is SdpStatus.OPTIMAL, (sol.status, sol.iterations, sol.stall)
+    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-9
