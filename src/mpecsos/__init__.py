@@ -7,7 +7,7 @@ minimizer extraction, walking the approximation order upward until the
 running best value stalls.
 """
 
-from .boxmoments import MomentVector, box_moment, moment_vector
+from .boxmoments import box_moments
 from .driver import (
     AlgoConfig,
     AlgorithmTrace,

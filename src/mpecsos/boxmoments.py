@@ -12,70 +12,29 @@ exponents give a bitwise zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Exponent, MonomialBasis, monomial_basis
-
-Halfwidths = Union[float, Sequence[float]]
+from .polynomials import Exponent
 
 
-def _per_axis(halfwidth: Halfwidths, num_vars: int) -> Tuple[float, ...]:
-    if np.isscalar(halfwidth):
-        widths = (float(halfwidth),) * num_vars
-    else:
-        widths = tuple(float(c) for c in halfwidth)
-        if len(widths) != num_vars:
-            raise ValueError(
-                f"{len(widths)} half-widths for {num_vars} variables"
-            )
-    if any(c <= 0 for c in widths):
+def box_moments(monomials: Sequence[Exponent], halfwidths: Sequence[float]) -> np.ndarray:
+    """Moments of the monomials under the uniform probability measure on the
+    box, one per monomial: the product of the per-axis factors, left to
+    right from 1.0.
+
+    The factors are Python floats: numpy's array ``**`` can differ from
+    ``float ** int`` in the last bit.
+    """
+    widths = [float(c) for c in halfwidths]
+    if not all(c > 0 for c in widths):
         raise ValueError("half-widths must be positive")
-    return widths
-
-
-def box_moment(alpha: Exponent, halfwidth: Halfwidths) -> float:
-    """Moment of z^alpha under the uniform probability measure on the box."""
-    widths = _per_axis(halfwidth, len(alpha))
-    value = 1.0
-    for a, c in zip(alpha, widths):
-        if a % 2 == 1:
-            return 0.0
-        if a:
-            value *= c**a / (a + 1)
-    return value
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Box moments aligned with a graded-lex monomial basis."""
-
-    basis: MonomialBasis
-    values: Tuple[float, ...]
-    halfwidths: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.basis):
-            raise ValueError("one moment per basis monomial required")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values)
-
-    def pairing(self, coefficients: dict) -> float:
-        """Sum of coefficient * moment over the given exponent->coeff map."""
-        total = 0.0
-        for alpha, c in coefficients.items():
-            total += c * self.values[self.basis.index(alpha)]
-        return total
-
-
-def moment_vector(num_vars: int, degree: int, halfwidth: Halfwidths) -> MomentVector:
-    """All moments up to the given (even) total degree."""
-    if degree < 0 or degree % 2 != 0:
-        raise ValueError("degree must be even and nonnegative")
-    widths = _per_axis(halfwidth, num_vars)
-    basis = monomial_basis(num_vars, degree)
-    values = tuple(box_moment(alpha, widths) for alpha in basis.monomials)
-    return MomentVector(basis=basis, values=values, halfwidths=widths)
+    if any(len(alpha) != len(widths) for alpha in monomials):
+        raise ValueError(f"exponents of length other than {len(widths)} half-widths")
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), len(widths))
+    out = np.ones(len(exps))
+    for c, column in zip(widths, exps.T):
+        powers = range(column.max(initial=0) + 1)
+        out = out * np.array([0.0 if a % 2 else c**a / (a + 1) for a in powers])[column]
+    return out

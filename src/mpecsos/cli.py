@@ -140,6 +140,9 @@ def cmd_solve(args) -> int:
     if trace.termination is Termination.ALL_EMPTY:
         print("every perturbed set was certified empty for the given orders")
         return EXIT_ALL_EMPTY
+    if not trace.successful_records():
+        print("solver failure: no order produced a value", file=sys.stderr)
+        return EXIT_SOLVER
     print(f"final value: {_fmt(trace.final_value)}")
     for point in trace.final_points:
         print(f"final point: {_fmt_point(point)}")

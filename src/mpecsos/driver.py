@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,20 +60,12 @@ class AlgoConfig:
     epsilon: float
     k_start: int
     k_max: int
-    epsilon_ladder: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.k_max < self.k_start:
             raise ValueError("k_max must be at least k_start")
-        if self.epsilon_ladder is not None:
-            ladder = tuple(self.epsilon_ladder)
-            if not all(0 < e < math.inf for e in ladder):
-                raise ValueError("ladder entries must be positive and finite")
-            if any(b >= a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError("ladder entries must be strictly decreasing")
-            object.__setattr__(self, "epsilon_ladder", ladder)
 
 
 @dataclass
@@ -229,14 +221,12 @@ def solve_mpec(
             termination = Termination.CONVERGED
             break
 
-    if best is None:
+    if all(r.set_status == EMPTY for r in records):
         termination = Termination.ALL_EMPTY
-    else:
+    elif best is not None:
         # points of the best-valued iteration; fall back to the best
         # iteration that managed to extract any point at all
-        with_points = [
-            r for r in records if r.value is not None and r.points
-        ]
+        with_points = [r for r in records if r.value is not None and r.points]
         exact = [r for r in with_points if r.value == best]
         if exact:
             best_points = exact[-1].points
@@ -257,7 +247,9 @@ def solve_mpec(
 
 def run_epsilon_ladder(
     problem: MpecProblem,
-    config: AlgoConfig,
+    ladder: Sequence[float],
+    k_start: int,
+    k_max: int,
     options: Optional[SolverOptions] = None,
 ) -> List[Tuple[float, AlgorithmTrace]]:
     """Re-run the loop along a decreasing ladder of perturbations.
@@ -266,13 +258,14 @@ def run_epsilon_ladder(
     of the final values is the reported estimate of the unperturbed
     optimum; it is an extrapolation, not a certified value.
     """
-    ladder = config.epsilon_ladder or (config.epsilon,)
+    configs = [AlgoConfig(eps, k_start, k_max) for eps in ladder]
+    if any(b.epsilon >= a.epsilon for a, b in zip(configs, configs[1:])):
+        raise ValueError("ladder entries must be strictly decreasing")
     cache: Dict[int, ValueFunctionApprox] = {}
-    out = []
-    for eps in ladder:
-        cfg = replace(config, epsilon=eps, epsilon_ladder=None)
-        out.append((eps, solve_mpec(problem, cfg, options, approx_cache=cache)))
-    return out
+    return [
+        (cfg.epsilon, solve_mpec(problem, cfg, options, approx_cache=cache))
+        for cfg in configs
+    ]
 
 
 def ladder_summary(runs: Sequence[Tuple[float, AlgorithmTrace]]) -> dict:
@@ -399,24 +392,27 @@ def verify_report(report: dict) -> List[str]:
     """
     problems = []
     best = None
+    # every comparison is written to fail on NaN
     for rec in report["records"]:
         if rec["set_status"] == EMPTY and (rec["value"] is not None or rec["points"]):
             problems.append(f"order {rec['order']}: empty set carries a value or points")
         if rec["value"] is not None:
-            best = rec["value"] if best is None else min(best, rec["value"])
-            if rec["best_value"] is None or abs(rec["best_value"] - best) > 1e-12:
+            if best is None or not rec["value"] >= best:
+                best = rec["value"]
+            if rec["best_value"] is None or not abs(rec["best_value"] - best) <= 1e-12:
                 problems.append(
                     f"order {rec['order']}: best_value does not track the running min"
                 )
     bests = [r["best_value"] for r in report["records"] if r["best_value"] is not None]
     for a, b in zip(bests, bests[1:]):
-        if b > a + 1e-12:
+        if not b <= a + 1e-12:
             problems.append("best_value increased between records")
+    all_empty = all(r["set_status"] == EMPTY for r in report["records"])
+    if all_empty != (report["termination"] == Termination.ALL_EMPTY.value):
+        problems.append("termination AllEmpty must mean every record EmptyCertified")
     if best is None:
-        if report["termination"] != Termination.ALL_EMPTY.value:
-            problems.append("no successful iteration but termination not AllEmpty")
         if not math.isnan(report["final_value"]):
-            problems.append("final_value should be NaN when every set was empty")
-    elif abs(report["final_value"] - best) > 1e-12:
+            problems.append("final_value should be NaN when no iteration has a value")
+    elif not abs(report["final_value"] - best) <= 1e-12:
         problems.append("final_value does not equal the last running best")
     return problems

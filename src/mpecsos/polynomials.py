@@ -253,36 +253,21 @@ class Polynomial:
             out[key] = out.get(key, 0.0) + coeff
         return Polynomial(new_vars, out)
 
-    def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials; the result is fully expanded.
+    def scaled(self, factors: Sequence[float]) -> "Polynomial":
+        """The polynomial of the stretched variables z_i = c_i w_i.
 
-        All replacement polynomials must share one common ambient variable
-        list, and every unmapped variable of ``self`` must exist there.  An
-        empty mapping is the identity.
+        Each coefficient is multiplied by prod_i c_i^alpha_i, variable by
+        variable, with every power a product from 1.0 as ``**`` forms it.
         """
-        if not mapping:
-            return self
-        ambients = {p.variables for p in mapping.values()}
-        if len(ambients) != 1:
-            raise ValueError("replacement polynomials use different ambient lists")
-        ambient = next(iter(ambients))
-        for name in self.variables:
-            if name not in mapping and name not in ambient:
-                raise ValueError(
-                    f"unmapped variable {name!r} missing from replacement ambient"
-                )
-        result = Polynomial.zero(ambient)
+        factors = tuple(float(c) for c in factors)
+        if len(factors) != len(self.variables):
+            raise ValueError("one factor per variable required")
+        out: Dict[Exponent, float] = {}
         for alpha, coeff in self.terms.items():
-            term = Polynomial.constant(ambient, coeff)
-            for name, e in zip(self.variables, alpha):
-                if not e:
-                    continue
-                factor = mapping.get(name)
-                if factor is None:
-                    factor = Polynomial.variable(ambient, name)
-                term = term * factor**e
-            result = result + term
-        return result
+            for c, e in zip(factors, alpha):
+                coeff *= math.prod([c] * e)
+            out[alpha] = coeff
+        return Polynomial(self.variables, out)
 
     # ------------------------------------------------------------------
     # rendering

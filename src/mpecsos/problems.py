@@ -112,16 +112,11 @@ class MpecProblem:
         return self.x_vars + self.y_vars + self.v_vars
 
     def h_in_xv(self) -> List[Polynomial]:
-        """The h_j rewritten over (x, y, v) with each y_i replaced by v_i."""
-        ambient = self.ambient_vars
-        mapping = {
-            y: Polynomial.variable(ambient, v)
-            for y, v in zip(self.y_vars, self.v_vars)
-        }
-        mapping.update(
-            {x: Polynomial.variable(ambient, x) for x in self.x_vars}
-        )
-        return [h.substitute(mapping) for h in self.constraints_h]
+        """The h_j rewritten over (x, y, v) with each y_i renamed v_i."""
+        return [
+            Polynomial(self.x_vars + self.v_vars, h.terms).in_variables(self.ambient_vars)
+            for h in self.constraints_h
+        ]
 
     def x_halfwidths(self) -> Tuple[float, ...]:
         return self.box.halfwidths[: self.n]
@@ -241,14 +236,13 @@ def load_problem(source: Union[str, Path], name: str = "") -> MpecProblem:
     if not x_vars or not y_vars:
         raise ProblemFormatError("need at least one x and one y variable")
     v_vars = _inner_names(y_vars)
-    if set(v_vars) & set(x_vars + y_vars):
-        raise ProblemFormatError(
-            f"variable names {sorted(set(v_vars) & set(x_vars + y_vars))} "
-            "collide with the reserved inner names"
-        )
-
     z_vars = x_vars + y_vars
     ambient = z_vars + v_vars
+    repeated = sorted({v for v in ambient if ambient.count(v) > 1})
+    if repeated:
+        raise ProblemFormatError(
+            f"variable names {repeated} repeated or reserved for the inner variables"
+        )
 
     objective = _parse_section(_require(doc, "objective"), z_vars, "objective")
     g_list = _require(doc, "A")

@@ -85,19 +85,18 @@ class SdpConstraint:
 
 # iterations of the interior-point loop before it ends IterationLimit
 MAX_ITERATIONS = 200
+# share of the step to the cone boundary that an iteration takes
+STEP_FRACTION = 0.98
 
 
 @dataclass
 class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    step_fraction: float = 0.98
 
     def __post_init__(self):
         if not (0 < self.gap_tol < math.inf and 0 < self.feas_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not 0 < self.step_fraction < 1:
-            raise ValueError("step_fraction must lie in (0, 1)")
 
 
 class SdpProblem:
@@ -858,7 +857,7 @@ class _HsdSolver:
 
         d = {"X": [], "S": [], "Xt": [], "St": []}
         for s, (R, _), rd in zip(cone.stacks, fact["blocks"], r_d):
-            dS = _sym(rd - s.combine(d_y) + s.C * d_tau)
+            dS = rd - s.combine(d_y) + s.C * d_tau
             dXt = s.smat(xh[s.rows])
             d["S"].append(dS)
             d["St"].append(_sym(_t(R) @ dS @ R))
@@ -925,8 +924,8 @@ class _HsdSolver:
 
     def _apply_step(self, st: _State, d, alpha: float):
         for i in range(len(st.X)):
-            st.X[i] = _sym(st.X[i] + alpha * d["X"][i])
-            st.S[i] = _sym(st.S[i] + alpha * d["S"][i])
+            st.X[i] = st.X[i] + alpha * d["X"][i]
+            st.S[i] = st.S[i] + alpha * d["S"][i]
         st.y = st.y + alpha * d["y"]
         st.tau += alpha * d["tau"]
         st.kappa += alpha * d["kappa"]
@@ -1009,7 +1008,7 @@ class _HsdSolver:
 
             try:
                 step, alpha = self._search_direction(st, resid, mu)
-                alpha = min(opts.step_fraction * alpha, 1.0)
+                alpha = min(STEP_FRACTION * alpha, 1.0)
                 if not math.isfinite(alpha) or alpha <= 0:
                     raise np.linalg.LinAlgError("no step inside the cone")
                 self._apply_step(st, step, alpha)

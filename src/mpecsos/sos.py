@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .boxmoments import MomentVector
 from .polynomials import (
     Exponent,
     MonomialBasis,
@@ -55,7 +54,7 @@ from .sdp import (
     solve,
 )
 
-_UNIT_MASS = MomentVector(monomial_basis(0, 0), (1.0,), ())
+_UNIT_MASS = np.ones(1)
 
 RANK_TOL = 1e-6
 ATOM_FEAS_TOL = 1e-6
@@ -101,7 +100,7 @@ class SosIdentityProgram:
     multipliers: Tuple[Tuple[Polynomial, int], ...]
     sigma_bases: Tuple[MonomialBasis, ...]  # sigma_0 first, then one per multiplier
     row_basis: MonomialBasis          # ambient monomials with one equality row each
-    gamma: MomentVector
+    gamma: np.ndarray                 # moments paired with p, aligned with p_basis
 
     @property
     def free_block_index(self) -> int:
@@ -113,7 +112,7 @@ def build_sos_identity(
     p_vars: Sequence[str],
     p_degree: int,
     multipliers: Sequence[Tuple[Polynomial, int]],
-    gamma: MomentVector,
+    gamma: np.ndarray,
     sigma0_order: Optional[int] = None,
 ) -> Tuple[SosIdentityProgram, SdpProblem]:
     """Encode the weighted-SOS identity as a block SDP.
@@ -157,7 +156,8 @@ def build_sos_identity(
         mult_list.append((h, bound))
 
     p_basis = monomial_basis(len(p_vars), p_degree)
-    if len(gamma.basis) != len(p_basis):
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (len(p_basis),):
         raise ValueError("moment vector does not match the free-polynomial basis")
     p_exp_ambient = np.zeros((len(p_basis), len(ambient)), dtype=np.int64)
     p_exp_ambient[:, [ambient.index(v) for v in p_vars]] = np.reshape(
@@ -212,7 +212,7 @@ def build_sos_identity(
 
     blocks = [SdpBlock(BlockKind.PSD, len(b)) for b in sigma_bases]
     blocks.append(SdpBlock(BlockKind.FREE, len(p_basis)))
-    objective = {free_index: -gamma.as_array()}
+    objective = {free_index: -gamma}
     sdp = SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
     return prog, sdp
 
@@ -293,7 +293,7 @@ def solve_sos_identity(
     terms = dict(zip(prog.p_basis.monomials, p_values))
     p = Polynomial(prog.p_vars, terms)
     grams = [np.array(sol.primal[j]) for j in range(len(prog.sigma_bases))]
-    rho = float(prog.gamma.as_array() @ p_values)
+    rho = float(prog.gamma @ p_values)
     return SosIdentitySolution(
         p=p, sigma_grams=grams, rho=rho, gap=sol.gap, status=sol.status, raw=sol
     )
@@ -347,20 +347,10 @@ def build_moment_relaxation(
     scale_tuple: Tuple[float, ...] = ()
     if scaling is not None:
         scale_tuple = tuple(float(c) for c in scaling)
-        if len(scale_tuple) != len(variables):
-            raise ValueError("one scaling entry per variable required")
         if any(c <= 0 for c in scale_tuple):
             raise ValueError("scaling entries must be positive")
-        mapping = {
-            name: Polynomial.monomial(
-                variables,
-                tuple(1 if j == i else 0 for j in range(len(variables))),
-                c,
-            )
-            for i, (name, c) in enumerate(zip(variables, scale_tuple))
-        }
-        f = f.substitute(mapping)
-        gens = [h.substitute(mapping) for h in gens]
+        f = f.scaled(scale_tuple)
+        gens = [h.scaled(scale_tuple) for h in gens]
     t = order
     if t < math.ceil(f.degree / 2):
         raise ValueError(f"order {t} below objective half-degree")

@@ -30,9 +30,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .boxmoments import moment_vector
+from .boxmoments import box_moments
 from .oracle import OracleConfig, inner_value_grid
-from .polynomials import Polynomial, grlex_key
+from .polynomials import Polynomial, grlex_key, monomial_basis
 from .problems import MpecProblem, box_grid
 from .sdp import SdpProblem, SolverOptions
 from .sos import SosIdentityProgram, build_sos_identity, solve_sos_identity
@@ -92,17 +92,11 @@ def build_value_program(
             multipliers.append((ybox.in_variables(ambient), (two_k - 2) // 2))
     widths = dict(zip(problem.z_vars, problem.box.halfwidths))
 
-    gamma = moment_vector(
-        len(fit_vars), two_k, tuple(widths[name] for name in fit_vars)
+    gamma = box_moments(
+        monomial_basis(len(fit_vars), two_k).monomials,
+        [widths[name] for name in fit_vars],
     )
-    prog, sdp = build_sos_identity(
-        target=target,
-        p_vars=fit_vars,
-        p_degree=two_k,
-        multipliers=multipliers,
-        gamma=gamma,
-    )
-    return prog, sdp
+    return build_sos_identity(target, fit_vars, two_k, multipliers, gamma)
 
 
 def compute_value_approximation(

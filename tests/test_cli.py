@@ -97,6 +97,38 @@ variables:
     assert main(["solve", str(doc), "--eps", "0.001", "--k", "2..2"]) == 5
 
 
+def test_solve_without_a_value_is_a_solver_failure(monkeypatch, capsys):
+    from mpecsos.sos import RelaxationError
+
+    def fail(*args, **kwargs):
+        raise RelaxationError("identity program not solved: NumericalTrouble")
+
+    monkeypatch.setattr("mpecsos.driver.compute_value_approximation", fail)
+    assert main(["solve", "p1_mpec", "--eps", "5e-4", "--k", "3..4"]) == 3
+    captured = capsys.readouterr()
+    assert "termination: KMax" in captured.out
+    assert "certified empty" not in captured.out
+    assert "no order produced a value" in captured.err
+
+
+def test_solve_repeated_variable_names_exit_code(tmp_path, capsys):
+    doc = tmp_path / "dup.yaml"
+    doc.write_text(
+        """
+objective: "x + y"
+A: ["-1 - x^2"]
+B: ["1 - x^2", "1 - y^2"]
+phi: "x*v1 - y"
+M: 1.0
+variables:
+  x: [x]
+  y: [y, y]
+"""
+    )
+    assert main(["solve", str(doc), "--eps", "1e-3", "--k", "1..2"]) == 2
+    assert "repeated" in capsys.readouterr().err
+
+
 def test_oracle_inner_value(capsys):
     assert main(["oracle", "p1_mpec", "--J", "0.8", "0.5"]) == 0
     out = capsys.readouterr().out.strip()

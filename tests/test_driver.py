@@ -22,6 +22,7 @@ from mpecsos.driver import (
 from mpecsos.oracle import inner_value, solve_perturbed_reference
 from mpecsos.polynomials import parse_polynomial
 from mpecsos.problems import bundled_instance, load_problem
+from mpecsos.sos import RelaxationError
 from mpecsos.valuefn import ValueFunctionApprox
 
 
@@ -116,10 +117,7 @@ def test_upper_bound_negative_control(p1_trace):
 
 
 def test_epsilon_ladder_monotone(p1):
-    config = AlgoConfig(
-        epsilon=1e-2, k_start=3, k_max=3, epsilon_ladder=(1e-2, 1e-3)
-    )
-    runs = run_epsilon_ladder(p1, config)
+    runs = run_epsilon_ladder(p1, (1e-2, 1e-3), 3, 3)
     assert [eps for eps, _ in runs] == [1e-2, 1e-3]
     v_large, v_small = runs[0][1].final_value, runs[1][1].final_value
     assert v_small >= v_large - 1e-6
@@ -140,7 +138,32 @@ variables:
     trace = solve_mpec(prob, AlgoConfig(epsilon=1e-3, k_start=2, k_max=3))
     assert trace.termination is Termination.ALL_EMPTY
     assert math.isnan(trace.final_value)
+    assert all(r.set_status == "EmptyCertified" for r in trace.records)
     assert all(r.value is None for r in trace.records)
+
+
+def _fail(*args, **kwargs):
+    raise RelaxationError("identity program not solved: NumericalTrouble")
+
+
+@pytest.mark.parametrize(
+    "stage", ["compute_value_approximation", "minimize_hierarchy"]
+)
+def test_failed_orders_are_not_all_empty(p1, stage, monkeypatch):
+    """Orders whose fit or hierarchy fails certify nothing: the run ends
+    KMax with a NaN final value, and a report claiming AllEmpty is flagged."""
+    monkeypatch.setattr(f"mpecsos.driver.{stage}", _fail)
+    trace = solve_mpec(p1, AlgoConfig(epsilon=5e-4, k_start=3, k_max=3))
+    assert [r.set_status for r in trace.records] == [
+        "Error" if stage == "compute_value_approximation" else "Unknown"
+    ]
+    assert trace.records[0].error
+    assert trace.termination is Termination.K_MAX
+    assert math.isnan(trace.final_value)
+    report = json.loads(json.dumps(trace_to_report(trace)))
+    assert verify_report(report) == []
+    report["termination"] = "AllEmpty"
+    assert verify_report(report)
 
 
 def test_config_validation():
@@ -148,8 +171,18 @@ def test_config_validation():
         AlgoConfig(epsilon=0.0, k_start=2, k_max=3)
     with pytest.raises(ValueError):
         AlgoConfig(epsilon=1e-3, k_start=4, k_max=3)
-    with pytest.raises(ValueError):
-        AlgoConfig(epsilon=1e-3, k_start=2, k_max=3, epsilon_ladder=(1e-3, 1e-2))
+
+
+def _no_solve(*args, **kwargs):
+    pytest.fail("solved before the ladder was checked")
+
+
+def test_ladder_must_decrease(p1, monkeypatch):
+    monkeypatch.setattr("mpecsos.driver.solve_mpec", _no_solve)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        run_epsilon_ladder(p1, (1e-3, 1e-2), 2, 3)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        run_epsilon_ladder(p1, (1e-3, 1e-3), 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -157,14 +190,19 @@ def test_config_validation():
     [
         {"epsilon": math.nan},
         {"epsilon": math.inf},
-        {"epsilon_ladder": (math.inf, 1e-3)},
-        {"epsilon_ladder": (1e-2, math.nan)},
+        {"ladder": (math.inf, 1e-3)},
+        {"ladder": (1e-2, math.nan)},
     ],
     ids=["nan-eps", "inf-eps", "inf-ladder", "nan-ladder"],
 )
-def test_config_rejects_non_finite_numbers(fields):
+def test_config_rejects_non_finite_numbers(fields, p1, monkeypatch):
+    # the ladder is checked whole before its first solve
+    monkeypatch.setattr("mpecsos.driver.solve_mpec", _no_solve)
     with pytest.raises(ValueError, match="finite"):
-        AlgoConfig(**{"epsilon": 1e-3, "k_start": 2, "k_max": 3, **fields})
+        if "ladder" in fields:
+            run_epsilon_ladder(p1, fields["ladder"], 2, 3)
+        else:
+            AlgoConfig(**{"epsilon": 1e-3, "k_start": 2, "k_max": 3, **fields})
 
 
 def test_point_feasibility_tests_each_perturbed_constraint():
@@ -256,6 +294,26 @@ def test_report_tampering_detected(p1_trace):
     assert verify_report(report)
 
 
+@pytest.mark.parametrize("field", ["final_value", "best_value", "value"])
+def test_report_nan_detected(p1_trace, field):
+    clean = json.loads(json.dumps(trace_to_report(p1_trace)))
+    valued = [i for i, r in enumerate(clean["records"]) if r["value"] is not None]
+    assert valued
+    for i in valued:
+        report = json.loads(json.dumps(clean))
+        if field == "final_value":
+            report["final_value"] = math.nan
+        else:
+            report["records"][i][field] = math.nan
+        assert verify_report(report), (field, i)
+
+
+def test_report_all_empty_needs_every_record_empty(p1_trace):
+    report = json.loads(json.dumps(trace_to_report(p1_trace)))
+    report["termination"] = "AllEmpty"
+    assert verify_report(report)
+
+
 def test_report_empty_status_with_value_detected(p1_trace):
     report = json.loads(json.dumps(trace_to_report(p1_trace)))
     valued = next(r for r in report["records"] if r["value"] is not None)
@@ -293,10 +351,7 @@ def test_solve_deterministic(p3):
 def test_ladder_summary(p1):
     from mpecsos.driver import ladder_summary
 
-    config = AlgoConfig(
-        epsilon=1e-2, k_start=3, k_max=3, epsilon_ladder=(1e-2, 1e-3)
-    )
-    runs = run_epsilon_ladder(p1, config)
+    runs = run_epsilon_ladder(p1, (1e-2, 1e-3), 3, 3)
     summary = ladder_summary(runs)
     assert len(summary["values"]) == 2
     assert summary["trend"] == runs[-1][1].final_value

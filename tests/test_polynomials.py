@@ -117,41 +117,55 @@ def test_evaluate_array_matches_pointwise():
 
 
 # ----------------------------------------------------------------------
-# substitution
+# scaling
 
 
-def test_substitute_rename():
-    p = parse_polynomial("1 - y^2", ["y"])
-    v = Polynomial.variable(["v"], "v")
-    q = p.substitute({"y": v})
-    assert q == parse_polynomial("1 - v^2", ["v"])
+def _expanded_stretch(p, factors):
+    """p with each z_i replaced by the polynomial c_i * z_i, expanded term
+    by term through polynomial products and powers."""
+    names = p.variables
+    result = Polynomial.zero(names)
+    for alpha, coeff in p.terms.items():
+        term = Polynomial.constant(names, coeff)
+        for i, (c, e) in enumerate(zip(factors, alpha)):
+            if e:
+                unit = tuple(1 if j == i else 0 for j in range(len(names)))
+                term = term * Polynomial.monomial(names, unit, c) ** e
+        result = result + term
+    return result
 
 
-def test_substitute_empty_map_is_identity():
-    p = parse_polynomial("x", ["x"])
-    assert p.substitute({}) is p
+def _same_bytes(p, q):
+    assert p.variables == q.variables
+    assert list(p.terms) == list(q.terms)
+    assert np.array([*p.terms.values()]).tobytes() == np.array([*q.terms.values()]).tobytes()
 
 
-def test_substitute_expansion():
-    p = parse_polynomial("x*y^2", ["x", "y"])
-    repl = parse_polynomial("v + 1", ["x", "v"])
-    q = p.substitute({"y": repl})
-    assert q == parse_polynomial("x*v^2 + 2*x*v + x", ["x", "v"])
+def test_scaled_matches_the_substitute_expansion():
+    rng = np.random.default_rng(11)
+    names = ["x", "y", "z"]
+    basis = monomial_basis(3, 6)
+    for _ in range(100):
+        keep = rng.random(len(basis)) < 0.4
+        # magnitudes 5e-3..2e3 keep every partial product far above COEFF_CLEANUP
+        coeffs = rng.choice([-1.0, 1.0], len(basis)) * rng.uniform(0.5, 2.0, len(basis))
+        coeffs = coeffs * 10.0 ** rng.integers(-2, 4, len(basis))
+        p = Polynomial(names, {a: c for a, c, k in zip(basis.monomials, coeffs, keep) if k})
+        factors = rng.uniform(0.1, 3.0, 3).tolist()
+        _same_bytes(p.scaled(factors), _expanded_stretch(p, factors))
+    p = parse_polynomial("x*y^2 - 3*y + 0.5", ["x", "y"])
+    assert p.scaled([2.0, 0.5]) == parse_polynomial("0.5*x*y^2 - 1.5*y + 0.5", ["x", "y"])
 
 
-def test_substitute_identity_map():
+def test_scaled_by_ones_is_identity():
     p = parse_polynomial("x^2*y - y^3 + 1", ["x", "y"])
-    mapping = {
-        "x": Polynomial.variable(["x", "y"], "x"),
-        "y": Polynomial.variable(["x", "y"], "y"),
-    }
-    assert p.substitute(mapping) == p
+    _same_bytes(p.scaled([1.0, 1.0]), p)
 
 
-def test_substitute_incompatible_ambient():
+def test_scaled_rejects_a_wrong_factor_count():
     p = parse_polynomial("x*y", ["x", "y"])
-    with pytest.raises(ValueError):
-        p.substitute({"y": Polynomial.variable(["v"], "v")})
+    with pytest.raises(ValueError, match="one factor per variable"):
+        p.scaled([2.0])
 
 
 def test_in_variables_names_the_missing_variable():

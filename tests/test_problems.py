@@ -11,6 +11,7 @@ from mpecsos.problems import (
     load_problem,
     validate_assumptions,
 )
+from mpecsos.polynomials import parse_polynomial
 
 P1_DOC = """
 objective: "x + y"
@@ -100,6 +101,26 @@ def test_p3_sip_shape():
     (h_xv,) = prob.h_in_xv()
     assert h_xv.evaluate([0.0, 0.0, 1.0]) == pytest.approx(0.0)
     assert h_xv.evaluate([0.9, 0.0, 0.0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "names", ["{x: [x], y: [x]}", "{x: [x], y: [y, y]}", "{x: [a, a], y: [y]}"]
+)
+def test_load_rejects_repeated_variable_names(names):
+    doc = P1_DOC.replace("variables:\n  x: [x]\n  y: [y]", f"variables: {names}")
+    assert doc != P1_DOC
+    with pytest.raises(ProblemFormatError, match="repeated"):
+        load_problem(doc)
+
+
+def test_h_in_xv_renames_each_y_to_its_v():
+    prob = load_problem(
+        "variables: {x: [x], y: [y1, y2]}\nobjective: x + y1\nA: []\n"
+        "B: ['1 - x*y1^2 + 0.5*y2 - y1*y2^3']\nphi: v1 - y1\nM: 1\n"
+    )
+    (h_xv,) = prob.h_in_xv()
+    want = parse_polynomial("1 - x*v1^2 + 0.5*v2 - v1*v2^3", prob.ambient_vars)
+    assert h_xv == want
 
 
 def test_min_order():

@@ -257,5 +257,3 @@ def test_dump_roundtrippable_text():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(gap_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_fraction=1.0)

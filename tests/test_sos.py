@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mpecsos.boxmoments import moment_vector, MomentVector
+from mpecsos.boxmoments import box_moments
 from mpecsos.polynomials import Polynomial, monomial_basis, parse_polynomial
 from mpecsos.sos import (
     FeasibilityStatus,
@@ -24,11 +24,7 @@ from mpecsos.problems import bundled_instance
 from mpecsos.sdp import SdpStatus, solve
 from mpecsos.valuefn import build_value_program
 
-UNIT = moment_vector(1, 0, 1.0)  # single constant moment, gamma = [1]
-
-
-def _unit_gamma_for_degree(degree):
-    return moment_vector(1, degree, 1.0)
+UNIT = np.ones(1)  # single constant moment, gamma = [1]
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +73,7 @@ def test_identity_free_polynomial_tracks_target():
     # target depends only on x; p over x with degree 2 can match it exactly
     target = parse_polynomial("x^2 + 1", ["x", "v"])
     interval = parse_polynomial("1 - v^2", ["x", "v"])
-    gamma = moment_vector(1, 2, 1.0)
+    gamma = box_moments(monomial_basis(1, 2).monomials, (1.0,))
     prog, sdp = build_sos_identity(target, ["x"], 2, [(interval, 0)], gamma)
     sol = solve_sos_identity(prog, sdp)
     expect = parse_polynomial("x^2 + 1", ["x"])
@@ -187,7 +183,7 @@ def test_three_variable_identity_matches_reference_bitwise():
         (parse_polynomial("1 - x^2 - y^2 - z^2", names), 1),
         (parse_polynomial("x*y*z + 0.5*y - 0.3", names), 1),
     ]
-    gamma = moment_vector(2, 2, 1.0)
+    gamma = box_moments(monomial_basis(2, 2).monomials, (1.0, 1.0))
     prog, sdp = build_sos_identity(
         target, ["z", "x"], 2, mults, gamma, sigma0_order=3
     )
@@ -201,6 +197,12 @@ def test_three_variable_identity_matches_reference_bitwise():
         prog.p_exponents_ambient,
     )
     _assert_same_program(sdp, rows, rhs)
+
+
+def test_identity_rejects_a_moment_vector_of_the_wrong_length():
+    target = parse_polynomial("x^2 + 1", ["x", "v"])
+    with pytest.raises(ValueError, match="moment vector"):
+        build_sos_identity(target, ["x"], 2, [], np.ones(2))
 
 
 def test_identity_rejects_keys_that_would_overflow():
