@@ -396,17 +396,17 @@ def verify_report(report: dict) -> List[str]:
     for rec in report["records"]:
         if rec["set_status"] == EMPTY and (rec["value"] is not None or rec["points"]):
             problems.append(f"order {rec['order']}: empty set carries a value or points")
-        if rec["value"] is not None:
-            if best is None or not rec["value"] >= best:
-                best = rec["value"]
-            if rec["best_value"] is None or not abs(rec["best_value"] - best) <= 1e-12:
-                problems.append(
-                    f"order {rec['order']}: best_value does not track the running min"
-                )
-    bests = [r["best_value"] for r in report["records"] if r["best_value"] is not None]
-    for a, b in zip(bests, bests[1:]):
-        if not b <= a + 1e-12:
-            problems.append("best_value increased between records")
+        if rec["value"] is not None and (best is None or not rec["value"] >= best):
+            best = rec["value"]
+        # None until the first value, then the running min on every record
+        if rec["best_value"] is None:
+            tracks = best is None
+        else:
+            tracks = best is not None and abs(rec["best_value"] - best) <= 1e-12
+        if not tracks:
+            problems.append(
+                f"order {rec['order']}: best_value does not track the running min"
+            )
     all_empty = all(r["set_status"] == EMPTY for r in report["records"])
     if all_empty != (report["termination"] == Termination.ALL_EMPTY.value):
         problems.append("termination AllEmpty must mean every record EmptyCertified")

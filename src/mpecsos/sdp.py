@@ -816,7 +816,7 @@ class _HsdSolver:
             for j, cons, part in s.scaled_columns(R):
                 G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
-            blocks.append((R, lam))
+            blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
         factor = None if self.qr_only else _SchurCholesky(G)
         if factor is None or factor.spread > _SWITCH_SPREAD:
             self.qr_only = True
@@ -833,20 +833,23 @@ class _HsdSolver:
         fact.update(tau_col=tau_col, tau_pivot=pivot)
         return fact
 
-    def _direction(self, st: _State, fact, resid, Rc, rc_tau):
+    def _scaled(self, fact, mats):
+        """R' M R per stack, at the scaling points of ``fact``."""
+        return [_t(R) @ M @ R for (R, _, _), M in zip(fact["blocks"], mats)]
+
+    def _direction(self, st: _State, fact, rhs, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets.
 
-        Rc holds, per stack, the targets of Lam o (dX~ + dS~) in the
-        members' scaled coordinates.
+        rhs is (r_p, r_d, r_g, R' r_d R); Rc holds, per stack, the targets
+        of Lam o (dX~ + dS~) in the members' scaled coordinates.
         """
         cone = self.cone
-        r_p, r_d, r_g, _ = resid
+        r_p, r_d, r_g, rd_t = rhs
 
         # e = Lam o^{-1} Rc - R' r_d R, block by block
         e = np.empty(cone.scaled_size)
-        for s, (R, lam), Rc_s, rd in zip(cone.stacks, fact["blocks"], Rc, r_d):
-            jordan = 0.5 * (lam[:, :, None] + lam[:, None, :])
-            e[s.rows] = s.svec(Rc_s / jordan - _t(R) @ rd @ R)
+        for s, (_, _, jordan), Rc_s, rdt in zip(cone.stacks, fact["blocks"], Rc, rd_t):
+            e[s.rows] = s.svec(Rc_s / jordan - rdt)
         xh, d_y = fact["factor"].solve(e, r_p)
 
         vx, vy = fact["tau_col"]
@@ -856,7 +859,7 @@ class _HsdSolver:
         d_y = d_y + d_tau * vy
 
         d = {"X": [], "S": [], "Xt": [], "St": []}
-        for s, (R, _), rd in zip(cone.stacks, fact["blocks"], r_d):
+        for s, (R, _, _), rd in zip(cone.stacks, fact["blocks"], r_d):
             dS = rd - s.combine(d_y) + s.C * d_tau
             dXt = s.smat(xh[s.rows])
             d["S"].append(dS)
@@ -866,14 +869,14 @@ class _HsdSolver:
         d.update(y=d_y, tau=d_tau, kappa=(rc_tau - st.kappa * d_tau) / st.tau)
         return d
 
-    def _newton_residuals(self, st: _State, fact, d, resid, Rc, rc_tau):
+    def _newton_residuals(self, st: _State, fact, d, rhs, Rc, rc_tau):
         """Residuals of the five Newton equations for a computed direction.
 
         All products here are well scaled (no S^{-1}), so these residuals
         expose the error introduced by the ill-conditioned elimination.
         """
         cone = self.cone
-        r_p, r_d, r_g, _ = resid
+        r_p, r_d, r_g, _ = rhs
         rho1 = r_p - (cone.apply(d["X"]) - cone.b * d["tau"])
         rho2 = [
             rd - (s.combine(d["y"]) + dS - s.C * d["tau"])
@@ -881,23 +884,25 @@ class _HsdSolver:
         ]
         rho3 = r_g - (float(cone.b @ d["y"]) - cone.inner(cone.C, d["X"]) - d["kappa"])
         rho4 = [
-            Rc_s - 0.5 * (lam[:, :, None] + lam[:, None, :]) * (dXt + dSt)
-            for Rc_s, (_, lam), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
+            Rc_s - jordan * (dXt + dSt)
+            for Rc_s, (*_, jordan), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
         ]
         rho6 = rc_tau - (d["tau"] * st.kappa + st.tau * d["kappa"])
         return rho1, rho2, rho3, rho4, rho6
 
-    def _direction_refined(self, st: _State, fact, resid, Rc, rc_tau):
+    def _direction_refined(self, st: _State, fact, rhs, Rc, rc_tau):
         """Direction plus one refinement solve against its Newton residuals.
 
         dX comes from the scaled primal step and dS from dy, so rounding in
         the solve shows up in the linearized complementarity and primal
         rows; a correction pass through the same factorization removes it
         and lets the iteration certify 1e-8 residuals instead of stalling.
+        Only the corrector runs it: without it, p1's k = 4 emptiness
+        relaxation stalls in NumericalTrouble, not DualInfeasible in 12.
         """
-        d = self._direction(st, fact, resid, Rc, rc_tau)
-        r1, r2, r3, r4, r6 = self._newton_residuals(st, fact, d, resid, Rc, rc_tau)
-        dc = self._direction(st, fact, (r1, r2, r3, 0.0), r4, r6)
+        d = self._direction(st, fact, rhs, Rc, rc_tau)
+        r1, r2, r3, r4, r6 = self._newton_residuals(st, fact, d, rhs, Rc, rc_tau)
+        dc = self._direction(st, fact, (r1, r2, r3, self._scaled(fact, r2)), r4, r6)
         for key in ("X", "S", "Xt", "St"):
             d[key] = [a + b for a, b in zip(d[key], dc[key])]
         d["y"] = d["y"] + dc["y"]
@@ -908,13 +913,12 @@ class _HsdSolver:
     def _max_step(self, st: _State, fact, d) -> float:
         """Largest step keeping the iterate in the cone: a block stays PSD
         while diag(lam) + a*dZ (scaled coordinates) does, for a up to -1 over
-        the least eigenvalue of Lam^{-1/2} dZ Lam^{-1/2}."""
+        the least eigenvalue of Lam^{-1/2} dZ Lam^{-1/2}, dZ = dX~ or dS~."""
         low = math.inf
-        for (_, lam), dXt, dSt in zip(fact["blocks"], d["Xt"], d["St"]):
+        for (_, lam, _), dXt, dSt in zip(fact["blocks"], d["Xt"], d["St"]):
             root = 1.0 / np.sqrt(lam)
-            for dZ in (dXt, dSt):
-                scaled = root[..., :, None] * dZ * root[..., None, :]
-                low = min(low, np.linalg.eigvalsh(scaled).min())
+            scaled = [root[..., :, None] * dZ * root[..., None, :] for dZ in (dXt, dSt)]
+            low = min(low, np.linalg.eigvalsh(np.concatenate(scaled)).min())
         alpha = math.inf if low >= -1e-16 else 1.0 / (-low)
         if d["tau"] < 0:
             alpha = min(alpha, -st.tau / d["tau"])
@@ -923,9 +927,9 @@ class _HsdSolver:
         return alpha
 
     def _apply_step(self, st: _State, d, alpha: float):
-        for i in range(len(st.X)):
-            st.X[i] = st.X[i] + alpha * d["X"][i]
-            st.S[i] = st.S[i] + alpha * d["S"][i]
+        # new lists, so a shallow copy of the state (the best iterate) stays
+        st.X = [X + alpha * dX for X, dX in zip(st.X, d["X"])]
+        st.S = [S + alpha * dS for S, dS in zip(st.S, d["S"])]
         st.y = st.y + alpha * d["y"]
         st.tau += alpha * d["tau"]
         st.kappa += alpha * d["kappa"]
@@ -972,7 +976,7 @@ class _HsdSolver:
         iterations = 0
         cert_residual = math.nan
         stall = ""
-        best_state = copy.deepcopy(st)
+        best_state = copy.copy(st)
         best_merit = math.inf
 
         for iterations in range(MAX_ITERATIONS + 1):
@@ -984,7 +988,7 @@ class _HsdSolver:
             merit = max(p_res, d_res, gap)
             if math.isfinite(merit) and merit < best_merit:
                 best_merit = merit
-                best_state = copy.deepcopy(st)
+                best_state = copy.copy(st)
 
             if p_res <= opts.feas_tol and d_res <= opts.feas_tol and gap <= opts.gap_tol:
                 status = SdpStatus.OPTIMAL
@@ -1028,12 +1032,16 @@ class _HsdSolver:
         Returns the direction and the largest step that keeps the iterate
         in the cone.  The complementarity targets of the PSD blocks are
         stated in the scaled coordinates, where the iterate is diag(lam).
+        The predictor only sets sigma and the corrector's second-order term,
+        so it is solved once (Mehrotra 1992): four solves through the factor.
         """
         fact = self._factorize(st)
-        lams = [lam for _, lam in fact["blocks"]]
+        lams = [lam for _, lam, _ in fact["blocks"]]
+        r_p, r_d, r_g, _ = resid
+        rhs = (r_p, r_d, r_g, self._scaled(fact, r_d))
         # predictor: pure Newton step onto complementarity target 0
         Rc_aff = [_diag(-(lam * lam)) for lam in lams]
-        aff = self._direction_refined(st, fact, resid, Rc_aff, -(st.tau * st.kappa))
+        aff = self._direction(st, fact, rhs, Rc_aff, -(st.tau * st.kappa))
         alpha_aff = min(1.0, self._max_step(st, fact, aff))
         mu_aff = self._mu_after(st, aff, alpha_aff)
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
@@ -1043,7 +1051,7 @@ class _HsdSolver:
             for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
-        d = self._direction_refined(st, fact, resid, Rc, rc_t)
+        d = self._direction_refined(st, fact, rhs, Rc, rc_t)
         return d, self._max_step(st, fact, d)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:

@@ -321,6 +321,28 @@ def test_report_empty_status_with_value_detected(p1_trace):
     assert verify_report(report)
 
 
+def test_report_best_value_after_the_last_value_checked(p1_trace):
+    # k = 3 has a value and the EmptyCertified k = 4 record carries it on
+    report = json.loads(json.dumps(trace_to_report(p1_trace)))
+    last = report["records"][-1]
+    assert last["value"] is None and last["best_value"] is not None
+    last["best_value"] -= 0.5
+    assert verify_report(report)
+
+
+def test_report_best_value_before_the_first_value_checked(p1_trace):
+    # an empty order in front of the first value has no running best yet
+    report = json.loads(json.dumps(trace_to_report(p1_trace)))
+    first = report["records"][0]
+    assert first["value"] is not None
+    empty = dict(first, order=first["order"] - 1, set_status="EmptyCertified")
+    empty.update(value=None, points=[], best_value=None)
+    report["records"].insert(0, empty)
+    assert verify_report(report) == []
+    empty["best_value"] = first["value"]
+    assert verify_report(report)
+
+
 def test_one_sdp_per_fit_and_per_hierarchy_order(p1, monkeypatch):
     """Two fits, hierarchy orders 3 and 4 at k=3 (flat at 4), and at k=4
     one order: the first hierarchy order is the emptiness test."""

@@ -15,8 +15,9 @@ cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, the value-fit programs against
 reference values, the check of the solver tolerances and the text dump,
 the two factors of the Newton system (Cholesky of G'G, QR of G), the
-switch between them and a relaxation that needs it to reach 1e-9, and the
-stall named on a run that stops early.
+switch between them and a relaxation that needs it to reach 1e-9 (also
+with its right side moved by a few ulps), the stall named on a run that
+stops early, and the four solves through the factor in each iteration.
 """
 
 import math
@@ -574,13 +575,55 @@ def test_stall_names_the_numerical_trouble(monkeypatch):
         _solve_checked(prob, None, "test program")
 
 
+def _ulps_up(value, steps):
+    for _ in range(steps):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
 def test_p2_relaxation_reaches_tight_tolerances():
     # p2's order-4 relaxation at k = 3, eps 1e-3: its Schur complement is
     # worse conditioned than the spread of its Cholesky factor shows, and
-    # only a switch to the QR in time lets the residuals pass 1e-9
+    # only a switch to the QR in time lets the residuals pass 1e-9.  One
+    # run could pass by luck of its path, so every right side is also moved
+    # by 0-2 ulps toward +inf in 15 more trials
     p2 = bundled_instance("p2_bilevel")
     gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
     _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
-    sol = solve(prob, SolverOptions(gap_tol=1e-9, feas_tol=1e-9))
-    assert sol.status is SdpStatus.OPTIMAL, (sol.status, sol.iterations, sol.stall)
-    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-9
+    m = prob.num_constraints
+    rng = np.random.default_rng(0)
+    for trial in range(16):
+        steps = rng.integers(0, 3, size=m) if trial else np.zeros(m, dtype=int)
+        rows = [
+            SdpConstraint(c.coeffs, _ulps_up(c.rhs, n))
+            for c, n in zip(prob.constraints, steps)
+        ]
+        sol = solve(
+            SdpProblem(prob.blocks, prob.objective, rows),
+            SolverOptions(gap_tol=1e-9, feas_tol=1e-9),
+        )
+        assert sol.status is SdpStatus.OPTIMAL, (trial, sol.status, sol.stall)
+        assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-9, trial
+
+
+def test_four_solves_and_one_newton_residual_per_iteration(monkeypatch):
+    # tau column, predictor, corrector and the corrector's correction pass;
+    # only that pass evaluates the Newton residuals
+    calls = {"solve": 0, "residuals": 0}
+
+    def counted(method, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return method(*args)
+
+        return wrapper
+
+    for cls in (_SchurCholesky, _CompactQR):
+        monkeypatch.setattr(cls, "solve", counted(cls.solve, "solve"))
+    newton = counted(sdp._HsdSolver._newton_residuals, "residuals")
+    monkeypatch.setattr(sdp._HsdSolver, "_newton_residuals", newton)
+    _, prob = build_value_program(bundled_instance("p1_mpec"), 3)
+    sol = solve(prob)
+    # the last iteration only checks the tolerances
+    assert sol.status is SdpStatus.OPTIMAL and sol.iterations >= 10
+    assert calls == {"solve": 4 * sol.iterations, "residuals": sol.iterations}
