@@ -35,7 +35,6 @@ import numpy as np
 
 from .polynomials import Polynomial
 from .problems import MpecProblem
-from .sdp import SolverOptions
 from .sos import FeasibilityStatus, RelaxationError, minimize_hierarchy
 # kept importable here because perfbench/tracer.py wraps this name
 from .sos import certify_feasibility  # noqa: F401
@@ -114,17 +113,15 @@ def point_feasibility(
     approx: ValueFunctionApprox,
     point: Sequence[float],
     eps: float,
-    tol: float = POINT_FEAS_TOL,
 ) -> bool:
-    """Candidate point satisfies every perturbed constraint within tol."""
+    """Candidate point satisfies every perturbed constraint to POINT_FEAS_TOL."""
     gens = _perturbed_generators(problem, approx, eps)
-    return all(p.evaluate(point) >= -tol for p in gens)
+    return all(p.evaluate(point) >= -POINT_FEAS_TOL for p in gens)
 
 
 def solve_mpec(
     problem: MpecProblem,
     config: AlgoConfig,
-    options: Optional[SolverOptions] = None,
     approx_cache: Optional[Dict[int, ValueFunctionApprox]] = None,
 ) -> AlgorithmTrace:
     """Run the order-walking loop at one fixed perturbation.
@@ -179,7 +176,7 @@ def solve_mpec(
         try:
             approx = cache.get(k)
             if approx is None:
-                approx = compute_value_approximation(problem, k, options)
+                approx = compute_value_approximation(problem, k)
                 cache[k] = approx
         except (RelaxationError, ValueError) as err:
             records.append(
@@ -191,12 +188,7 @@ def solve_mpec(
         t0 = max([1, k, half_deg_f] + [math.ceil(g.degree / 2) for g in gens])
         try:
             hier = minimize_hierarchy(
-                f,
-                gens,
-                t0,
-                t0 + RELAX_ORDER_EXTRA,
-                options,
-                scaling=problem.box.halfwidths,
+                f, gens, t0, t0 + RELAX_ORDER_EXTRA, scaling=problem.box.halfwidths
             )
         except RelaxationError as err:
             records.append(record(approx, UNKNOWN, error=f"relaxation failed: {err}"))
@@ -250,7 +242,6 @@ def run_epsilon_ladder(
     ladder: Sequence[float],
     k_start: int,
     k_max: int,
-    options: Optional[SolverOptions] = None,
 ) -> List[Tuple[float, AlgorithmTrace]]:
     """Re-run the loop along a decreasing ladder of perturbations.
 
@@ -263,7 +254,7 @@ def run_epsilon_ladder(
         raise ValueError("ladder entries must be strictly decreasing")
     cache: Dict[int, ValueFunctionApprox] = {}
     return [
-        (cfg.epsilon, solve_mpec(problem, cfg, options, approx_cache=cache))
+        (cfg.epsilon, solve_mpec(problem, cfg, approx_cache=cache))
         for cfg in configs
     ]
 

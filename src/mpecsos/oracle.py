@@ -23,8 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# sym_grid stays importable from this module
-from .problems import MpecProblem, box_grid, grid_points, sym_grid  # noqa: F401
+from .problems import MpecProblem, box_grid, grid_points
 
 MAX_TOTAL_DIMS = 4
 _CHUNK_BUDGET = 4_000_000

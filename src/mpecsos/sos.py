@@ -25,6 +25,11 @@ exactly the one-sided emptiness test the outer algorithm needs.  When the
 moment matrix satisfies the rank (flatness) condition, the generating
 atoms are recovered with the shifted-basis multiplication-operator method
 and cross-checked by rebuilding the moment vector.
+
+Every program is solved at the solver's default tolerances (only
+``sdp.solve`` takes options) and is accepted only when it ends optimal,
+or, for a moment relaxation, with that Putinar ray; any other ending
+raises RelaxationError naming the status and the solver's stall reason.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     SdpStatus,
-    SolverOptions,
     solve,
 )
 
@@ -94,7 +98,6 @@ class SosIdentityProgram:
     ambient: Tuple[str, ...]
     target: Polynomial
     p_vars: Tuple[str, ...]
-    p_degree: int
     p_basis: MonomialBasis            # over p_vars
     p_exponents_ambient: Tuple[Exponent, ...]
     multipliers: Tuple[Tuple[Polynomial, int], ...]
@@ -172,7 +175,6 @@ def build_sos_identity(
         ambient=ambient,
         target=target,
         p_vars=p_vars,
-        p_degree=p_degree,
         p_basis=p_basis,
         p_exponents_ambient=tuple(map(tuple, p_exp_ambient.tolist())),
         multipliers=tuple(mult_list),
@@ -261,34 +263,21 @@ class SosIdentitySolution:
 
 
 def _solve_checked(
-    sdp: SdpProblem,
-    options: Optional[SolverOptions],
-    what: str,
-    certificates: Tuple[SdpStatus, ...] = (),
+    sdp: SdpProblem, what: str, certificates: Tuple[SdpStatus, ...] = ()
 ) -> SdpSolution:
-    """Solve, and raise unless the result is usable.
-
-    Usable means optimal, at the iteration limit with residuals and gap
-    below 1e-6, or one of the ``certificates`` statuses the caller reads.
-    """
-    sol = solve(sdp, options)
-    if sol.status in certificates:
+    """Solve at the default tolerances, and raise unless the result is
+    optimal or one of the ``certificates`` statuses the caller reads."""
+    sol = solve(sdp)
+    if sol.status is SdpStatus.OPTIMAL or sol.status in certificates:
         return sol
     reason = f"{sol.status.value} ({sol.stall})" if sol.stall else sol.status.value
-    if sol.status not in (SdpStatus.OPTIMAL, SdpStatus.ITERATION_LIMIT):
-        raise RelaxationError(f"{what} not solved: {reason}")
-    if sol.status is SdpStatus.ITERATION_LIMIT:
-        if max(sol.primal_residual, sol.dual_residual, sol.gap) > 1e-6:
-            raise RelaxationError(f"{what} stalled with poor residuals: {reason}")
-    return sol
+    raise RelaxationError(f"{what} not solved: {reason}")
 
 
 def solve_sos_identity(
-    prog: SosIdentityProgram,
-    sdp: SdpProblem,
-    options: Optional[SolverOptions] = None,
+    prog: SosIdentityProgram, sdp: SdpProblem
 ) -> SosIdentitySolution:
-    sol = _solve_checked(sdp, options, "identity program")
+    sol = _solve_checked(sdp, "identity program")
     p_values = sol.primal[prog.free_block_index]
     terms = dict(zip(prog.p_basis.monomials, p_values))
     p = Polynomial(prog.p_vars, terms)
@@ -402,38 +391,34 @@ def moment_matrix(
     return moments[_key_lookup(relax.y_basis, powers)(keys[:, None] + keys)]
 
 
-def _numeric_rank(mat: np.ndarray, tol: float) -> int:
+def _numeric_rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
     svals = np.linalg.svd(mat, compute_uv=False)
     top = svals.max() if len(svals) else 0.0
     if top <= 0:
         return 0
-    return int(np.sum(svals > tol * top))
+    return int(np.sum(svals > RANK_TOL * top))
 
 
 def check_flatness(
-    moments: np.ndarray, relax: MomentRelaxation, tol: float = RANK_TOL
+    moments: np.ndarray, relax: MomentRelaxation
 ) -> Tuple[bool, List[int]]:
     """Rank test: the order-t and order-(t - v) moment matrices agree.
 
-    Ranks are governed by the singular-value threshold tol * sigma_max,
+    Ranks are governed by the singular-value threshold RANK_TOL * sigma_max,
     which rounds ambiguous spectra toward fewer atoms.
     """
     t = relax.order
     v = relax.flat_step
-    ranks = [
-        _numeric_rank(moment_matrix(moments, relax, s), tol) for s in range(t + 1)
-    ]
+    ranks = [_numeric_rank(moment_matrix(moments, relax, s)) for s in range(t + 1)]
     if t - v < 0:
         return False, ranks
     flat = ranks[t] == ranks[t - v]
     return flat, ranks
 
 
-def extract_atoms(
-    moments: np.ndarray, relax: MomentRelaxation, tol: float = RANK_TOL
-) -> List[np.ndarray]:
+def extract_atoms(moments: np.ndarray, relax: MomentRelaxation) -> List[np.ndarray]:
     """Recover support points of a flat truncated moment sequence.
 
     Factors the moment matrix, selects a low-degree pivot basis, forms the
@@ -446,7 +431,7 @@ def extract_atoms(
     nvars = len(relax.variables)
     M = moment_matrix(moments, relax, t)
     low = moment_matrix(moments, relax, max(t - v, 0))
-    r = _numeric_rank(low, tol)
+    r = _numeric_rank(low)
     if r == 0:
         raise ExtractionError("moment matrix numerically zero")
 
@@ -525,19 +510,13 @@ def _verify_atoms(atoms, moments, relax):
                 )
 
 
-def solve_moment_relaxation(
-    relax: MomentRelaxation,
-    sdp: SdpProblem,
-    options: Optional[SolverOptions] = None,
-) -> MomentSolution:
+def solve_moment_relaxation(relax: MomentRelaxation, sdp: SdpProblem) -> MomentSolution:
     """Solve the Gram form; the moments are minus the dual vector.
 
     An unbounded lambda ends ``DualInfeasible``: the primal ray is a
     Putinar identity proving the set empty, and the bound is +inf.
     """
-    sol = _solve_checked(
-        sdp, options, "moment relaxation", (SdpStatus.DUAL_INFEASIBLE,)
-    )
+    sol = _solve_checked(sdp, "moment relaxation", (SdpStatus.DUAL_INFEASIBLE,))
     if sol.status is SdpStatus.DUAL_INFEASIBLE:
         return MomentSolution(
             moments=np.zeros(len(relax.y_basis)),
@@ -587,7 +566,6 @@ class FeasibilityResult:
 def certify_feasibility(
     generators: Sequence[Polynomial],
     order: int,
-    options: Optional[SolverOptions] = None,
     scaling: Optional[Sequence[float]] = None,
 ) -> FeasibilityResult:
     """One-sided emptiness test for {h >= 0} via the order-t relaxation.
@@ -611,7 +589,7 @@ def certify_feasibility(
         },
     )
     try:
-        hier = minimize_hierarchy(probe, generators, order, order, options, scaling)
+        hier = minimize_hierarchy(probe, generators, order, order, scaling)
     except RelaxationError as err:
         return FeasibilityResult(FeasibilityStatus.UNKNOWN, detail=str(err))
     if hier.infeasible:
@@ -641,7 +619,6 @@ def minimize_hierarchy(
     generators: Sequence[Polynomial],
     start_order: int,
     max_order: int,
-    options: Optional[SolverOptions] = None,
     scaling: Optional[Sequence[float]] = None,
 ) -> HierarchyResult:
     """Solve relaxations of increasing order until the moments go flat.
@@ -660,7 +637,7 @@ def minimize_hierarchy(
     for t in range(start_order, max_order + 1):
         relax, sdp = build_moment_relaxation(f, generators, t, scaling)
         try:
-            msol = solve_moment_relaxation(relax, sdp, options)
+            msol = solve_moment_relaxation(relax, sdp)
         except RelaxationError as err:
             failures.append(f"order {t}: {err}")
             continue

@@ -15,10 +15,11 @@ certificate does not need them, and leaving them out keeps the program
 smaller), while the y-coordinate box constraints are kept.
 
 The optimal p is the order-k value-function approximation; its pairing
-with the box moments is the program value rho_k.  Diagnostics compare p
-against the brute-force oracle on a grid: p must stay below the oracle
-everywhere (to tolerance) and the normalized L1 gap should shrink as k
-grows.
+with the box moments is the program value rho_k.  The program is solved
+at the solver's default tolerances and is accepted only when optimal.
+Diagnostics compare p against the brute-force oracle, at its default grid
+counts, on a box grid: p must stay below the oracle everywhere (to
+tolerance) and the normalized L1 gap should shrink as k grows.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .boxmoments import box_moments
-from .oracle import OracleConfig, inner_value_grid
+from .oracle import inner_value_grid
 from .polynomials import Polynomial, grlex_key, monomial_basis
 from .problems import MpecProblem, box_grid
-from .sdp import SdpProblem, SolverOptions
+from .sdp import SdpProblem
 from .sos import SosIdentityProgram, build_sos_identity, solve_sos_identity
 
 logger = logging.getLogger(__name__)
@@ -100,13 +101,11 @@ def build_value_program(
 
 
 def compute_value_approximation(
-    problem: MpecProblem,
-    order: int,
-    options: Optional[SolverOptions] = None,
+    problem: MpecProblem, order: int
 ) -> ValueFunctionApprox:
     """Solve the order-k program and package the resulting polynomial."""
     prog, sdp = build_value_program(problem, order)
-    sol = solve_sos_identity(prog, sdp, options)
+    sol = solve_sos_identity(prog, sdp)
     equilibrium = sol.p.in_variables(problem.z_vars) - problem.offset
     return ValueFunctionApprox(
         order=order,
@@ -119,59 +118,46 @@ def compute_value_approximation(
     )
 
 
-def _oracle_on_grid(problem, points, config):
-    values = inner_value_grid(problem, points, config or OracleConfig())
-    missing = int(np.isnan(values).sum())
-    if missing:
+def _oracle_on_grid(problem: MpecProblem, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Box-grid points of ``count`` per axis where the inner slice is not
+    empty, and the oracle's inner value at each of them."""
+    points = box_grid(problem.box.halfwidths, count)
+    values = inner_value_grid(problem, points)
+    empty = np.isnan(values)
+    if empty.any():
         logger.warning(
             "inner slice empty at %d/%d grid points; those are skipped",
-            missing,
+            int(empty.sum()),
             len(values),
         )
-    return values
+    return points[~empty], values[~empty]
 
 
 def lower_bound_violation(
-    approx: ValueFunctionApprox,
-    problem: MpecProblem,
-    grid_points_per_dim: int = 41,
-    config: Optional[OracleConfig] = None,
+    approx: ValueFunctionApprox, problem: MpecProblem, grid_points_per_dim: int = 41
 ) -> float:
     """Largest amount by which the approximation exceeds the oracle.
 
     A correct certificate keeps this at roundoff level; values well above
     1e-6 mean the program (or the oracle) is wrong.
     """
-    points = box_grid(problem.box.halfwidths, grid_points_per_dim)
-    truth = _oracle_on_grid(problem, points, config)
-    mask = ~np.isnan(truth)
-    approx_vals = approx.polynomial.evaluate_array(points[mask])
-    diff = approx_vals - truth[mask]
+    points, truth = _oracle_on_grid(problem, grid_points_per_dim)
+    diff = approx.polynomial.evaluate_array(points) - truth
     return float(diff.max()) if diff.size else 0.0
 
 
 def l1_distance(
-    approx: ValueFunctionApprox,
-    problem: MpecProblem,
-    grid_points_per_dim: int = 41,
-    config: Optional[OracleConfig] = None,
+    approx: ValueFunctionApprox, problem: MpecProblem, grid_points_per_dim: int = 41
 ) -> float:
     """Grid estimate of the normalized L1 gap to the oracle value."""
-    points = box_grid(problem.box.halfwidths, grid_points_per_dim)
-    truth = _oracle_on_grid(problem, points, config)
-    mask = ~np.isnan(truth)
-    approx_vals = approx.polynomial.evaluate_array(points[mask])
-    if not mask.any():
+    points, truth = _oracle_on_grid(problem, grid_points_per_dim)
+    if not truth.size:
         return math.nan
-    return float(np.abs(approx_vals - truth[mask]).mean())
+    return float(np.abs(approx.polynomial.evaluate_array(points) - truth).mean())
 
 
-def oracle_integral(
-    problem: MpecProblem,
-    grid_points_per_dim: int = 41,
-    config: Optional[OracleConfig] = None,
-) -> float:
-    """Grid estimate of the oracle value integrated against the box measure."""
-    points = box_grid(problem.box.halfwidths, grid_points_per_dim)
-    truth = _oracle_on_grid(problem, points, config)
-    return float(np.nanmean(truth))
+def oracle_integral(problem: MpecProblem) -> float:
+    """Grid estimate of the oracle value integrated against the box measure,
+    on 41 points per axis."""
+    _, truth = _oracle_on_grid(problem, 41)
+    return float(truth.mean())

@@ -14,9 +14,8 @@ from mpecsos.oracle import (
     inner_value,
     inner_value_grid,
     solve_perturbed_reference,
-    sym_grid,
 )
-from mpecsos.problems import bundled_instance, load_problem
+from mpecsos.problems import bundled_instance, load_problem, sym_grid
 
 
 @pytest.fixture(scope="module")

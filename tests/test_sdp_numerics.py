@@ -562,6 +562,15 @@ def test_stall_names_the_iteration_limit(monkeypatch):
     assert sol.stall == "iteration limit"
 
 
+def test_iteration_limit_is_not_accepted(monkeypatch):
+    prob, _ = _mixed_blocks_problem(range(5))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    with pytest.raises(
+        RelaxationError, match=re.escape("not solved: IterationLimit (iteration limit)")
+    ):
+        _solve_checked(prob, "test program")
+
+
 def test_stall_names_the_numerical_trouble(monkeypatch):
     def singular(X, S):
         raise np.linalg.LinAlgError("singular scaling point")
@@ -572,7 +581,7 @@ def test_stall_names_the_numerical_trouble(monkeypatch):
     assert sol.status is SdpStatus.NUMERICAL_TROUBLE
     assert sol.stall == "singular scaling point"
     with pytest.raises(RelaxationError, match=re.escape("(singular scaling point)")):
-        _solve_checked(prob, None, "test program")
+        _solve_checked(prob, "test program")
 
 
 def _ulps_up(value, steps):
