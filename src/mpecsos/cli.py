@@ -166,11 +166,6 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     problem = _load(args.instance)
     if args.J is not None:
-        dims = problem.n + problem.m
-        if len(args.J) != dims:
-            raise ValueError(
-                f"--J needs {dims} coordinates for this instance, got {len(args.J)}"
-            )
         value = inner_value(problem, args.J[: problem.n], args.J[problem.n :])
         if value is EMPTY_INNER:
             print("inner set empty at this point")

@@ -308,6 +308,8 @@ def fit_perturbation_scaling(
     whose gap is meaningfully positive; when every gap vanishes the
     constant branch is reported as c = 0 with an undefined exponent.
     """
+    if not all(map(math.isfinite, [reference_value, *(x for s in samples for x in s)])):
+        raise ValueError("eps, sample values and the reference must be finite")
     usable = [(e, v) for e, v in samples if e > 0]
     if len(usable) < 3:
         raise ValueError("need at least three samples with positive eps")

@@ -16,6 +16,7 @@ is a verification tool, not a solver.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -94,6 +95,12 @@ def _check_dims(problem: MpecProblem):
         )
 
 
+def _wrong_length(problem: MpecProblem, got) -> ValueError:
+    return ValueError(
+        f"a point has n = {problem.n} x and m = {problem.m} y coordinates, got {got}"
+    )
+
+
 def _window(center: np.ndarray, widths: np.ndarray, round_index: int, count: int):
     """Grid of ``count`` points per axis over center +- widths / 10^round_index,
     clipped to the box of half-widths ``widths``."""
@@ -141,8 +148,11 @@ def inner_value_grid(
 ) -> np.ndarray:
     """Inner value at each outer point; NaN where the slice is empty."""
     _check_dims(problem)
+    points = np.asarray(points, float)
+    if points.ndim != 2 or points.shape[1] != problem.n + problem.m:
+        raise _wrong_length(problem, f"an array of shape {points.shape}")
     nodes = box_grid(problem.y_halfwidths(), config.inner_count(problem.m))
-    values, _ = _masked_inner_scan(problem, np.asarray(points, float), nodes)
+    values, _ = _masked_inner_scan(problem, points, nodes)
     return np.where(np.isfinite(values), values, np.nan)
 
 
@@ -159,6 +169,8 @@ def inner_value(
     extrapolates: an empty slice is reported as EMPTY_INNER, not patched.
     """
     _check_dims(problem)
+    if len(x) != problem.n or len(y) != problem.m:
+        raise _wrong_length(problem, f"{len(x)} and {len(y)}")
     point = np.array([*x, *y], dtype=float).reshape(1, -1)
     count = config.inner_count(problem.m)
     widths = np.array(problem.y_halfwidths())
@@ -223,8 +235,8 @@ def solve_perturbed_reference(
     least -eps, minimizes the objective over them, then refines around the
     incumbent with tenfold-shrinking windows.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     _check_dims(problem)
     points, j_values = _cached_value_grid(problem, config)
     mask = _feasible_mask(problem, points, j_values, eps)

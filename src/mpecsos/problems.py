@@ -44,8 +44,8 @@ class OmegaBox:
     halfwidths: Tuple[float, ...]
 
     def __post_init__(self):
-        if any(c <= 0 for c in self.halfwidths):
-            raise ProblemFormatError("box bounds must be positive")
+        if not all(0 < c < math.inf for c in self.halfwidths):
+            raise ProblemFormatError("box half-widths must be positive and finite")
 
     @property
     def dimension(self) -> int:

@@ -15,16 +15,20 @@ from one broadcast sum and one sorted lookup, and one bincount fills a
 block's coefficient arrays.
 
 The order-t moment relaxation of  min f over {h_l >= 0}  is the same
-identity with p a constant lambda and sigma_0 of order t: maximizing lambda
-subject to  f - lambda = sigma_0 + sum_l sigma_l h_l  is the SOS side, and
-the dual vector of its equality rows, negated, is the pseudo-moment vector
-(y_0 = 1 is the dual of the lambda column).  An empty set leaves lambda
-unbounded, and the solver's primal ray is a Putinar certificate
--1 = sigma_0 + sum_l sigma_l h_l (after dividing by lambda), which is
-exactly the one-sided emptiness test the outer algorithm needs.  When the
-moment matrix satisfies the rank (flatness) condition, the generating
-atoms are recovered with the shifted-basis multiplication-operator method
-and cross-checked by rebuilding the moment vector.
+identity with p a constant lambda and sigma_0 of order t, so a
+``MomentRelaxation`` is an ``SosIdentityProgram`` (target f, multipliers
+h_l) plus its order: maximizing lambda subject to
+f - lambda = sigma_0 + sum_l sigma_l h_l  is the SOS side, and the dual
+vector of its equality rows, negated, is the pseudo-moment vector over
+``row_basis`` (y_0 = 1 is the dual of the lambda column).  An empty set
+leaves lambda unbounded, and the solver's primal ray is a Putinar
+certificate  -1 = sigma_0 + sum_l sigma_l h_l (after dividing by lambda),
+which is exactly the one-sided emptiness test the outer algorithm needs.
+When the moment matrix satisfies the rank (flatness) condition, the
+generating atoms are recovered with the shifted-basis
+multiplication-operator method and cross-checked by rebuilding the moment
+vector.  One ``MomentSolution`` reports a solved order, and the hierarchy
+answers with the order that decided it.
 
 Every program is solved at the solver's default tolerances (only
 ``sdp.solve`` takes options) and is accepted only when it ends optimal,
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -293,16 +297,15 @@ def solve_sos_identity(
 
 
 @dataclass
-class MomentRelaxation:
-    variables: Tuple[str, ...]
-    objective: Polynomial
-    generators: Tuple[Polynomial, ...]
+class MomentRelaxation(SosIdentityProgram):
+    """The order-t identity program of  min f  over  {h_j >= 0}: ``target``
+    is f and the multipliers are the h_j, both in the stretched coordinates;
+    ``row_basis`` indexes the moments and ``sigma_bases[0]`` the rows and
+    columns of the moment matrix."""
+
     order: int
-    y_basis: MonomialBasis            # all moments up to degree 2t
-    moment_basis: MonomialBasis       # rows/cols of the moment matrix
-    localizing_bases: Tuple[MonomialBasis, ...]
     flat_step: int                    # v = max_j ceil(deg h_j / 2), at least 1
-    scaling: Tuple[float, ...] = ()   # per-coordinate stretch applied on entry
+    scaling: Tuple[float, ...]        # per-coordinate stretch applied on entry
 
     def unscale_point(self, point: np.ndarray) -> np.ndarray:
         if not self.scaling:
@@ -327,12 +330,7 @@ def build_moment_relaxation(
     moments otherwise span c^(2t) in magnitude and wreck the solve.  Atoms
     are mapped back to the original coordinates by the solution path.
     """
-    variables = f.variables
-    gens = []
-    for h in generators:
-        if h.variables != variables:
-            h = h.in_variables(variables)
-        gens.append(h)
+    gens = [h.in_variables(f.variables) for h in generators]
     scale_tuple: Tuple[float, ...] = ()
     if scaling is not None:
         scale_tuple = tuple(float(c) for c in scaling)
@@ -359,13 +357,8 @@ def build_moment_relaxation(
         sigma0_order=t,
     )
     relax = MomentRelaxation(
-        variables=variables,
-        objective=f,
-        generators=tuple(gens),
+        **vars(prog),
         order=t,
-        y_basis=prog.row_basis,
-        moment_basis=prog.sigma_bases[0],
-        localizing_bases=prog.sigma_bases[1:],
         flat_step=max([1] + [math.ceil(h.degree / 2) for h in gens]),
         scaling=scale_tuple,
     )
@@ -374,21 +367,34 @@ def build_moment_relaxation(
 
 @dataclass
 class MomentSolution:
-    moments: np.ndarray               # aligned with relax.y_basis
+    """One solved order of the hierarchy; ``minimize_hierarchy`` reports the
+    order that decided it."""
+
+    order: int
+    moments: np.ndarray               # aligned with relax.row_basis
     bound: float
     flat: bool
+    status: SdpStatus
+    raw: SdpSolution
     atoms: List[np.ndarray] = field(default_factory=list)
-    status: SdpStatus = SdpStatus.OPTIMAL
-    raw: Optional[SdpSolution] = None
+
+    @property
+    def infeasible(self) -> bool:
+        """The set is empty: the solve ended with a Putinar ray."""
+        return self.status is SdpStatus.DUAL_INFEASIBLE
+
+    @property
+    def certificate_residual(self) -> float:
+        return self.raw.certificate_residual
 
 
 def moment_matrix(
     moments: np.ndarray, relax: MomentRelaxation, degree: int
 ) -> np.ndarray:
-    nv = len(relax.variables)
-    powers = (relax.y_basis.max_degree + 1) ** np.arange(nv, dtype=np.int64)
+    nv = len(relax.ambient)
+    powers = (relax.row_basis.max_degree + 1) ** np.arange(nv, dtype=np.int64)
     keys = _exponent_keys(monomial_basis(nv, degree).monomials, powers)
-    return moments[_key_lookup(relax.y_basis, powers)(keys[:, None] + keys)]
+    return moments[_key_lookup(relax.row_basis, powers)(keys[:, None] + keys)]
 
 
 def _numeric_rank(mat: np.ndarray) -> int:
@@ -428,7 +434,7 @@ def extract_atoms(moments: np.ndarray, relax: MomentRelaxation) -> List[np.ndarr
     """
     t = relax.order
     v = relax.flat_step
-    nvars = len(relax.variables)
+    nvars = len(relax.ambient)
     M = moment_matrix(moments, relax, t)
     low = moment_matrix(moments, relax, max(t - v, 0))
     r = _numeric_rank(low)
@@ -444,7 +450,7 @@ def extract_atoms(moments: np.ndarray, relax: MomentRelaxation) -> List[np.ndarr
 
     # greedy low-degree pivot rows, capped at degree t - v so every
     # variable shift stays inside the factored matrix
-    basis = relax.moment_basis
+    basis = relax.sigma_bases[0]
     max_pivot_degree = t - v
     pivots: List[int] = []
     for i, mono in enumerate(basis.monomials):
@@ -493,7 +499,7 @@ def extract_atoms(moments: np.ndarray, relax: MomentRelaxation) -> List[np.ndarr
 
 
 def _verify_atoms(atoms, moments, relax):
-    exponents = np.array(relax.y_basis.monomials)
+    exponents = np.array(relax.row_basis.monomials)
     vdm = np.prod(np.array(atoms)[None] ** exponents[:, None], axis=2)
     wts, *_ = np.linalg.lstsq(vdm, moments, rcond=None)
     rebuilt = vdm @ wts
@@ -502,7 +508,7 @@ def _verify_atoms(atoms, moments, relax):
         raise ExtractionError(f"atoms rebuild moments only to {err:.2e}")
     if wts.min() < -1e-4:
         raise ExtractionError("negative atom weight")
-    for h in relax.generators:
+    for h, _ in relax.multipliers:
         for atom in atoms:
             if h.evaluate(atom) < -ATOM_FEAS_TOL:
                 raise ExtractionError(
@@ -518,15 +524,10 @@ def solve_moment_relaxation(relax: MomentRelaxation, sdp: SdpProblem) -> MomentS
     """
     sol = _solve_checked(sdp, "moment relaxation", (SdpStatus.DUAL_INFEASIBLE,))
     if sol.status is SdpStatus.DUAL_INFEASIBLE:
-        return MomentSolution(
-            moments=np.zeros(len(relax.y_basis)),
-            bound=math.inf,
-            flat=False,
-            status=sol.status,
-            raw=sol,
-        )
+        moments = np.zeros(len(relax.row_basis))
+        return MomentSolution(relax.order, moments, math.inf, False, sol.status, sol)
     moments = -sol.y
-    bound = float(sol.primal[-1][0])  # lambda, the last (free) block
+    bound = float(sol.primal[relax.free_block_index][0])  # lambda
     flat, _ = check_flatness(moments, relax)
     atoms: List[np.ndarray] = []
     if flat:
@@ -534,15 +535,7 @@ def solve_moment_relaxation(relax: MomentRelaxation, sdp: SdpProblem) -> MomentS
             atoms = [relax.unscale_point(a) for a in extract_atoms(moments, relax)]
         except ExtractionError:
             flat = False
-            atoms = []
-    return MomentSolution(
-        moments=moments,
-        bound=bound,
-        flat=flat,
-        atoms=atoms,
-        status=sol.status,
-        raw=sol,
-    )
+    return MomentSolution(relax.order, moments, bound, flat, sol.status, sol, atoms)
 
 
 # ----------------------------------------------------------------------
@@ -604,35 +597,22 @@ def certify_feasibility(
     )
 
 
-@dataclass
-class HierarchyResult:
-    bound: float
-    flat: bool
-    atoms: List[np.ndarray]
-    order: int
-    infeasible: bool = False
-    certificate_residual: float = math.nan  # of the Putinar ray, if infeasible
-
-
 def minimize_hierarchy(
     f: Polynomial,
     generators: Sequence[Polynomial],
     start_order: int,
     max_order: int,
     scaling: Optional[Sequence[float]] = None,
-) -> HierarchyResult:
-    """Solve relaxations of increasing order until the moments go flat.
+) -> MomentSolution:
+    """Solve relaxations of increasing order until one decides the problem.
 
-    Returns the best (largest) certified lower bound over the orders tried
-    together with extracted minimizers when flatness was reached.  The
-    first order that ends with a Putinar ray proves the set empty: the
-    result is then ``infeasible`` at that order, with the ray's residual.
+    The first order that ends with a Putinar ray proves the set empty and
+    is returned as it is (``infeasible``, with the ray's residual).  The
+    first order whose moments go flat is returned with its extracted
+    minimizers and the best (largest) certified lower bound over the orders
+    tried.  Otherwise the order with the best bound is returned.
     """
-    solved = False
-    best = -math.inf
-    flat = False
-    atoms: List[np.ndarray] = []
-    used = start_order
+    best: Optional[MomentSolution] = None
     failures = []
     for t in range(start_order, max_order + 1):
         relax, sdp = build_moment_relaxation(f, generators, t, scaling)
@@ -641,24 +621,13 @@ def minimize_hierarchy(
         except RelaxationError as err:
             failures.append(f"order {t}: {err}")
             continue
-        if msol.status is SdpStatus.DUAL_INFEASIBLE:
-            return HierarchyResult(
-                bound=math.inf,
-                flat=False,
-                atoms=[],
-                order=t,
-                infeasible=True,
-                certificate_residual=msol.raw.certificate_residual,
-            )
-        solved = True
-        if msol.bound > best:
-            best = msol.bound
-            used = t
+        if msol.infeasible:
+            return msol
         if msol.flat:
-            flat = True
-            atoms = msol.atoms
-            used = t
-            break
-    if not solved:
+            bound = msol.bound if best is None else max(best.bound, msol.bound)
+            return replace(msol, bound=bound)
+        if best is None or msol.bound > best.bound:
+            best = msol
+    if best is None:
         raise RelaxationError("; ".join(failures) or "no relaxation order solved")
-    return HierarchyResult(bound=best, flat=flat, atoms=atoms, order=used)
+    return best

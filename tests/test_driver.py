@@ -259,6 +259,19 @@ def test_fit_requires_three_samples():
         fit_perturbation_scaling([(1e-3, 0.5), (1e-2, 0.4)], 1.0)
 
 
+@pytest.mark.parametrize(
+    "samples, reference",
+    [
+        ([(1e-3, math.nan), (1e-2, math.nan), (1e-1, math.nan)], 1.0),
+        ([(1e-3, 0.9), (math.inf, 0.8), (1e-1, 0.7)], 1.0),
+        ([(1e-3, 0.9), (1e-2, 0.8), (1e-1, 0.7)], math.nan),
+    ],
+)
+def test_fit_refuses_non_finite_numbers(samples, reference):
+    with pytest.raises(ValueError, match="finite"):
+        fit_perturbation_scaling(samples, reference)
+
+
 def test_fit_rejects_value_above_reference():
     samples = [(1e-3, 1.5), (1e-2, 0.9), (1e-1, 0.8)]
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Ground-truth oracle: inner values and perturbed reference solves."""
 
+import math
 import sys
 import threading
 
@@ -79,6 +80,18 @@ variables:
     assert np.isnan(grid).all()
 
 
+@pytest.mark.parametrize("x, y", [([0.5, 0.2], [0.9]), ([0.5], []), ([], [0.5])])
+def test_inner_value_refuses_wrong_point_length(p1, x, y):
+    with pytest.raises(ValueError, match="n = 1 x and m = 1 y"):
+        inner_value(p1, x, y)
+
+
+@pytest.mark.parametrize("points", [[[0.5, 0.2, 0.9]], [[0.5]], [0.5, 0.2]])
+def test_inner_value_grid_refuses_wrong_point_length(p1, points):
+    with pytest.raises(ValueError, match="n = 1 x and m = 1 y"):
+        inner_value_grid(p1, points)
+
+
 def test_inner_value_upper_bounds_feasible_samples(p1):
     """Minimization soundness: the reported value never exceeds phi at a
     feasible inner sample."""
@@ -135,6 +148,12 @@ def test_reference_monotone_in_eps(name):
         values.append(ref.value)
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-9
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+def test_reference_refuses_bad_eps(p1, eps):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        solve_perturbed_reference(p1, eps)
 
 
 def test_reference_infeasible_reported():

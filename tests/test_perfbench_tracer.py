@@ -2,7 +2,8 @@
 
 A rename in ``mpecsos`` would make every traced benchmark operation fail,
 so these tests load ``perfbench/tracer.py`` as it stands and check that
-each name it wraps resolves and that its SDP description runs.  The
+each name it wraps resolves, that a traced solve reaches the wrappers as
+often as its call structure says, and that its SDP description runs.  The
 description reads every constraint coefficient as a dense array; its
 counts on p1's value programs are pinned, so a change to the coefficient
 format fails here before it changes the benchmark's ``sdp.coeff_*``.
@@ -16,6 +17,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from mpecsos import driver
+from mpecsos.driver import AlgoConfig
 from mpecsos.polynomials import parse_polynomial
 from mpecsos.problems import bundled_instance
 from mpecsos.sdp import SdpStatus, solve
@@ -40,6 +43,25 @@ def test_every_wrapped_name_resolves(tracer):
     for module_name, attr, *_ in tracer.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_solve_counts_every_layer(tracer):
+    # a call made through a local alias bypasses the wrapper, which the
+    # name check above cannot see; these counts depend on call structure only
+    traced = tracer.Tracer(timed=False)
+    traced.install()
+    try:
+        driver.solve_mpec(bundled_instance("p1_mpec"), AlgoConfig(5e-4, 3, 4))
+    finally:
+        traced.uninstall()
+    metrics = tracer.layer_metrics(traced.spans)
+    want = {
+        "driver.orders": 2,
+        "valuefn.fits": 2,
+        "sos.hierarchy_orders": 3,
+        "sdp.solves": 5,
+    }
+    assert {name: metrics[name] for name in want} == want
 
 
 def test_describe_sdp_reads_a_moment_relaxation(tracer):

@@ -6,6 +6,7 @@ import pytest
 
 from mpecsos.problems import (
     BUNDLED_INSTANCES,
+    OmegaBox,
     ProblemFormatError,
     bundled_instance,
     load_problem,
@@ -33,6 +34,12 @@ def test_load_p1_document():
     assert len(prob.constraints_h) == 2
     assert prob.box.halfwidths == (1.0, 1.0)
     assert prob.phi.evaluate([0.0, 1.0, 1.0]) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("halfwidth", [math.nan, math.inf, 0.0, -1.0])
+def test_box_refuses_bad_halfwidth(halfwidth):
+    with pytest.raises(ProblemFormatError, match="positive and finite"):
+        OmegaBox((1.0, halfwidth))
 
 
 def test_load_rejects_nonpositive_bound():

@@ -158,19 +158,19 @@ def test_scaled_relaxation_matches_reference_bitwise():
     ]
     relax, sdp = build_moment_relaxation(f, gens, 3, scaling=[2.0, 0.5])
     rows, rhs = _reference_rows(
-        relax.objective,
-        (relax.moment_basis,) + relax.localizing_bases,
-        relax.generators,
-        relax.y_basis,
+        relax.target,
+        relax.sigma_bases,
+        [h for h, _ in relax.multipliers],
+        relax.row_basis,
         [(0, 0)],
     )
     _assert_same_program(sdp, rows, rhs)
     # the moment matrix reads the same keys the builder does
-    moments = np.random.default_rng(7).standard_normal(len(relax.y_basis))
+    moments = np.random.default_rng(7).standard_normal(len(relax.row_basis))
     for degree in range(4):
         basis = monomial_basis(2, degree)
         want = np.array(
-            [[moments[relax.y_basis.index(_add(a, b))] for b in basis.monomials]
+            [[moments[relax.row_basis.index(_add(a, b))] for b in basis.monomials]
              for a in basis.monomials]
         )
         assert moment_matrix(moments, relax, degree).tobytes() == want.tobytes()
@@ -292,7 +292,7 @@ def test_moment_order_too_small():
 
 def _dirac_moments(relax, point):
     vals = []
-    for mono in relax.y_basis.monomials:
+    for mono in relax.row_basis.monomials:
         v = 1.0
         for x, e in zip(point, mono):
             v *= x**e
@@ -355,10 +355,10 @@ def test_extraction_rebuilds_moments():
     relax, sdp = build_moment_relaxation(f, [g], 2)
     sol = solve_moment_relaxation(relax, sdp)
     assert sol.flat
-    rebuilt = np.zeros(len(relax.y_basis))
-    vdm = np.zeros((len(relax.y_basis), len(sol.atoms)))
+    rebuilt = np.zeros(len(relax.row_basis))
+    vdm = np.zeros((len(relax.row_basis), len(sol.atoms)))
     for j, atom in enumerate(sol.atoms):
-        for i, mono in enumerate(relax.y_basis.monomials):
+        for i, mono in enumerate(relax.row_basis.monomials):
             v = 1.0
             for x, e in zip(atom, mono):
                 v *= x**e
@@ -391,7 +391,7 @@ def test_emptiness_ray_is_putinar_identity():
     *grams, free = sol.primal
     lam = free[0]
     assert lam > 0
-    bases = (relax.moment_basis,) + relax.localizing_bases
+    bases = relax.sigma_bases
     one = Polynomial.constant(["x"], 1.0)
     total = one
     for gram, basis, weight in zip(grams, bases, [one] + gens):
@@ -449,6 +449,8 @@ def test_minimize_hierarchy_stops_when_flat():
     g = parse_polynomial("1 - x^2", ["x"])
     result = minimize_hierarchy(f, [g], 2, 4)
     assert result.flat
+    assert result.raw.status is SdpStatus.OPTIMAL
+    assert len(result.moments) == len(monomial_basis(1, 2 * result.order))
     assert result.bound == pytest.approx(-0.25, abs=1e-6)
     xs = sorted(abs(a[0]) for a in result.atoms)
     assert xs[-1] == pytest.approx(math.sqrt(0.5), abs=1e-4)
@@ -459,5 +461,7 @@ def test_minimize_hierarchy_infeasible_set():
     gens = [parse_polynomial("x", ["x"]), parse_polynomial("-x - 1", ["x"])]
     result = minimize_hierarchy(f, gens, 1, 2)
     assert result.infeasible
+    assert result.status is SdpStatus.DUAL_INFEASIBLE
     assert result.order == 1
     assert result.certificate_residual <= 1e-8
+    assert result.raw.certificate_residual == result.certificate_residual
