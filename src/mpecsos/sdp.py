@@ -23,11 +23,12 @@ Each PSD block is scaled by its NT point R, which maps both X and S to the
 same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
 so a block contributes n(n+1)/2 rows (its svec coordinates) to the scaled
 constraint matrix G.  The Newton system is solved through a Cholesky
-factor of the Schur complement G'G while that is well conditioned, and
-through a QR factorization of G for the rest of the solve once it is not:
-G'G's condition number grows like 1/mu^2 and G's like 1/mu, so the QR
-keeps the last digits of the direction when the complementarity reaches
-1e-9, at two to three times the cost of the Cholesky factor.
+factor of the Schur complement G'G, and each solve is refined once
+against its own residual: G'G's condition number grows like 1/mu^2, and
+the refinement wins back the digits that squaring loses, so residuals
+reach 1e-10.  Only an iteration whose Cholesky factor fails takes a QR
+factorization of G instead, at two to three times the cost; the QR also
+shifts dependent columns.
 
 Constraint data are kept sparse, as coordinate triples (svec entries),
 and every product with them goes through np.bincount: the Gram-form
@@ -600,47 +601,35 @@ class _FreeElimination:
 # panel width of the blocked Householder QR
 _QR_BLOCK = 32
 
-# Spread of the Schur complement factor (its squared diagonal ratio, an
-# estimate of cond(G'G)) past which a solve leaves it for the QR of G.  A
-# Cholesky solve loses about log10 cond(G'G) digits, the QR half as many,
-# and the spread can read two orders below cond(G'G): 1.1e6 against 1.4e8
-# by SVD on p2's order-4 relaxation.  With the switch at 1e8 that solve
-# never leaves the Cholesky factor, and its residuals stall at 1.6e-9,
-# short of the 1e-9 tolerances the QR alone reaches.  At 1e4 it switches
-# after eight Cholesky iterations and ends at 6.8e-10, also with its
-# right side moved by a few ulps (16 of 16 trials, as at 1e3; 4 of 16 at
-# 1e5), while the p1 value fits still take 7 to 9 of their 14 to 16
-# iterations on the Cholesky factor.
-_SWITCH_SPREAD = 1e4
-
 
 class _SchurCholesky:
     """Cholesky factor U'U of the Schur complement G'G of the scaled columns.
 
     dsyrk forms G'G reading the Fortran-ordered G in place, at half the
-    flops of a general product, and dpotrf factors it.  ``spread`` = (max /
-    min diagonal of U)^2 estimates the condition number of G'G, the square
-    of that of G; a failed factor (dependent columns, or G'G indefinite in
-    rounding) has an infinite spread, so the solver takes the QR of G,
-    which shifts dependent columns itself.
+    flops of a general product, and dpotrf factors it.  ``failed`` is set
+    when dpotrf stops at a pivot that is not positive (dependent columns,
+    or G'G indefinite in rounding); the solver then takes the QR of G for
+    that iteration, which shifts dependent columns itself.  A solve loses
+    about log10 cond(G'G) digits, twice as many as the QR, so each solve is
+    refined once against G'xh = h (the corrected semi-normal equations,
+    Bjorck 1987), which wins back the digits G'G loses as mu falls.
     """
 
     def __init__(self, G: np.ndarray):
         self.G = G
         M = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
         self.U, info = sla.lapack.dpotrf(M)
-        diag = np.abs(np.diag(self.U))
-        if info != 0:
-            self.spread = math.inf
-        else:
-            self.spread = float((diag.max() / diag.min()) ** 2) if diag.size else 1.0
+        self.failed = info != 0
 
     def solve(self, e: np.ndarray, h: np.ndarray):
-        """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e)."""
+        """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e),
+        then dy += (G'G)^{-1}(h - G'xh) and xh += G times that correction."""
         if not len(h):  # dpotrs rejects the 0x0 factor
             return e.copy(), np.zeros(0)
         dy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ e)
-        return e + self.G @ dy, dy
+        xh = e + self.G @ dy
+        ddy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ xh)
+        return xh + self.G @ ddy, dy + ddy
 
 
 class _CompactQR:
@@ -766,8 +755,6 @@ class _HsdSolver:
         self.mu_history: List[float] = []
         # scaled constraint matrix, refilled and factored in place each iteration
         self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
-        # set once the Schur complement is too ill-conditioned; one-way
-        self.qr_only = False
 
     # -- residuals of the homogeneous model (scaled data) ----------------
 
@@ -796,12 +783,11 @@ class _HsdSolver:
     # stacked scaled constraints the Newton equations become the
     # least-squares system
     #     xh - G dy = e,    G'xh = h.
-    # Each iteration first solves it through a Cholesky factor of the Schur
-    # complement G'G, whose condition number grows like 1/mu^2.  Once its
-    # spread passes _SWITCH_SPREAD, that iteration and the rest of the
-    # solve use a QR factorization of G instead, whose condition number is
-    # that of G (about 1/mu): it keeps the last digits of the direction in
-    # the end game, where G'G has lost them.
+    # Each iteration solves it through a Cholesky factor of the Schur
+    # complement G'G, whose condition number grows like 1/mu^2, and refines
+    # every solve once against G'xh = h.  An iteration whose factor fails
+    # uses a QR factorization of G instead; the next one tries the Cholesky
+    # factor again.
 
     def _factorize(self, st: _State):
         """Scaled constraint data and its factorization."""
@@ -817,9 +803,8 @@ class _HsdSolver:
                 G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
-        factor = None if self.qr_only else _SchurCholesky(G)
-        if factor is None or factor.spread > _SWITCH_SPREAD:
-            self.qr_only = True
+        factor = _SchurCholesky(G)
+        if factor.failed:
             factor = _CompactQR(G)
         fact = {"blocks": blocks, "factor": factor, "c_hat": c_hat}
         # The tau column of the elimination does not depend on the residuals.
@@ -896,9 +881,10 @@ class _HsdSolver:
         dX comes from the scaled primal step and dS from dy, so rounding in
         the solve shows up in the linearized complementarity and primal
         rows; a correction pass through the same factorization removes it
-        and lets the iteration certify 1e-8 residuals instead of stalling.
-        Only the corrector runs it: without it, p1's k = 4 emptiness
-        relaxation stalls in NumericalTrouble, not DualInfeasible in 12.
+        and lets the iteration certify tight residuals instead of stalling.
+        Only the corrector runs it: without it, the order-4 moment
+        relaxation of x^4 - x^2 on [-1, 1] at 1e-9 ends NumericalTrouble
+        after 16 iterations, not Optimal in 9.
         """
         d = self._direction(st, fact, rhs, Rc, rc_tau)
         r1, r2, r3, r4, r6 = self._newton_residuals(st, fact, d, rhs, Rc, rc_tau)

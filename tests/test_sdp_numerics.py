@@ -2,7 +2,7 @@
 
 Tie-form moment relaxations make the Schur complement ill conditioned like
 1/mu^2, and the homogenization pivot used to cancel there; these cases pin
-the behaviour of the scaled QR solve: tight tolerances are still reached,
+the behaviour of the Newton solve: tight tolerances are still reached,
 and singular data (dependent rows, dependent or unused free columns) is
 regularized or eliminated instead of breaking the solve.  Nonnegative
 blocks of several coordinates, which the solver runs as a stack of 1x1 PSD
@@ -14,10 +14,11 @@ vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, the value-fit programs against
 reference values, the check of the solver tolerances and the text dump,
-the two factors of the Newton system (Cholesky of G'G, QR of G), the
-switch between them and a relaxation that needs it to reach 1e-9 (also
-with its right side moved by a few ulps), the stall named on a run that
-stops early, and the four solves through the factor in each iteration.
+the two factors of the Newton system (Cholesky of G'G, QR of G), the QR
+taken only after a failed Cholesky factor, a relaxation whose refined
+Cholesky solves reach 1e-9 and 1e-10 (also with its right side moved by a
+few ulps), the stall named on a run that stops early, and the four solves
+through the factor in each iteration.
 """
 
 import math
@@ -491,7 +492,7 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
     G = np.asfortranarray(rng.normal(size=(60, 12)))
     e, h = rng.normal(size=60), rng.normal(size=12)
     chol = _SchurCholesky(G.copy(order="F"))
-    assert chol.spread < sdp._SWITCH_SPREAD
+    assert not chol.failed
     # _CompactQR factors its argument in place
     routes = [chol.solve(e, h), _CompactQR(G.copy(order="F")).solve(e, h)]
     for xh, dy in routes:
@@ -504,9 +505,9 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_factor_routes_shift_a_repeated_column(seed):
-    # on the singular G'G, dpotrf fails for seed 0 and leaves a pivot near
-    # rounding for seed 3; either way the Cholesky factor hands the solve to
-    # the QR, whose factor is that of G'G + shift I
+    # on the singular G'G, dpotrf fails for seed 0, which hands the solve to
+    # the QR, and leaves a pivot near rounding for seed 3; either way the
+    # QR's factor is that of G'G + shift I
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(60, 12))
     G[:, 5] = G[:, 2]
@@ -515,7 +516,7 @@ def test_factor_routes_shift_a_repeated_column(seed):
     top = float(np.max(np.diag(gram)))
     shifted = gram + 1e-12 * top * np.eye(12)
     e, h = rng.normal(size=60), rng.normal(size=12)
-    assert _SchurCholesky(G.copy(order="F")).spread > sdp._SWITCH_SPREAD
+    assert _SchurCholesky(G.copy(order="F")).failed == (seed == 0)
     qr = _CompactQR(G.copy(order="F"))
     # the shift is 1e-12 * top, far above the rounding of the products
     assert np.abs(qr.R.T @ qr.R - shifted).max() <= 1e-14 * top
@@ -525,32 +526,31 @@ def test_factor_routes_shift_a_repeated_column(seed):
     assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * scale
 
 
-def test_value_fit_switches_from_cholesky_to_qr_once(monkeypatch):
+def test_value_fit_takes_the_qr_only_after_a_failed_factor(monkeypatch):
     routes = []
 
     class Cholesky(_SchurCholesky):
         def __init__(self, G):
             super().__init__(G)
-            routes.append(("cholesky", self.spread))
+            routes.append("failed" if self.failed else "cholesky")
 
     class QR(_CompactQR):
         def __init__(self, H):
             super().__init__(H)
-            routes.append(("qr", None))
+            routes.append("qr")
 
     monkeypatch.setattr(sdp, "_SchurCholesky", Cholesky)
     monkeypatch.setattr(sdp, "_CompactQR", QR)
-    _, prob = build_value_program(bundled_instance("p1_mpec"), 3)
+    # late in the solve of p3's order-4 value fit, dpotrf fails on G'G
+    _, prob = build_value_program(bundled_instance("p3_sip"), 4)
     sol = solve(prob)
     assert sol.status is SdpStatus.OPTIMAL
-    kinds = [kind for kind, _ in routes]
-    first_qr = kinds.index("qr")
-    # the Cholesky factor serves until its spread passes the constant, and
-    # that iteration and every later one use the QR
-    assert first_qr >= 2 and kinds[first_qr - 1] == "cholesky"
-    assert kinds[first_qr:] == ["qr"] * (len(kinds) - first_qr)
-    spreads = [spread for _, spread in routes[:first_qr]]
-    assert max(spreads[:-1]) <= sdp._SWITCH_SPREAD < spreads[-1]
+    # each iteration factors G'G; a failed factor is followed by the QR of
+    # that iteration, and the next iteration is back on the Cholesky factor
+    assert len(routes) - routes.count("qr") == sol.iterations
+    after_failed = [prev == "failed" for prev in [None] + routes[:-1]]
+    assert [kind == "qr" for kind in routes] == after_failed
+    assert "failed" in routes
 
 
 def test_stall_names_the_iteration_limit(monkeypatch):
@@ -590,12 +590,13 @@ def _ulps_up(value, steps):
     return value
 
 
-def test_p2_relaxation_reaches_tight_tolerances():
-    # p2's order-4 relaxation at k = 3, eps 1e-3: its Schur complement is
-    # worse conditioned than the spread of its Cholesky factor shows, and
-    # only a switch to the QR in time lets the residuals pass 1e-9.  One
-    # run could pass by luck of its path, so every right side is also moved
-    # by 0-2 ulps toward +inf in 15 more trials
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_p2_relaxation_reaches_tight_tolerances(tol):
+    # p2's order-4 relaxation at k = 3, eps 1e-3: near the end its Schur
+    # complement is so ill conditioned that unrefined Cholesky solves stall
+    # short of 1e-9; refined once, they reach 1e-10.  One run could pass by
+    # luck of its path, so every right side is also moved by 0-2 ulps
+    # toward +inf in 15 more trials
     p2 = bundled_instance("p2_bilevel")
     gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
     _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
@@ -609,10 +610,10 @@ def test_p2_relaxation_reaches_tight_tolerances():
         ]
         sol = solve(
             SdpProblem(prob.blocks, prob.objective, rows),
-            SolverOptions(gap_tol=1e-9, feas_tol=1e-9),
+            SolverOptions(gap_tol=tol, feas_tol=tol),
         )
         assert sol.status is SdpStatus.OPTIMAL, (trial, sol.status, sol.stall)
-        assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-9, trial
+        assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= tol, trial
 
 
 def test_four_solves_and_one_newton_residual_per_iteration(monkeypatch):
