@@ -88,6 +88,8 @@ class SdpConstraint:
 MAX_ITERATIONS = 200
 # share of the step to the cone boundary that an iteration takes
 STEP_FRACTION = 0.98
+# share of the tolerances above which the corrector's Newton residuals take a pass
+CORRECTION_FRACTION = 0.1
 
 
 @dataclass
@@ -875,19 +877,24 @@ class _HsdSolver:
         rho6 = rc_tau - (d["tau"] * st.kappa + st.tau * d["kappa"])
         return rho1, rho2, rho3, rho4, rho6
 
-    def _direction_refined(self, st: _State, fact, rhs, Rc, rc_tau):
-        """Direction plus one refinement solve against its Newton residuals.
+    def _direction_refined(self, st: _State, fact, rhs, Rc, rc_tau, objectives):
+        """Corrector direction, refined against its Newton residuals on demand.
 
         dX comes from the scaled primal step and dS from dy, so rounding in
-        the solve shows up in the linearized complementarity and primal
-        rows; a correction pass through the same factorization removes it
-        and lets the iteration certify tight residuals instead of stalling.
-        Only the corrector runs it: without it, the order-4 moment
-        relaxation of x^4 - x^2 on [-1, 1] at 1e-9 ends NumericalTrouble
-        after 16 iterations, not Optimal in 9.
+        the solve shows up in the Newton residuals.  When the primal, dual
+        or gap row among them exceeds CORRECTION_FRACTION of its stopping
+        tolerance, in the stopping test's normalization at the iterate of
+        objectives (pobj, dobj), a correction pass (one more solve through
+        the factorization and one more direction) removes it.  Most
+        iterations skip it; the order-4 moment relaxation of x^4 - x^2 on
+        [-1, 1] at 1e-9 needs it, and without it ends NumericalTrouble.
         """
         d = self._direction(st, fact, rhs, Rc, rc_tau)
         r1, r2, r3, r4, r6 = self._newton_residuals(st, fact, d, rhs, Rc, rc_tau)
+        rows = self._scaled_rows(st.tau, r1, r2, r3 / st.tau, objectives)
+        tols = (self.opts.feas_tol, self.opts.feas_tol, self.opts.gap_tol)
+        if all(r <= CORRECTION_FRACTION * t for r, t in zip(rows, tols)):
+            return d
         dc = self._direction(st, fact, (r1, r2, r3, self._scaled(fact, r2)), r4, r6)
         for key in ("X", "S", "Xt", "St"):
             d[key] = [a + b for a, b in zip(d[key], dc[key])]
@@ -922,17 +929,23 @@ class _HsdSolver:
 
     # -- termination -------------------------------------------------------
 
-    def _convergence_metrics(self, st: _State, resid):
+    def _scaled_rows(self, tau: float, r_p, r_d, diff: float, objectives):
+        """r_p, r_d and the objective difference diff as the stopping test
+        reads them at an iterate of scale tau and objectives (pobj, dobj)."""
         cone = self.cone
-        r_p, r_d, _, ctx = resid
-        tau = st.tau
+        pobj, dobj = objectives
         # the pivot rows and the free block's dual rows hold exactly
         p_res = np.linalg.norm(cone.row_scale * r_p) / (tau * (1.0 + cone.b_norm))
         d_res = math.sqrt(cone.inner(r_d, r_d)) / (tau * (1.0 + cone.c_norm))
-        pobj = ctx / tau + cone.offset
-        dobj = float(cone.b @ st.y) / tau + cone.offset
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return p_res, d_res, gap, pobj, dobj
+        return p_res, d_res, abs(diff) / (1.0 + abs(pobj) + abs(dobj))
+
+    def _convergence_metrics(self, st: _State, resid):
+        cone = self.cone
+        r_p, r_d, _, ctx = resid
+        pobj = ctx / st.tau + cone.offset
+        dobj = float(cone.b @ st.y) / st.tau + cone.offset
+        rows = self._scaled_rows(st.tau, r_p, r_d, pobj - dobj, (pobj, dobj))
+        return (*rows, pobj, dobj)
 
     def _certificates(self, st: _State, resid):
         """Check the two Farkas-ray conditions on the current iterate."""
@@ -997,7 +1010,7 @@ class _HsdSolver:
                 break
 
             try:
-                step, alpha = self._search_direction(st, resid, mu)
+                step, alpha = self._search_direction(st, resid, mu, (pobj, dobj))
                 alpha = min(STEP_FRACTION * alpha, 1.0)
                 if not math.isfinite(alpha) or alpha <= 0:
                     raise np.linalg.LinAlgError("no step inside the cone")
@@ -1012,14 +1025,16 @@ class _HsdSolver:
 
         return self._package(st, status, iterations, cert_residual, stall)
 
-    def _search_direction(self, st: _State, resid, mu: float):
+    def _search_direction(self, st: _State, resid, mu: float, objectives):
         """Mehrotra predictor-corrector step from one factorization.
 
         Returns the direction and the largest step that keeps the iterate
         in the cone.  The complementarity targets of the PSD blocks are
         stated in the scaled coordinates, where the iterate is diag(lam).
         The predictor only sets sigma and the corrector's second-order term,
-        so it is solved once (Mehrotra 1992): four solves through the factor.
+        so it is solved once (Mehrotra 1992): three solves through the factor
+        (tau column, predictor, corrector), and a fourth in an iteration whose
+        corrector takes its correction pass.
         """
         fact = self._factorize(st)
         lams = [lam for _, lam, _ in fact["blocks"]]
@@ -1037,7 +1052,7 @@ class _HsdSolver:
             for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
-        d = self._direction_refined(st, fact, rhs, Rc, rc_t)
+        d = self._direction_refined(st, fact, rhs, Rc, rc_t, objectives)
         return d, self._max_step(st, fact, d)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:

@@ -17,8 +17,10 @@ reference values, the check of the solver tolerances and the text dump,
 the two factors of the Newton system (Cholesky of G'G, QR of G), the QR
 taken only after a failed Cholesky factor, a relaxation whose refined
 Cholesky solves reach 1e-9 and 1e-10 (also with its right side moved by a
-few ulps), the stall named on a run that stops early, and the four solves
-through the factor in each iteration.
+few ulps), the benchmark's largest value fit under the same ulp moves, the
+stall named on a run that stops early, and the three solves through the
+factor in each iteration, with a fourth, the corrector's correction pass,
+only where its Newton residuals near the tolerances.
 """
 
 import math
@@ -590,16 +592,10 @@ def _ulps_up(value, steps):
     return value
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-10])
-def test_p2_relaxation_reaches_tight_tolerances(tol):
-    # p2's order-4 relaxation at k = 3, eps 1e-3: near the end its Schur
-    # complement is so ill conditioned that unrefined Cholesky solves stall
-    # short of 1e-9; refined once, they reach 1e-10.  One run could pass by
-    # luck of its path, so every right side is also moved by 0-2 ulps
-    # toward +inf in 15 more trials
-    p2 = bundled_instance("p2_bilevel")
-    gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
-    _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
+def _assert_optimal_under_ulp_moves(prob, tol):
+    """One run could pass by luck of its path near the rounding floor, so
+    every right side is also moved by 0-2 ulps toward +inf in 15 more
+    trials, and all 16 must be Optimal within ``tol``."""
     m = prob.num_constraints
     rng = np.random.default_rng(0)
     for trial in range(16):
@@ -616,10 +612,30 @@ def test_p2_relaxation_reaches_tight_tolerances(tol):
         assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= tol, trial
 
 
-def test_four_solves_and_one_newton_residual_per_iteration(monkeypatch):
-    # tau column, predictor, corrector and the corrector's correction pass;
-    # only that pass evaluates the Newton residuals
-    calls = {"solve": 0, "residuals": 0}
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_p2_relaxation_reaches_tight_tolerances(tol):
+    # p2's order-4 relaxation at k = 3, eps 1e-3: near the end its Schur
+    # complement is so ill conditioned that unrefined Cholesky solves stall
+    # short of 1e-9; refined once, they reach 1e-10
+    p2 = bundled_instance("p2_bilevel")
+    gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
+    _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
+    _assert_optimal_under_ulp_moves(prob, tol)
+
+
+def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program):
+    # the benchmark's largest SDP (G is 3,486 x 220), at the pipeline's
+    # tolerance: the correction pass it skips must not cost it its optimum
+    # when the last bits of its right side change
+    _assert_optimal_under_ulp_moves(p1_value_program, 1e-8)
+
+
+def test_correction_pass_runs_only_near_the_tolerances(monkeypatch):
+    # each iteration solves for the tau column, the predictor and the
+    # corrector and evaluates the corrector's Newton residuals once; only
+    # residuals near the tolerances take the correction pass, one more
+    # solve and direction (the last iteration only checks the tolerances)
+    calls = {"solve": 0, "direction": 0, "residuals": 0}
 
     def counted(method, key):
         def wrapper(*args):
@@ -630,10 +646,21 @@ def test_four_solves_and_one_newton_residual_per_iteration(monkeypatch):
 
     for cls in (_SchurCholesky, _CompactQR):
         monkeypatch.setattr(cls, "solve", counted(cls.solve, "solve"))
-    newton = counted(sdp._HsdSolver._newton_residuals, "residuals")
-    monkeypatch.setattr(sdp._HsdSolver, "_newton_residuals", newton)
+    for name, key in (("_direction", "direction"), ("_newton_residuals", "residuals")):
+        method = getattr(sdp._HsdSolver, name)
+        monkeypatch.setattr(sdp._HsdSolver, name, counted(method, key))
     _, prob = build_value_program(bundled_instance("p1_mpec"), 3)
     sol = solve(prob)
-    # the last iteration only checks the tolerances
     assert sol.status is SdpStatus.OPTIMAL and sol.iterations >= 10
-    assert calls == {"solve": 4 * sol.iterations, "residuals": sol.iterations}
+    passes = calls["direction"] - 2 * sol.iterations
+    assert calls["solve"] == 3 * sol.iterations + passes
+    assert calls["residuals"] == sol.iterations
+    assert 0 <= passes < sol.iterations
+    # without the pass, this relaxation ends NumericalTrouble at 1e-9
+    f = parse_polynomial("x^4 - x^2", ["x"])
+    g = parse_polynomial("1 - x^2", ["x"])
+    _, prob = build_moment_relaxation(f, [g], 4)
+    calls.update(solve=0, direction=0, residuals=0)
+    sol = solve(prob, SolverOptions(gap_tol=1e-9, feas_tol=1e-9))
+    assert sol.status is SdpStatus.OPTIMAL, (sol.status, sol.stall)
+    assert calls["direction"] - 2 * sol.iterations >= 1
