@@ -22,13 +22,15 @@ sqrt(x/s).
 Each PSD block is scaled by its NT point R, which maps both X and S to the
 same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
 so a block contributes n(n+1)/2 rows (its svec coordinates) to the scaled
-constraint matrix G.  The Newton system is solved through a Cholesky
-factor of the Schur complement G'G, and each solve is refined once
-against its own residual: G'G's condition number grows like 1/mu^2, and
-the refinement wins back the digits that squaring loses, so residuals
-reach 1e-10.  Only an iteration whose Cholesky factor fails takes a QR
-factorization of G instead, at two to three times the cost; the QR also
-shifts dependent columns.
+constraint matrix G.  The Newton system is solved through one upper
+triangle U with U'U = G'G, and each solve is refined once against its own
+residual: G'G's condition number grows like 1/mu^2, and the refinement
+wins back the digits that squaring loses, so residuals reach 1e-10.  U is
+the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
+takes U from a QR factorization of G, which shifts dependent columns.  At
+the start point G'G is the Gram matrix of the rows, so there a failed
+factor means dependent rows, and a part of the right side along their
+null vectors that passes the Farkas test ends the solve primal infeasible.
 
 Constraint data are kept sparse, as coordinate triples (svec entries),
 and every product with them goes through np.bincount: the Gram-form
@@ -329,8 +331,6 @@ class _PsdStack:
         member = np.repeat(np.arange(k), [len(t[1]) for t in tables])
         local, js, ks, vals = (np.concatenate(a) for a in list(zip(*tables))[1:])
         pair = start[member] + local
-        # rows of the members that miss a constraint, zeroed at each refill
-        self.partial = [slice(o, o + dim) for o in self.offsets[counts < m]]
 
         up = js <= ks
         pos = js[up] * n - js[up] * (js[up] - 1) // 2 + ks[up] - js[up]  # svec place
@@ -600,21 +600,29 @@ class _FreeElimination:
         return y
 
 
-# panel width of the blocked Householder QR
-_QR_BLOCK = 32
+def _qr_triangle(G: np.ndarray) -> np.ndarray:
+    """The triangle R of the QR of G, so R'R = G'G.  When R is singular to
+    working precision the columns of G are dependent (an ill-conditioned but
+    regular G has a spread near 1/mu, far from the rank tolerance), and R
+    becomes the triangle of [R; sqrt(shift) I], so R'R = G'G + shift I."""
+    rows, k = G.shape
+    R = np.linalg.qr(G, mode="r")
+    if rows < k or _singular_triangle(R):
+        scale = max(1.0, float(np.max(np.sum(R**2, axis=0), initial=0.0)))
+        R = np.linalg.qr(np.vstack([R, math.sqrt(1e-12 * scale) * np.eye(k)]), mode="r")
+    return np.asfortranarray(R)
 
 
-class _SchurCholesky:
-    """Cholesky factor U'U of the Schur complement G'G of the scaled columns.
+class _SchurFactor:
+    """Upper triangle U with U'U = G'G, the Schur complement of the scaled
+    columns, and the one solve of the Newton system through it.
 
     dsyrk forms G'G reading the Fortran-ordered G in place, at half the
     flops of a general product, and dpotrf factors it.  ``failed`` is set
     when dpotrf stops at a pivot that is not positive (dependent columns,
-    or G'G indefinite in rounding); the solver then takes the QR of G for
-    that iteration, which shifts dependent columns itself.  A solve loses
-    about log10 cond(G'G) digits, twice as many as the QR, so each solve is
-    refined once against G'xh = h (the corrected semi-normal equations,
-    Bjorck 1987), which wins back the digits G'G loses as mu falls.
+    or G'G indefinite in rounding); U is then `_qr_triangle` of G.  A solve
+    through U'U loses about log10 cond(G'G) digits, so each is refined once
+    against G'xh = h (the corrected semi-normal equations, Bjorck 1987).
     """
 
     def __init__(self, G: np.ndarray):
@@ -622,6 +630,8 @@ class _SchurCholesky:
         M = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
         self.U, info = sla.lapack.dpotrf(M)
         self.failed = info != 0
+        if self.failed:
+            self.U = _qr_triangle(G)
 
     def solve(self, e: np.ndarray, h: np.ndarray):
         """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e),
@@ -632,77 +642,6 @@ class _SchurCholesky:
         xh = e + self.G @ dy
         ddy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ xh)
         return xh + self.G @ ddy, dy + ddy
-
-
-class _CompactQR:
-    """Householder QR of the scaled cone columns, kept in compact form.
-
-    H = Q [R0; 0], with Q stored as reflectors in blocked (compact WY)
-    form by LAPACK's dgeqrt: its recursive panels run at matrix-matrix
-    speed on the tall H here, about twice as fast as dgeqrf.  H is
-    overwritten.  The condition number of the solve is that of H, not of
-    H'H, which keeps the last digits when the iterate nears the boundary.
-    When R0 is singular to working precision the constraints are linearly
-    dependent (an ill-conditioned but regular H has a spread near 1/mu,
-    far from the rank tolerance), and H'H is shifted by a small multiple
-    of the identity: [R0; sqrt(shift) I] = Q' R is factored again and Q'
-    folded into the products below.
-    """
-
-    def __init__(self, H: np.ndarray):
-        rows, k = H.shape
-        self.rows = rows
-        self.top = min(rows, k)
-        self.R = np.zeros((0, k))
-        if self.top:
-            qr, self.T, info = sla.lapack.dgeqrt(
-                min(_QR_BLOCK, self.top), H, overwrite_a=1
-            )
-            if info != 0:
-                raise np.linalg.LinAlgError("QR of the scaled constraints failed")
-            # a wide H has only `top` reflectors
-            self.V = qr[:, : self.top]
-            self.R = np.triu(qr[: self.top])
-        self.inner = None
-        if self.top < k or _singular_triangle(self.R):
-            scale = max(1.0, float(np.max(np.sum(self.R**2, axis=0), initial=0.0)))
-            stacked = np.vstack([self.R, math.sqrt(1e-12 * scale) * np.eye(k)])
-            inner, self.R = np.linalg.qr(stacked)
-            self.inner = inner[: self.top]
-        self.R = np.asfortranarray(self.R)
-
-    def solve_r(self, v: np.ndarray, trans: int = 0) -> np.ndarray:
-        """R^{-1} v, or R^{-T} v for trans=1, through LAPACK's dtrtrs."""
-        if not len(v):  # dtrtrs rejects the 0x0 factor
-            return np.zeros(0)
-        x, info = sla.lapack.dtrtrs(self.R, v, trans=trans)
-        if info != 0:
-            raise np.linalg.LinAlgError("singular triangular factor")
-        return x
-
-    def _apply(self, trans: str, vec: np.ndarray) -> np.ndarray:
-        out, info = sla.lapack.dgemqrt(self.V, self.T, vec.reshape(-1, 1), trans=trans)
-        if info != 0:
-            raise np.linalg.LinAlgError("applying the QR factor failed")
-        return out[:, 0]
-
-    def project(self, e: np.ndarray) -> np.ndarray:
-        """Q1'e: coordinates of e along the columns of H."""
-        z = self._apply("T", e)[: self.top] if self.top else np.zeros(0)
-        return z if self.inner is None else self.inner.T @ z
-
-    def lift(self, t: np.ndarray) -> np.ndarray:
-        """Q1 t, with Q1 the orthonormal factor of H (of the shifted H)."""
-        if self.inner is not None:
-            t = self.inner @ t
-        if not self.top:
-            return np.zeros(self.rows)
-        return self._apply("N", np.concatenate([t, np.zeros(self.rows - self.top)]))
-
-    def solve(self, e: np.ndarray, h: np.ndarray):
-        """(xh, dy) with xh - H dy = e and H'xh = h, through Q and R."""
-        t = self.solve_r(h, trans=1) - self.project(e)
-        return e + self.lift(t), self.solve_r(t)
 
 
 class _State:
@@ -755,7 +694,8 @@ class _HsdSolver:
         self.cone = _Cone(problem)
         self.state = _State(self.cone)
         self.mu_history: List[float] = []
-        # scaled constraint matrix, refilled and factored in place each iteration
+        # scaled constraint matrix, refilled in place each iteration; nothing
+        # writes the entries of the rows a block misses, which stay zero
         self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
 
     # -- residuals of the homogeneous model (scaled data) ----------------
@@ -785,11 +725,9 @@ class _HsdSolver:
     # stacked scaled constraints the Newton equations become the
     # least-squares system
     #     xh - G dy = e,    G'xh = h.
-    # Each iteration solves it through a Cholesky factor of the Schur
-    # complement G'G, whose condition number grows like 1/mu^2, and refines
-    # every solve once against G'xh = h.  An iteration whose factor fails
-    # uses a QR factorization of G instead; the next one tries the Cholesky
-    # factor again.
+    # Each iteration solves it through one triangle U with U'U = G'G
+    # (`_SchurFactor`): the Cholesky factor, or the QR's triangle of an
+    # iteration where that fails.
 
     def _factorize(self, st: _State):
         """Scaled constraint data and its factorization."""
@@ -799,15 +737,11 @@ class _HsdSolver:
         blocks = []
         for s, X, S in zip(cone.stacks, st.X, st.S):
             R, lam = _nt_scaling(X, S)
-            for rows in s.partial:
-                G[rows] = 0.0
             for j, cons, part in s.scaled_columns(R):
                 G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
-        factor = _SchurCholesky(G)
-        if factor.failed:
-            factor = _CompactQR(G)
+        factor = _SchurFactor(G)
         fact = {"blocks": blocks, "factor": factor, "c_hat": c_hat}
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
@@ -962,6 +896,25 @@ class _HsdSolver:
             out["dual"] = float(np.linalg.norm(ax)) / (-ctx)
         return out
 
+    def _dependent_rows_ray(self, st: _State):
+        """(ray, certificate residual) from dependent rows at the start, or None.
+
+        At X = S = I the scaled columns are the rows, so a failed start
+        factor means dependent rows.  The projection y of b onto the null
+        vectors of G has A'y = 0 and b'y = |y|^2: with S = 0, a Farkas ray
+        if it passes the iteration's certificate test, which consistent
+        rows, leaving y at the rounding level, fail.
+        """
+        G = self.G
+        _, sv, Vt = np.linalg.svd(np.linalg.qr(G, mode="r"))
+        null = Vt[np.sum(sv > max(G.shape) * np.finfo(float).eps * sv.max(initial=0.0)) :]
+        ray = copy.copy(st)
+        ray.y = null.T @ (null @ self.cone.b)
+        ray.S = [np.zeros_like(S) for S in st.S]
+        ray.tau = 0.0
+        cert = self._certificates(ray, self._residuals(ray)).get("primal", math.inf)
+        return (ray, cert) if cert <= self.opts.feas_tol else None
+
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SdpSolution:
@@ -1010,7 +963,14 @@ class _HsdSolver:
                 break
 
             try:
-                step, alpha = self._search_direction(st, resid, mu, (pobj, dobj))
+                fact = self._factorize(st)
+                if not iterations and fact["factor"].failed:
+                    ray = self._dependent_rows_ray(st)
+                    if ray is not None:
+                        st, cert_residual = ray
+                        status = SdpStatus.PRIMAL_INFEASIBLE
+                        break
+                step, alpha = self._search_direction(st, fact, resid, mu, (pobj, dobj))
                 alpha = min(STEP_FRACTION * alpha, 1.0)
                 if not math.isfinite(alpha) or alpha <= 0:
                     raise np.linalg.LinAlgError("no step inside the cone")
@@ -1025,8 +985,8 @@ class _HsdSolver:
 
         return self._package(st, status, iterations, cert_residual, stall)
 
-    def _search_direction(self, st: _State, resid, mu: float, objectives):
-        """Mehrotra predictor-corrector step from one factorization.
+    def _search_direction(self, st: _State, fact, resid, mu: float, objectives):
+        """Mehrotra predictor-corrector step from the factorization ``fact``.
 
         Returns the direction and the largest step that keeps the iterate
         in the cone.  The complementarity targets of the PSD blocks are
@@ -1036,7 +996,6 @@ class _HsdSolver:
         (tau column, predictor, corrector), and a fourth in an iteration whose
         corrector takes its correction pass.
         """
-        fact = self._factorize(st)
         lams = [lam for _, lam, _ in fact["blocks"]]
         r_p, r_d, r_g, _ = resid
         rhs = (r_p, r_d, r_g, self._scaled(fact, r_d))

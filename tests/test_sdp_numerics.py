@@ -14,13 +14,17 @@ vector, and a certificate carries no iterate residuals.  The remaining
 cases pin the Nesterov-Todd scaling point, the sparse svec store of the
 constraint data against the dense problem, the value-fit programs against
 reference values, the check of the solver tolerances and the text dump,
-the two factors of the Newton system (Cholesky of G'G, QR of G), the QR
-taken only after a failed Cholesky factor, a relaxation whose refined
-Cholesky solves reach 1e-9 and 1e-10 (also with its right side moved by a
-few ulps), the benchmark's largest value fit under the same ulp moves, the
-stall named on a run that stops early, and the three solves through the
-factor in each iteration, with a fourth, the corrector's correction pass,
-only where its Newton residuals near the tolerances.
+the one triangle of the Newton system (the Cholesky factor of G'G, or the
+QR's triangle of G, which shifts a repeated column) and its one refined
+solve, the QR's triangle taken only inside a failed Cholesky factor, a
+relaxation whose refined solves reach 1e-9 and 1e-10 (also with its right
+side moved by a few ulps), the benchmark's largest value fit and p3's
+order-4 value fit, whose end game runs on the QR's triangle, under the same
+ulp moves, dependent rows decided at the start point when their right
+sides disagree (a Farkas ray with S = 0) and solved on when they agree,
+the stall named on a run that stops early, and the three solves through
+the factor in each iteration, with a fourth, the corrector's correction
+pass, only where its Newton residuals near the tolerances.
 """
 
 import math
@@ -40,15 +44,16 @@ from mpecsos.sdp import (
     SdpProblem,
     SdpStatus,
     SolverOptions,
-    _CompactQR,
     _Cone,
     _nt_scaling,
-    _SchurCholesky,
+    _qr_triangle,
+    _SchurFactor,
     residuals,
     solve,
 )
 from mpecsos.sos import RelaxationError, _solve_checked, build_moment_relaxation
 from mpecsos.valuefn import build_value_program, compute_value_approximation
+from test_sdp import make_infeasible_instance
 
 FREE, NONNEG, PSD = BlockKind.FREE, BlockKind.NONNEG, BlockKind.PSD
 
@@ -493,10 +498,11 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
     rng = np.random.default_rng(11)
     G = np.asfortranarray(rng.normal(size=(60, 12)))
     e, h = rng.normal(size=60), rng.normal(size=12)
-    chol = _SchurCholesky(G.copy(order="F"))
+    chol, qr = _SchurFactor(G), _SchurFactor(G)
     assert not chol.failed
-    # _CompactQR factors its argument in place
-    routes = [chol.solve(e, h), _CompactQR(G.copy(order="F")).solve(e, h)]
+    # the same refined solve through the Cholesky triangle and the QR's
+    qr.U = _qr_triangle(G)
+    routes = [chol.solve(e, h), qr.solve(e, h)]
     for xh, dy in routes:
         assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * np.linalg.norm(e)
         assert np.linalg.norm(G.T @ xh - h) <= 1e-10 * np.linalg.norm(h)
@@ -507,9 +513,9 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_factor_routes_shift_a_repeated_column(seed):
-    # on the singular G'G, dpotrf fails for seed 0, which hands the solve to
-    # the QR, and leaves a pivot near rounding for seed 3; either way the
-    # QR's factor is that of G'G + shift I
+    # on the singular G'G, dpotrf fails for seed 0, which gives the factor
+    # the QR's triangle, and leaves a pivot near rounding for seed 3; either
+    # way the QR's triangle is that of G'G + shift I
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(60, 12))
     G[:, 5] = G[:, 2]
@@ -518,11 +524,15 @@ def test_factor_routes_shift_a_repeated_column(seed):
     top = float(np.max(np.diag(gram)))
     shifted = gram + 1e-12 * top * np.eye(12)
     e, h = rng.normal(size=60), rng.normal(size=12)
-    assert _SchurCholesky(G.copy(order="F")).failed == (seed == 0)
-    qr = _CompactQR(G.copy(order="F"))
+    factor = _SchurFactor(G)
+    assert factor.failed == (seed == 0)
+    U = _qr_triangle(G)
+    if factor.failed:
+        assert np.array_equal(factor.U, U)
     # the shift is 1e-12 * top, far above the rounding of the products
-    assert np.abs(qr.R.T @ qr.R - shifted).max() <= 1e-14 * top
-    xh, dy = qr.solve(e, h)
+    assert np.abs(U.T @ U - shifted).max() <= 1e-14 * top
+    factor.U = U
+    xh, dy = factor.solve(e, h)
     assert np.isfinite(xh).all() and np.isfinite(dy).all()
     scale = np.linalg.norm(e) + np.linalg.norm(G) * np.linalg.norm(dy)
     assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * scale
@@ -531,27 +541,27 @@ def test_factor_routes_shift_a_repeated_column(seed):
 def test_value_fit_takes_the_qr_only_after_a_failed_factor(monkeypatch):
     routes = []
 
-    class Cholesky(_SchurCholesky):
+    class Factor(_SchurFactor):
         def __init__(self, G):
             super().__init__(G)
             routes.append("failed" if self.failed else "cholesky")
 
-    class QR(_CompactQR):
-        def __init__(self, H):
-            super().__init__(H)
-            routes.append("qr")
+    def qr_triangle(G):
+        routes.append("qr")
+        return _qr_triangle(G)
 
-    monkeypatch.setattr(sdp, "_SchurCholesky", Cholesky)
-    monkeypatch.setattr(sdp, "_CompactQR", QR)
+    monkeypatch.setattr(sdp, "_SchurFactor", Factor)
+    monkeypatch.setattr(sdp, "_qr_triangle", qr_triangle)
     # late in the solve of p3's order-4 value fit, dpotrf fails on G'G
     _, prob = build_value_program(bundled_instance("p3_sip"), 4)
     sol = solve(prob)
     assert sol.status is SdpStatus.OPTIMAL
-    # each iteration factors G'G; a failed factor is followed by the QR of
-    # that iteration, and the next iteration is back on the Cholesky factor
+    # each iteration factors G'G once; the QR's triangle is taken inside
+    # exactly the factors whose dpotrf failed, and the next iteration is
+    # back on the Cholesky factor
     assert len(routes) - routes.count("qr") == sol.iterations
-    after_failed = [prev == "failed" for prev in [None] + routes[:-1]]
-    assert [kind == "qr" for kind in routes] == after_failed
+    before_failed = [nxt == "failed" for nxt in routes[1:] + [None]]
+    assert [kind == "qr" for kind in routes] == before_failed
     assert "failed" in routes
 
 
@@ -592,24 +602,31 @@ def _ulps_up(value, steps):
     return value
 
 
-def _assert_optimal_under_ulp_moves(prob, tol):
+def _assert_status_under_ulp_moves(prob, tol, status=SdpStatus.OPTIMAL):
     """One run could pass by luck of its path near the rounding floor, so
     every right side is also moved by 0-2 ulps toward +inf in 15 more
-    trials, and all 16 must be Optimal within ``tol``."""
+    trials, and all 16 must end ``status``: Optimal within ``tol``, or
+    PrimalInfeasible with b'y = 1 and a certificate residual within
+    ``tol``.  Returns the 16 solutions."""
     m = prob.num_constraints
     rng = np.random.default_rng(0)
+    sols = []
     for trial in range(16):
         steps = rng.integers(0, 3, size=m) if trial else np.zeros(m, dtype=int)
         rows = [
             SdpConstraint(c.coeffs, _ulps_up(c.rhs, n))
             for c, n in zip(prob.constraints, steps)
         ]
-        sol = solve(
-            SdpProblem(prob.blocks, prob.objective, rows),
-            SolverOptions(gap_tol=tol, feas_tol=tol),
-        )
-        assert sol.status is SdpStatus.OPTIMAL, (trial, sol.status, sol.stall)
-        assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= tol, trial
+        moved = SdpProblem(prob.blocks, prob.objective, rows)
+        sol = solve(moved, SolverOptions(gap_tol=tol, feas_tol=tol))
+        assert sol.status is status, (trial, sol.status, sol.stall)
+        if status is SdpStatus.OPTIMAL:
+            assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= tol, trial
+        else:
+            assert moved.rhs() @ sol.y == pytest.approx(1.0), trial
+            assert sol.certificate_residual <= tol, trial
+        sols.append(sol)
+    return sols
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-10])
@@ -620,14 +637,91 @@ def test_p2_relaxation_reaches_tight_tolerances(tol):
     p2 = bundled_instance("p2_bilevel")
     gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
     _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
-    _assert_optimal_under_ulp_moves(prob, tol)
+    _assert_status_under_ulp_moves(prob, tol)
 
 
 def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program):
     # the benchmark's largest SDP (G is 3,486 x 220), at the pipeline's
     # tolerance: the correction pass it skips must not cost it its optimum
     # when the last bits of its right side change
-    _assert_optimal_under_ulp_moves(p1_value_program, 1e-8)
+    _assert_status_under_ulp_moves(p1_value_program, 1e-8)
+
+
+def test_p3_order4_value_fit_is_optimal_under_ulp_moves():
+    # the one pipeline SDP whose dpotrf fails (late in its solve), so part
+    # of its end game runs on the QR's triangle: that must cost it neither
+    # its optimum nor the agreement of its objective across the trials
+    _, prob = build_value_program(bundled_instance("p3_sip"), 4)
+    objectives = [s.primal_objective for s in _assert_status_under_ulp_moves(prob, 1e-8)]
+    assert max(objectives) - min(objectives) <= 1e-11
+
+
+def _start_factor_failed(monkeypatch, prob):
+    """solve(prob), and whether dpotrf failed on the start point's G'G."""
+    failed = []
+
+    class Factor(_SchurFactor):
+        def __init__(self, G):
+            super().__init__(G)
+            failed.append(self.failed)
+
+    monkeypatch.setattr(sdp, "_SchurFactor", Factor)
+    return solve(prob), failed[0]
+
+
+def test_inconsistent_dependent_rows_end_at_the_start_under_ulp_moves(monkeypatch):
+    # four rows on a 2x2 block (three svec coordinates) whose right sides
+    # disagree: the part of b along the rows' null vector is a Farkas ray
+    # with S = 0, read before the first step, so no rounding of an
+    # iteration path decides it
+    prob = make_infeasible_instance(2006)
+    assert (prob.blocks[0].size, prob.num_constraints) == (2, 4)
+    assert _start_factor_failed(monkeypatch, prob)[1]
+    sols = _assert_status_under_ulp_moves(prob, 1e-8, SdpStatus.PRIMAL_INFEASIBLE)
+    assert all(sol.iterations == 0 for sol in sols)
+
+
+def test_inconsistent_repeated_row_is_decided_at_the_start():
+    # trace X = 2 and 2 trace X = 5: y = (-2, 1) has A'y = 0 and b'y = 1
+    prob = SdpProblem(
+        [SdpBlock(PSD, 2)],
+        {0: np.eye(2)},
+        [
+            SdpConstraint({0: np.eye(2)}, 2.0),
+            SdpConstraint({0: 2.0 * np.eye(2)}, 5.0),
+        ],
+    )
+    sol = solve(prob)
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE and sol.iterations == 0
+    assert prob.rhs() @ sol.y == pytest.approx(1.0)
+    assert sol.certificate_residual <= 1e-12
+    assert np.abs(sol.y - [-2.0, 1.0]).max() <= 1e-12
+    assert not sol.s[0].any()
+
+
+def test_consistent_dependent_rows_stay_optimal(monkeypatch):
+    # four generic rows on a 2x2 block, with b read off a positive definite
+    # X*: b has no part along the rows' null vector, and the one feasible
+    # point X* is the optimum.  Whether dpotrf fails on the singular start
+    # G'G is up to rounding; where it does, the start check must let the
+    # solve go on
+    failed = 0
+    for seed in range(8):
+        rng = np.random.default_rng(400 + seed)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        X_star = (q * rng.uniform(0.5, 2.0, size=2)) @ q.T
+        C, *rows = [A + A.T for A in rng.normal(size=(5, 2, 2))]
+        prob = SdpProblem(
+            [SdpBlock(PSD, 2)],
+            {0: C},
+            [SdpConstraint({0: A}, float(np.sum(A * X_star))) for A in rows],
+        )
+        sol, start_failed = _start_factor_failed(monkeypatch, prob)
+        failed += start_failed
+        assert sol.status is SdpStatus.OPTIMAL, (seed, sol.status, sol.stall)
+        target = float(np.sum(C * X_star))
+        assert abs(sol.primal_objective - target) <= 1e-7 * (1.0 + abs(target)), seed
+    assert failed >= 4
 
 
 def test_correction_pass_runs_only_near_the_tolerances(monkeypatch):
@@ -644,8 +738,7 @@ def test_correction_pass_runs_only_near_the_tolerances(monkeypatch):
 
         return wrapper
 
-    for cls in (_SchurCholesky, _CompactQR):
-        monkeypatch.setattr(cls, "solve", counted(cls.solve, "solve"))
+    monkeypatch.setattr(_SchurFactor, "solve", counted(_SchurFactor.solve, "solve"))
     for name, key in (("_direction", "direction"), ("_newton_residuals", "residuals")):
         method = getattr(sdp._HsdSolver, name)
         monkeypatch.setattr(sdp._HsdSolver, name, counted(method, key))
