@@ -27,10 +27,10 @@ triangle U with U'U = G'G, and each solve is refined once against its own
 residual: G'G's condition number grows like 1/mu^2, and the refinement
 wins back the digits that squaring loses, so residuals reach 1e-10.  U is
 the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
-takes U from a QR factorization of G, which shifts dependent columns.  At
-the start point G'G is the Gram matrix of the rows, so there a failed
-factor means dependent rows, and a part of the right side along their
-null vectors that passes the Farkas test ends the solve primal infeasible.
+takes U from a QR factorization of G.  Neither is shifted: dependent rows
+are settled once, at the start point, where a small pivot of the Gram
+matrix G'G flags them and the elimination of free variables decides them:
+a Farkas ray ends the solve primal infeasible, else the rest are solved.
 
 Constraint data are kept sparse, as coordinate triples (svec entries),
 and every product with them goes through np.bincount: the Gram-form
@@ -517,14 +517,6 @@ class _Cone:
         return np.cumsum(rows, axis=0)[-1]
 
 
-def _singular_triangle(R: np.ndarray) -> bool:
-    """True when a triangular factor is singular to working precision."""
-    diag = np.abs(np.diag(R))
-    if not diag.size:
-        return False
-    return not diag.min() > max(R.shape) * np.finfo(float).eps * diag.max()
-
-
 class _FreeElimination:
     """The free block solved out of the constraint data, once per problem.
 
@@ -545,6 +537,8 @@ class _FreeElimination:
     When every free column is a unit vector on its own row, as in the
     Gram-form programs, M is zero, no column falls outside J and the other
     rows pass unchanged.  ``rest`` lists those rows in their original order.
+    The same elimination, on the start point's scaled rows with b as their
+    cost, settles dependent rows (`_HsdSolver._settle_rows`).
     """
 
     def __init__(self, A_f: np.ndarray, c_f: np.ndarray):
@@ -600,27 +594,14 @@ class _FreeElimination:
         return y
 
 
-def _qr_triangle(G: np.ndarray) -> np.ndarray:
-    """The triangle R of the QR of G, so R'R = G'G.  When R is singular to
-    working precision the columns of G are dependent (an ill-conditioned but
-    regular G has a spread near 1/mu, far from the rank tolerance), and R
-    becomes the triangle of [R; sqrt(shift) I], so R'R = G'G + shift I."""
-    rows, k = G.shape
-    R = np.linalg.qr(G, mode="r")
-    if rows < k or _singular_triangle(R):
-        scale = max(1.0, float(np.max(np.sum(R**2, axis=0), initial=0.0)))
-        R = np.linalg.qr(np.vstack([R, math.sqrt(1e-12 * scale) * np.eye(k)]), mode="r")
-    return np.asfortranarray(R)
-
-
 class _SchurFactor:
     """Upper triangle U with U'U = G'G, the Schur complement of the scaled
     columns, and the one solve of the Newton system through it.
 
     dsyrk forms G'G reading the Fortran-ordered G in place, at half the
     flops of a general product, and dpotrf factors it.  ``failed`` is set
-    when dpotrf stops at a pivot that is not positive (dependent columns,
-    or G'G indefinite in rounding); U is then `_qr_triangle` of G.  A solve
+    when dpotrf stops at a pivot that is not positive (G'G indefinite in
+    rounding); U is then the QR's triangle R of G, unshifted.  A solve
     through U'U loses about log10 cond(G'G) digits, so each is refined once
     against G'xh = h (the corrected semi-normal equations, Bjorck 1987).
     """
@@ -631,7 +612,7 @@ class _SchurFactor:
         self.U, info = sla.lapack.dpotrf(M)
         self.failed = info != 0
         if self.failed:
-            self.U = _qr_triangle(G)
+            self.U = np.linalg.qr(G, mode="r")
 
     def solve(self, e: np.ndarray, h: np.ndarray):
         """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e),
@@ -727,7 +708,8 @@ class _HsdSolver:
     #     xh - G dy = e,    G'xh = h.
     # Each iteration solves it through one triangle U with U'U = G'G
     # (`_SchurFactor`): the Cholesky factor, or the QR's triangle of an
-    # iteration where that fails.
+    # iteration where that fails, never shifted: `_settle_rows` leaves
+    # independent rows.
 
     def _factorize(self, st: _State):
         """Scaled constraint data and its factorization."""
@@ -741,18 +723,7 @@ class _HsdSolver:
                 G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
-        factor = _SchurFactor(G)
-        fact = {"blocks": blocks, "factor": factor, "c_hat": c_hat}
-        # The tau column of the elimination does not depend on the residuals.
-        # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
-        # kappa/tau + ||xh_tau||^2, where xh_tau is the scaled primal step
-        # of the column: a sum of squares, with no cancellation to clamp.
-        tau_col = factor.solve(-c_hat, cone.b)
-        pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
-        if not (pivot > 0 and math.isfinite(pivot)):
-            raise np.linalg.LinAlgError("singular tau pivot")
-        fact.update(tau_col=tau_col, tau_pivot=pivot)
-        return fact
+        return {"blocks": blocks, "factor": _SchurFactor(G), "c_hat": c_hat}
 
     def _scaled(self, fact, mats):
         """R' M R per stack, at the scaling points of ``fact``."""
@@ -896,24 +867,37 @@ class _HsdSolver:
             out["dual"] = float(np.linalg.norm(ax)) / (-ctx)
         return out
 
-    def _dependent_rows_ray(self, st: _State):
-        """(ray, certificate residual) from dependent rows at the start, or None.
+    def _settle_rows(self, st: _State, U: np.ndarray):
+        """The solution that dependent rows decide at the start, or None.
 
-        At X = S = I the scaled columns are the rows, so a failed start
-        factor means dependent rows.  The projection y of b onto the null
-        vectors of G has A'y = 0 and b'y = |y|^2: with S = 0, a Farkas ray
-        if it passes the iteration's certificate test, which consistent
-        rows, leaving y at the rounding level, fail.
+        At X = S = I, G'G is the well-scaled Gram matrix of the unit rows, so
+        a wide start triangle U, or a squared pivot at most sqrt(eps) times
+        the largest, flags the rows.  `_FreeElimination` of G's columns at
+        cost b decides them: its ray gives y = -ray, Gy = 0 and b'y = 1, a
+        Farkas ray with S = 0; else the rows it keeps are solved alone, and
+        the others get y = 0.
         """
-        G = self.G
-        _, sv, Vt = np.linalg.svd(np.linalg.qr(G, mode="r"))
-        null = Vt[np.sum(sv > max(G.shape) * np.finfo(float).eps * sv.max(initial=0.0)) :]
-        ray = copy.copy(st)
-        ray.y = null.T @ (null @ self.cone.b)
-        ray.S = [np.zeros_like(S) for S in st.S]
-        ray.tau = 0.0
-        cert = self._certificates(ray, self._residuals(ray)).get("primal", math.inf)
-        return (ray, cert) if cert <= self.opts.feas_tol else None
+        pivots = np.diag(U) ** 2
+        low, top = pivots.min(initial=math.inf), pivots.max(initial=0.0)
+        if U.shape[0] >= U.shape[1] and low > math.sqrt(np.finfo(float).eps) * top:
+            return None
+        rows = _FreeElimination(self.G, self.cone.b)
+        if rows.ray is not None:
+            ray = copy.copy(st)
+            ray.y, ray.tau, ray.S = -rows.ray, 0.0, [0 * S for S in st.S]
+            cert = self._certificates(ray, self._residuals(ray))["primal"]
+            return self._package(ray, SdpStatus.PRIMAL_INFEASIBLE, 0, cert)
+        if len(rows.columns) == self.cone.m:
+            return None
+        free, problem = self.cone.free, self.problem
+        kept = np.sort(np.concatenate([free.pivot, free.rest[rows.columns]]))
+        kept_rows = [problem.constraints[i] for i in kept]
+        sol = solve(SdpProblem(problem.blocks, problem.objective, kept_rows), self.opts)
+        if sol.y is not None:
+            y = np.zeros(problem.num_constraints)
+            y[kept] = sol.y
+            sol.y = y
+        return sol
 
     # -- main loop ----------------------------------------------------------
 
@@ -964,12 +948,9 @@ class _HsdSolver:
 
             try:
                 fact = self._factorize(st)
-                if not iterations and fact["factor"].failed:
-                    ray = self._dependent_rows_ray(st)
-                    if ray is not None:
-                        st, cert_residual = ray
-                        status = SdpStatus.PRIMAL_INFEASIBLE
-                        break
+                settled = None if iterations else self._settle_rows(st, fact["factor"].U)
+                if settled is not None:
+                    return settled
                 step, alpha = self._search_direction(st, fact, resid, mu, (pobj, dobj))
                 alpha = min(STEP_FRACTION * alpha, 1.0)
                 if not math.isfinite(alpha) or alpha <= 0:
@@ -996,6 +977,15 @@ class _HsdSolver:
         (tau column, predictor, corrector), and a fourth in an iteration whose
         corrector takes its correction pass.
         """
+        # The tau column of the elimination does not depend on the residuals.
+        # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
+        # kappa/tau + ||xh_tau||^2, where xh_tau is the scaled primal step
+        # of the column: a sum of squares, with no cancellation to clamp.
+        tau_col = fact["factor"].solve(-fact["c_hat"], self.cone.b)
+        pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
+        if not (pivot > 0 and math.isfinite(pivot)):
+            raise np.linalg.LinAlgError("singular tau pivot")
+        fact.update(tau_col=tau_col, tau_pivot=pivot)
         lams = [lam for _, lam, _ in fact["blocks"]]
         r_p, r_d, r_g, _ = resid
         rhs = (r_p, r_d, r_g, self._scaled(fact, r_d))

@@ -32,9 +32,9 @@ from typing import List, Tuple
 import numpy as np
 
 from .boxmoments import box_moments
-from .oracle import inner_value_grid
+from .oracle import OracleConfig, _cached_value_grid
 from .polynomials import Polynomial, grlex_key, monomial_basis
-from .problems import MpecProblem, box_grid
+from .problems import MpecProblem
 from .sdp import SdpProblem
 from .sos import SosIdentityProgram, build_sos_identity, solve_sos_identity
 
@@ -120,9 +120,9 @@ def compute_value_approximation(
 
 def _oracle_on_grid(problem: MpecProblem, count: int) -> Tuple[np.ndarray, np.ndarray]:
     """Box-grid points of ``count`` per axis where the inner slice is not
-    empty, and the oracle's inner value at each of them."""
-    points = box_grid(problem.box.halfwidths, count)
-    values = inner_value_grid(problem, points)
+    empty, and the oracle's inner value at each of them (the oracle's
+    cached scan)."""
+    points, values = _cached_value_grid(problem, OracleConfig(outer_grid=count))
     empty = np.isnan(values)
     if empty.any():
         logger.warning(

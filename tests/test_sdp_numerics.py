@@ -1,32 +1,36 @@
 """Solver numerics near the end of a solve and on degenerate data.
 
-Tie-form moment relaxations make the Schur complement ill conditioned like
-1/mu^2, and the homogenization pivot used to cancel there; these cases pin
-the behaviour of the Newton solve: tight tolerances are still reached,
-and singular data (dependent rows, dependent or unused free columns) is
-regularized or eliminated instead of breaking the solve.  Nonnegative
-blocks of several coordinates, which the solver runs as a stack of 1x1 PSD
-blocks, come back as one vector at an optimum and in a Farkas ray, and a
-60-coordinate LP matches HiGHS.  Blocks of mixed sizes, stacked by size,
-come back at their own indices whatever their order.  Free columns that
-the set-up elimination mixes into other rows come back with the full dual
-vector, and a certificate carries no iterate residuals.  The remaining
-cases pin the Nesterov-Todd scaling point, the sparse svec store of the
-constraint data against the dense problem, the value-fit programs against
-reference values, the check of the solver tolerances and the text dump,
-the one triangle of the Newton system (the Cholesky factor of G'G, or the
-QR's triangle of G, which shifts a repeated column) and its one refined
-solve, the QR's triangle taken only inside a failed Cholesky factor, a
-relaxation whose refined solves reach 1e-9 and 1e-10 (also with its right
-side moved by a few ulps), the benchmark's largest value fit and p3's
-order-4 value fit, whose end game runs on the QR's triangle, under the same
-ulp moves, dependent rows decided at the start point when their right
-sides disagree (a Farkas ray with S = 0) and solved on when they agree,
-the stall named on a run that stops early, and the three solves through
-the factor in each iteration, with a fourth, the corrector's correction
-pass, only where its Newton residuals near the tolerances.
+Tie-form moment relaxations make the Schur complement ill conditioned
+like 1/mu^2, and the homogenization pivot used to cancel there; these
+cases pin the behaviour of the Newton solve: tight tolerances are still
+reached, and singular data (dependent rows, dependent or unused free
+columns) is eliminated instead of breaking the solve.  Nonnegative
+blocks of several coordinates, which the solver runs as a stack of 1x1
+PSD blocks, come back as one vector at an optimum and in a Farkas ray,
+and a 60-coordinate LP matches HiGHS.  Blocks of mixed sizes, stacked by
+size, come back at their own indices whatever their order.  Free columns
+that the set-up elimination mixes into other rows come back with the
+full dual vector, and a certificate carries no iterate residuals.  The
+remaining cases pin the Nesterov-Todd scaling point, the sparse svec
+store of the constraint data against the dense problem, the value-fit
+programs against reference values, the check of the solver tolerances
+and the text dump, the one triangle of the Newton system (the Cholesky
+factor of G'G, or the QR's triangle of G, never shifted) and its one
+refined solve, the QR's triangle taken only inside a failed Cholesky
+factor, a relaxation whose refined solves reach 1e-9 and 1e-10 (also
+with its right side moved by a few ulps), the benchmark's largest value
+fit and p3's order-4 value fit, whose end game runs on the QR's
+triangle, under the same ulp moves, dependent rows settled once at the
+start point: a Farkas ray with S = 0 when their right sides disagree,
+whatever dpotrf makes of the singular start G'G, and the independent
+rows solved on, the others at y = 0, when they agree (a random objective
+may then leave a recession ray, never a false certificate), the stall
+named on a run that stops early, and the three solves through the factor
+in each iteration, with a fourth, the corrector's correction pass, only
+where its Newton residuals near the tolerances.
 """
 
+import itertools
 import math
 import re
 
@@ -46,7 +50,6 @@ from mpecsos.sdp import (
     SolverOptions,
     _Cone,
     _nt_scaling,
-    _qr_triangle,
     _SchurFactor,
     residuals,
     solve,
@@ -501,7 +504,7 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
     chol, qr = _SchurFactor(G), _SchurFactor(G)
     assert not chol.failed
     # the same refined solve through the Cholesky triangle and the QR's
-    qr.U = _qr_triangle(G)
+    qr.U = np.linalg.qr(G, mode="r")
     routes = [chol.solve(e, h), qr.solve(e, h)]
     for xh, dy in routes:
         assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * np.linalg.norm(e)
@@ -511,58 +514,57 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
     assert np.linalg.norm(y_chol - y_qr) <= 1e-10 * np.linalg.norm(y_qr)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_factor_routes_shift_a_repeated_column(seed):
-    # on the singular G'G, dpotrf fails for seed 0, which gives the factor
-    # the QR's triangle, and leaves a pivot near rounding for seed 3; either
-    # way the QR's triangle is that of G'G + shift I
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(60, 12))
-    G[:, 5] = G[:, 2]
-    G = np.asfortranarray(G)
-    gram = G.T @ G
-    top = float(np.max(np.diag(gram)))
-    shifted = gram + 1e-12 * top * np.eye(12)
-    e, h = rng.normal(size=60), rng.normal(size=12)
-    factor = _SchurFactor(G)
-    assert factor.failed == (seed == 0)
-    U = _qr_triangle(G)
-    if factor.failed:
-        assert np.array_equal(factor.U, U)
-    # the shift is 1e-12 * top, far above the rounding of the products
-    assert np.abs(U.T @ U - shifted).max() <= 1e-14 * top
-    factor.U = U
-    xh, dy = factor.solve(e, h)
-    assert np.isfinite(xh).all() and np.isfinite(dy).all()
-    scale = np.linalg.norm(e) + np.linalg.norm(G) * np.linalg.norm(dy)
-    assert np.linalg.norm(xh - G @ dy - e) <= 1e-10 * scale
-
-
-def test_value_fit_takes_the_qr_only_after_a_failed_factor(monkeypatch):
-    routes = []
+def _solve_recording_factors(monkeypatch, prob):
+    """solve(prob), and per factor in order: the number of rows (columns of
+    G), whether dpotrf failed, and whether U is then numpy's R of G."""
+    factors = []
 
     class Factor(_SchurFactor):
         def __init__(self, G):
             super().__init__(G)
-            routes.append("failed" if self.failed else "cholesky")
-
-    def qr_triangle(G):
-        routes.append("qr")
-        return _qr_triangle(G)
+            qr = self.failed and np.array_equal(self.U, np.linalg.qr(G, mode="r"))
+            factors.append((G.shape[1], self.failed, qr))
 
     monkeypatch.setattr(sdp, "_SchurFactor", Factor)
-    monkeypatch.setattr(sdp, "_qr_triangle", qr_triangle)
+    return solve(prob), factors
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_repeated_row_is_dropped_at_the_start(monkeypatch, seed):
+    # six random rows on a 4x4 block, one of them stated twice, with b read
+    # off a positive definite X* and C = S* + sum y*_i A_i: the start point
+    # flags the repeat, the solve goes on with the five distinct rows, and
+    # the dropped copy gets y = 0
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    X_star = (q * rng.uniform(0.5, 2.0, size=4)) @ q.T
+    rows = [A + A.T for A in rng.normal(size=(5, 4, 4))]
+    rows.append(rows[2])
+    C = _random_pd(rng, 4) + sum(y * A for y, A in zip(rng.normal(size=6), rows))
+    prob = SdpProblem(
+        [SdpBlock(PSD, 4)],
+        {0: C},
+        [SdpConstraint({0: A}, float(np.sum(A * X_star))) for A in rows],
+    )
+    sol, factors = _solve_recording_factors(monkeypatch, prob)
+    assert sol.status is SdpStatus.OPTIMAL, (sol.status, sol.stall)
+    # the first factor is the start point's, over all six rows; every
+    # iteration after it runs on five
+    assert [width for width, _, _ in factors] == [6] + [5] * sol.iterations
+    assert np.flatnonzero(sol.y == 0.0).tolist() in ([2], [5])
+    assert max(residuals(prob, sol.primal, sol.y, sol.s)) <= 1e-8
+
+
+def test_value_fit_takes_the_qr_only_after_a_failed_factor(monkeypatch):
     # late in the solve of p3's order-4 value fit, dpotrf fails on G'G
     _, prob = build_value_program(bundled_instance("p3_sip"), 4)
-    sol = solve(prob)
+    sol, factors = _solve_recording_factors(monkeypatch, prob)
     assert sol.status is SdpStatus.OPTIMAL
-    # each iteration factors G'G once; the QR's triangle is taken inside
-    # exactly the factors whose dpotrf failed, and the next iteration is
-    # back on the Cholesky factor
-    assert len(routes) - routes.count("qr") == sol.iterations
-    before_failed = [nxt == "failed" for nxt in routes[1:] + [None]]
-    assert [kind == "qr" for kind in routes] == before_failed
-    assert "failed" in routes
+    # each iteration factors G'G once, and a factor whose dpotrf failed
+    # holds the QR's triangle of G as numpy gives it, with no shift
+    assert len(factors) == sol.iterations
+    assert any(failed for _, failed, _ in factors)
+    assert all(qr == failed for _, failed, qr in factors)
 
 
 def test_stall_names_the_iteration_limit(monkeypatch):
@@ -656,19 +658,6 @@ def test_p3_order4_value_fit_is_optimal_under_ulp_moves():
     assert max(objectives) - min(objectives) <= 1e-11
 
 
-def _start_factor_failed(monkeypatch, prob):
-    """solve(prob), and whether dpotrf failed on the start point's G'G."""
-    failed = []
-
-    class Factor(_SchurFactor):
-        def __init__(self, G):
-            super().__init__(G)
-            failed.append(self.failed)
-
-    monkeypatch.setattr(sdp, "_SchurFactor", Factor)
-    return solve(prob), failed[0]
-
-
 def test_inconsistent_dependent_rows_end_at_the_start_under_ulp_moves(monkeypatch):
     # four rows on a 2x2 block (three svec coordinates) whose right sides
     # disagree: the part of b along the rows' null vector is a Farkas ray
@@ -676,7 +665,8 @@ def test_inconsistent_dependent_rows_end_at_the_start_under_ulp_moves(monkeypatc
     # iteration path decides it
     prob = make_infeasible_instance(2006)
     assert (prob.blocks[0].size, prob.num_constraints) == (2, 4)
-    assert _start_factor_failed(monkeypatch, prob)[1]
+    _, factors = _solve_recording_factors(monkeypatch, prob)
+    assert factors[0][1]  # dpotrf fails on the start point's G'G
     sols = _assert_status_under_ulp_moves(prob, 1e-8, SdpStatus.PRIMAL_INFEASIBLE)
     assert all(sol.iterations == 0 for sol in sols)
 
@@ -699,29 +689,111 @@ def test_inconsistent_repeated_row_is_decided_at_the_start():
     assert not sol.s[0].any()
 
 
+def _four_rows_on_a_2x2_block(seed, shift=0.0):
+    """Four generic rows on a 2x2 block (three svec coordinates), with b
+    read off a positive definite X* and shift added to b_0; and X*, C."""
+    rng = np.random.default_rng(400 + seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    X_star = (q * rng.uniform(0.5, 2.0, size=2)) @ q.T
+    C, *rows = [A + A.T for A in rng.normal(size=(5, 2, 2))]
+    b = [float(np.sum(A * X_star)) for A in rows]
+    b[0] += shift
+    prob = SdpProblem(
+        [SdpBlock(PSD, 2)], {0: C}, [SdpConstraint({0: A}, bi) for A, bi in zip(rows, b)]
+    )
+    return prob, X_star, C
+
+
 def test_consistent_dependent_rows_stay_optimal(monkeypatch):
-    # four generic rows on a 2x2 block, with b read off a positive definite
-    # X*: b has no part along the rows' null vector, and the one feasible
-    # point X* is the optimum.  Whether dpotrf fails on the singular start
-    # G'G is up to rounding; where it does, the start check must let the
-    # solve go on
-    failed = 0
+    # b has no part along the rows' null vector, and the one feasible point
+    # X* is the optimum.  Whatever dpotrf makes of the singular start G'G,
+    # the start point flags the rows, drops one of them, which gets y = 0,
+    # and the solve goes on with the other three
     for seed in range(8):
-        rng = np.random.default_rng(400 + seed)
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        X_star = (q * rng.uniform(0.5, 2.0, size=2)) @ q.T
-        C, *rows = [A + A.T for A in rng.normal(size=(5, 2, 2))]
-        prob = SdpProblem(
-            [SdpBlock(PSD, 2)],
-            {0: C},
-            [SdpConstraint({0: A}, float(np.sum(A * X_star))) for A in rows],
-        )
-        sol, start_failed = _start_factor_failed(monkeypatch, prob)
-        failed += start_failed
+        prob, X_star, C = _four_rows_on_a_2x2_block(seed)
+        sol, factors = _solve_recording_factors(monkeypatch, prob)
         assert sol.status is SdpStatus.OPTIMAL, (seed, sol.status, sol.stall)
         target = float(np.sum(C * X_star))
         assert abs(sol.primal_objective - target) <= 1e-7 * (1.0 + abs(target)), seed
-    assert failed >= 4
+        assert [width for width, _, _ in factors] == [4] + [3] * sol.iterations, seed
+        assert np.count_nonzero(sol.y == 0.0) == 1, seed
+
+
+def test_inconsistent_four_rows_end_at_the_start_under_ulp_moves():
+    # the same rows with 1 added to b_0: the start point decides them in
+    # every trial, whether or not dpotrf fails on the singular start G'G
+    for seed in range(12):
+        prob, _, _ = _four_rows_on_a_2x2_block(seed, shift=1.0)
+        sols = _assert_status_under_ulp_moves(prob, 1e-8, SdpStatus.PRIMAL_INFEASIBLE)
+        assert all(sol.iterations == 0 for sol in sols), seed
+
+
+def _dependent_rows_instance(s, inconsistent):
+    """One PSD block of size 2-4 with more rows than svec coordinates, or
+    (every third s) a few rows plus one combination of them; b is read off
+    a positive definite X, with 1 added to b_0 when ``inconsistent``.
+    Returns the problem, its rows and C (random, so the feasible set may
+    be unbounded)."""
+    rng = np.random.default_rng(400 + s)
+    n = int(rng.integers(2, 5))
+    dim = n * (n + 1) // 2
+    m = int(rng.integers(dim + 1, dim + 4))
+    if s % 3 == 0:
+        m = int(rng.integers(2, dim + 1))
+        base = [A + A.T for A in rng.normal(size=(max(1, m - 1), n, n))]
+        rows = base + [sum(c * A for c, A in zip(rng.normal(size=len(base)), base))]
+    else:
+        rows = [A + A.T for A in rng.normal(size=(m, n, n))]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    X = (q * rng.uniform(0.5, 2.0, size=n)) @ q.T
+    C = rng.normal(size=(n, n))
+    C = C + C.T
+    b = [float(np.sum(A * X)) for A in rows]
+    if inconsistent:
+        b[0] += 1.0
+    prob = SdpProblem(
+        [SdpBlock(PSD, n)], {0: C}, [SdpConstraint({0: A}, bi) for A, bi in zip(rows, b)]
+    )
+    return prob, rows, C
+
+
+def _assert_recession_ray(sol, rows, C):
+    """A DualInfeasible X with <A_i, X> = 0, <C, X> = -1 and X PSD."""
+    assert sol.status is SdpStatus.DUAL_INFEASIBLE, (sol.status, sol.stall)
+    X = sol.primal[0]
+    assert max(abs(float(np.sum(A * X))) for A in rows) <= 1e-8
+    assert abs(float(np.sum(C * X)) + 1.0) <= 1e-8
+    assert np.linalg.eigvalsh(X).min() >= -1e-8
+
+
+def test_proportional_rows_get_no_false_certificate():
+    # two proportional rows that the positive definite X satisfies exactly:
+    # b has no part along their null vector, so no Farkas ray exists.  The
+    # repeat is dropped, and the random objective is unbounded below on the
+    # one-row feasible set
+    prob, rows, C = _dependent_rows_instance(135, inconsistent=False)
+    assert prob.num_constraints == 2
+    sol = solve(prob)
+    assert sol.status is not SdpStatus.PRIMAL_INFEASIBLE
+    _assert_recession_ray(sol, rows, C)
+
+
+def test_dependent_rows_are_settled_at_the_start():
+    # inconsistent rows end PrimalInfeasible at the start with b'y = 1;
+    # consistent ones end Optimal or, under a random objective, with a
+    # checked recession ray
+    for s, inconsistent in itertools.product(range(30), (True, False)):
+        prob, rows, C = _dependent_rows_instance(s, inconsistent)
+        sol = solve(prob)
+        if inconsistent:
+            assert sol.status is SdpStatus.PRIMAL_INFEASIBLE, (s, sol.status, sol.stall)
+            assert sol.iterations == 0, s
+            assert prob.rhs() @ sol.y == pytest.approx(1.0), s
+            assert sol.certificate_residual <= 1e-8, s
+        elif sol.status is SdpStatus.OPTIMAL:
+            assert max(residuals(prob, sol.primal, sol.y, sol.s)) <= 1e-8, s
+        else:
+            _assert_recession_ray(sol, rows, C)
 
 
 def test_correction_pass_runs_only_near_the_tolerances(monkeypatch):
