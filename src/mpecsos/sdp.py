@@ -32,9 +32,10 @@ are settled once, at the start point, where a small pivot of the Gram
 matrix G'G flags them and the elimination of free variables decides them:
 a Farkas ray ends the solve primal infeasible, else the rest are solved.
 
-Constraint data are kept sparse, as coordinate triples (svec entries),
-and every product with them goes through np.bincount: the Gram-form
-programs built here touch under 1% of the entries of their dense blocks.
+Constraint data arrive and are kept sparse, as one table of upper-triangle
+entries per block (dense rows exist only on request), and every product
+with them goes through np.bincount: the Gram-form programs built here touch
+under 1% of the entries of their dense blocks.
 The per-iteration work is dense: the scaling points, the scaled constraint
 matrix and its factorization.  Blocks of one size are stacked, so that
 work is one batched numpy call per size, not one per block; a nonnegative
@@ -43,8 +44,10 @@ block of size n is one stack of n 1x1 blocks.
 
 from __future__ import annotations
 
+import collections
 import copy
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -80,10 +83,34 @@ class SdpBlock:
 
 @dataclass
 class SdpConstraint:
-    """One equality row: sum over touched blocks of <coeff, X_block> = rhs."""
+    """One equality row: sum over touched blocks of <coeff, X_block> = rhs.
 
-    coeffs: Dict[int, np.ndarray]
+    A coefficient is dense (a symmetric matrix for a PSD block, a vector
+    otherwise) or a tuple of entry arrays: the upper triangle (i, j, value)
+    of a PSD block, (index, value) of a vector block.  Zero entries are
+    dropped, so a block given as zeros is one the row does not touch.
+    """
+
+    coeffs: Dict[int, object]
     rhs: float
+
+
+# one block's entries over all rows, sorted by (row, i, j): its upper
+# triangle, or (i, i) for coordinate i of a vector block
+_Table = collections.namedtuple("_Table", "row i j value")
+
+
+def _scatter(block: SdpBlock, slot, i, j, value, count: int = 1) -> np.ndarray:
+    """``count`` dense coefficients of ``block`` that sum the entries (slot,
+    i, j, value) in order; a PSD entry fills both triangles."""
+    n = block.size
+    if block.kind is not BlockKind.PSD:
+        dense = np.bincount(slot * n + i, value, count * n)
+        return dense.astype(float, copy=False).reshape(count, n)
+    off = i != j
+    at = np.concatenate([(slot * n + i) * n + j, ((slot * n + j) * n + i)[off]])
+    dense = np.bincount(at, np.concatenate([value, value[off]]), count * n * n)
+    return dense.astype(float, copy=False).reshape(count, n, n)
 
 
 # iterations of the interior-point loop before it ends IterationLimit
@@ -105,7 +132,12 @@ class SolverOptions:
 
 
 class SdpProblem:
-    """Validated block-structured SDP in equality-standard form."""
+    """Validated block-structured SDP in equality-standard form.
+
+    ``tables`` holds the constraint data, one table of (row, i, j, value)
+    entries per block, checked as a whole; ``constraints`` gives them as
+    dense rows, built on first use.
+    """
 
     def __init__(
         self,
@@ -119,17 +151,17 @@ class SdpProblem:
         self.objective = {}
         for bi, coeff in objective.items():
             self.objective[bi] = self._check_coeff(bi, coeff, "objective")
-        self.constraints = []
+        parts = [[] for _ in self.blocks]  # per block: (row, i, j, value) of its rows
         for ci, con in enumerate(constraints):
+            where = f"constraint {ci}"
             if not con.coeffs:
-                raise ValueError(f"constraint {ci} touches no block")
-            coeffs = {
-                bi: self._check_coeff(bi, cf, f"constraint {ci}")
-                for bi, cf in con.coeffs.items()
-            }
+                raise ValueError(f"{where} touches no block")
+            for bi, coeff in con.coeffs.items():
+                parts[bi].append((ci, *self._entries(bi, coeff, where)))
             if not math.isfinite(float(con.rhs)):
-                raise ValueError(f"constraint {ci}: right side {con.rhs} not finite")
-            self.constraints.append(SdpConstraint(coeffs, float(con.rhs)))
+                raise ValueError(f"{where}: right side {con.rhs} not finite")
+        self._rhs = np.array([float(con.rhs) for con in constraints])
+        self.tables = {bi: self._table(bi, part) for bi, part in enumerate(parts)}
 
     def _check_coeff(self, block_index: int, coeff, where: str) -> np.ndarray:
         if not 0 <= block_index < len(self.blocks):
@@ -142,7 +174,8 @@ class SdpProblem:
             if arr.shape != (block.size, block.size):
                 raise ValueError(f"{where}: expected {block.size}x{block.size} matrix")
             if not np.array_equal(arr, arr.T):
-                if not np.allclose(arr, arr.T, atol=1e-12):
+                # average rounding-level asymmetry only
+                if np.abs(arr - arr.T).max() > 1e-12 * np.abs(arr).max():
                     raise ValueError(f"{where}: PSD coefficient matrix not symmetric")
                 arr = 0.5 * (arr + arr.T)
         else:
@@ -150,12 +183,72 @@ class SdpProblem:
                 raise ValueError(f"{where}: expected vector of length {block.size}")
         return arr
 
+    def _entries(self, block_index: int, coeff, where: str):
+        """(i, j, value) of one coefficient: its own, or the nonzero upper
+        entries of a dense one."""
+        if not isinstance(coeff, tuple):
+            arr = self._check_coeff(block_index, coeff, where)
+            index = np.nonzero(np.triu(arr) if arr.ndim == 2 else arr)
+            return index[0], index[-1], arr[index]
+        if not 0 <= block_index < len(self.blocks):
+            raise ValueError(f"{where}: no block {block_index}")
+        psd = self.blocks[block_index].kind is BlockKind.PSD
+        if len(coeff) != 2 + psd or len(set(map(len, coeff))) != 1:
+            shape = "(i, j, value)" if psd else "(index, value)"
+            raise ValueError(f"{where}: expected {shape} arrays of one length")
+        return coeff[0], coeff[-2], coeff[-1]
+
+    def _table(self, block_index: int, part) -> _Table:
+        """The entries of one block, checked, sorted and without zeros."""
+        n = self.blocks[block_index].size
+        rows, i, j, value = zip(*part) if part else ((),) * 4
+        row = np.repeat(np.array(rows, dtype=np.intp), [len(v) for v in value])
+        i, j = (np.concatenate([np.zeros(0, np.intp), *a]) for a in (i, j))
+        value = np.concatenate([np.zeros(0), *value])
+        if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+            raise ValueError(f"block {block_index}: entry index not an integer")
+        key = (row * n + i) * n + j
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(len(key), bool)
+        repeated[order[1:]] = np.diff(key[order]) == 0
+        for bad, what in (
+            (~np.isfinite(value), "coefficient not finite"),
+            ((i < 0) | (j < 0) | (i >= n) | (j >= n), "index outside the block"),
+            (i > j, "entry below the diagonal"),
+            (repeated, "repeated entry"),
+        ):
+            if bad.any():
+                at = bad.argmax()
+                raise ValueError(f"constraint {row[at]}: {what} at ({i[at]}, {j[at]})")
+        order = order[value[order] != 0]
+        return _Table(row[order], i[order], j[order], value[order])
+
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._rhs)
 
     def rhs(self) -> np.ndarray:
-        return np.array([c.rhs for c in self.constraints])
+        return self._rhs.copy()
+
+    @functools.cached_property
+    def constraints(self) -> List[SdpConstraint]:
+        """The rows with dense coefficients, blocks in ascending index."""
+        rows = self._dense_rows(np.arange(self.num_constraints))
+        return [SdpConstraint(row, b) for row, b in zip(rows, self._rhs.tolist())]
+
+    def _dense_rows(self, rows: np.ndarray) -> List[Dict[int, np.ndarray]]:
+        """The dense coefficients of ``rows``, blocks in ascending index."""
+        place = np.full(self.num_constraints, -1)
+        place[rows] = np.arange(len(rows))
+        out: List[Dict[int, np.ndarray]] = [{} for _ in rows]
+        for bi, (row, i, j, value) in self.tables.items():
+            keep = place[row] >= 0
+            touched, slot = np.unique(place[row[keep]], return_inverse=True)
+            entries = (slot, i[keep], j[keep], value[keep], len(touched))
+            dense = _scatter(self.blocks[bi], *entries)
+            for r, coeff in zip(touched.tolist(), dense):
+                out[r][bi] = coeff
+        return out
 
     def dump(self) -> str:
         """Sparse text form for differential testing against other solvers.
@@ -167,24 +260,18 @@ class SdpProblem:
         """
         lines = [
             "blocks " + " ".join(f"{b.kind.value}:{b.size}" for b in self.blocks),
-            "rhs " + " ".join(repr(c.rhs) for c in self.constraints),
+            "rhs " + " ".join(repr(b) for b in self._rhs.tolist()),
         ]
-
-        def emit(index: int, coeffs: Dict[int, np.ndarray]):
-            for bi in sorted(coeffs):
-                arr = coeffs[bi]
-                if arr.ndim == 2:
-                    rows, cols = np.nonzero(arr)
-                    for r, c in zip(rows, cols):
-                        if r <= c:
-                            lines.append(f"{index} {bi} {r} {c} {float(arr[r, c])!r}")
-                else:
-                    for r in np.nonzero(arr)[0]:
-                        lines.append(f"{index} {bi} {r} 0 {float(arr[r])!r}")
-
-        emit(0, self.objective)
-        for ci, con in enumerate(self.constraints, start=1):
-            emit(ci, con.coeffs)
+        parts = [(np.full(len(t.row), bi), *t) for bi, t in self.tables.items()]
+        for bi, coeff in sorted(self.objective.items()):
+            i, j, value = self._entries(bi, coeff, "objective")
+            parts.append((np.full(len(i), bi), np.full(len(i), -1), i, j, value))
+        bis, row, i, j, value = (np.concatenate(a) for a in zip(*parts))
+        psd = np.array([b.kind is BlockKind.PSD for b in self.blocks])
+        j[~psd[bis]] = 0
+        order = np.argsort(row, kind="stable")  # the objective is row -1
+        for fields in zip(*(a[order].tolist() for a in (row + 1, bis, i, j, value))):
+            lines.append("{} {} {} {} {!r}".format(*fields))
         return "\n".join(lines) + "\n"
 
 
@@ -222,40 +309,32 @@ def residuals(
     Dual slacks default to C - sum y_i A_i when not supplied.
     """
     blocks = problem.blocks
-    if len(primal) != len(blocks):
-        raise ValueError("one primal value per block required")
-    for bi, block in enumerate(blocks):
-        want = (block.size, block.size) if block.kind is BlockKind.PSD else (block.size,)
-        if np.asarray(primal[bi]).shape != want:
-            raise ValueError(f"primal block {bi} has wrong shape")
+    for name, values in (("primal", primal), ("slack", s)):
+        if values is None:
+            continue
+        if len(values) != len(blocks):
+            raise ValueError(f"one {name} value per block required")
+        for bi, block in enumerate(blocks):
+            want = (block.size,) * (2 if block.kind is BlockKind.PSD else 1)
+            if np.asarray(values[bi]).shape != want:
+                raise ValueError(f"{name} block {bi} has wrong shape")
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.num_constraints,):
         raise ValueError("dual vector length mismatch")
 
     b = problem.rhs()
     ax = np.zeros(problem.num_constraints)
-    for i, con in enumerate(problem.constraints):
-        for bi, coeff in con.coeffs.items():
-            ax[i] += float(np.sum(coeff * primal[bi]))
-    p_res = np.linalg.norm(ax - b) / (1.0 + np.linalg.norm(b))
-
     c_norm_sq = 0.0
     pobj = 0.0
     dual_gap_blocks = []
     for bi, block in enumerate(blocks):
-        coeff = problem.objective.get(bi)
-        if coeff is None:
-            coeff = (
-                np.zeros((block.size, block.size))
-                if block.kind is BlockKind.PSD
-                else np.zeros(block.size)
-            )
+        X, (row, i, j, value) = np.asarray(primal[bi], dtype=float), problem.tables[bi]
+        x = X[i] if X.ndim == 1 else X[i, j] + X[j, i] * (i != j)
+        ax += np.bincount(row, value * x, len(ax))
+        coeff = problem.objective.get(bi, 0.0)
         c_norm_sq += float(np.sum(coeff**2))
-        pobj += float(np.sum(coeff * primal[bi]))
-        resid = np.array(coeff, dtype=float)
-        for i, con in enumerate(problem.constraints):
-            if bi in con.coeffs:
-                resid -= y[i] * con.coeffs[bi]
+        pobj += float(np.sum(coeff * X))
+        resid = coeff - _scatter(block, 0 * row, i, j, y[row] * value)[0]
         if s is not None:
             resid -= np.asarray(s[bi], dtype=float)
             dual_gap_blocks.append(resid)
@@ -265,6 +344,7 @@ def residuals(
         else:
             # slack defaults to C - A^T y, so the equation holds exactly
             dual_gap_blocks.append(np.zeros_like(resid))
+    p_res = np.linalg.norm(ax - b) / (1.0 + np.linalg.norm(b))
     d_res = math.sqrt(sum(float(np.sum(r**2)) for r in dual_gap_blocks)) / (
         1.0 + math.sqrt(c_norm_sq)
     )
@@ -280,19 +360,6 @@ def residuals(
 # entries of the scaled matrices formed at once: 128 KB chunks stay in
 # cache through the product that forms them and the svec gather after it
 _CHUNK = 1 << 14
-
-
-def _psd_entries(size: int, keys: np.ndarray, coeffs, norms: np.ndarray):
-    """(keys, then local row, j, k, value per entry) of the matrices coeffs[l]
-    over norms[keys[l]], read in stacks of about _CHUNK entries."""
-    width = max(1, _CHUNK // (size * size))
-    parts = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
-    for lo in range(0, len(keys), width):
-        rows = keys[lo : lo + width]
-        stack = np.stack(coeffs[lo : lo + width]) / norms[rows, None, None]
-        li, j, k = np.nonzero(stack)
-        parts.append((li + lo, j, k, stack[li, j, k]))
-    return (keys,) + tuple(np.concatenate(a) for a in zip(*parts))
 
 
 class _PsdStack:
@@ -322,7 +389,7 @@ class _PsdStack:
         self.weight = np.where(self.iu[0] == self.iu[1], 1.0, math.sqrt(2.0))
         self.dim = dim = len(self.weight)
         self.rows = self.offsets[:, None] + np.arange(dim)
-        self.C = np.array([np.zeros((n, n)) if C is None else C for C in Cs])
+        self.C = np.array(Cs)
 
         counts = np.array([len(t[0]) for t in tables], dtype=np.intp)
         # member j's rows are cons[start[j]:start[j + 1]]
@@ -406,15 +473,13 @@ class _Cone:
     """
 
     def __init__(self, problem: SdpProblem):
-        blocks = problem.blocks
-        constraints = problem.constraints
+        blocks, tables = problem.blocks, problem.tables
         m = problem.num_constraints
 
-        norms = np.zeros(m)
-        for i, con in enumerate(constraints):
-            norms[i] = math.sqrt(
-                sum(float(np.sum(cf**2)) for cf in con.coeffs.values())
-            )
+        # each row's sum of squares, an off-diagonal entry counting twice
+        rows = np.concatenate([t.row for t in tables.values()])
+        squares = [t.value**2 * (2 - (t.i == t.j)) for t in tables.values()]
+        norms = np.sqrt(np.bincount(rows, np.concatenate(squares), m))
         self.norms = norms = np.where(norms > 1e-12, norms, 1.0)
 
         # the free blocks laid end to end: block bi is A_f[:, cols]
@@ -426,9 +491,8 @@ class _Cone:
                 offset += block.size
         A_f, c_f = np.zeros((m, offset)), np.zeros(offset)
         for bi, cols in self.free_cols:
-            for i, con in enumerate(constraints):
-                if bi in con.coeffs:
-                    A_f[i, cols] = con.coeffs[bi] / norms[i]
+            t = tables[bi]
+            A_f[t.row, cols.start + t.i] = t.value / norms[t.row]
             if bi in problem.objective:
                 c_f[cols] = problem.objective[bi]
         free = self.free = _FreeElimination(A_f, c_f)
@@ -443,48 +507,52 @@ class _Cone:
         self.b = rhs[free.rest] / self.row_scale - free.M @ self.b_pivot
         self.offset = float(free.v @ self.b_pivot)
 
-        pivot_rows = [constraints[i].coeffs for i in free.pivot]
-
-        def fold(coeff, bi, weights):
-            """coeff minus sum_l weights[l] A_(pivot l) on block bi."""
-            for w, row in zip(weights, pivot_rows):
-                if w and bi in row:
-                    coeff = -w * row[bi] if coeff is None else coeff - w * row[bi]
-            return coeff
-
+        self.m = len(free.rest)
+        # each row's place among the rest rows and among the pivot rows, or -1
+        rest, pivot = np.full(m, -1), np.full(m, -1)
+        rest[free.rest] = np.arange(self.m)
+        pivot[free.pivot] = np.arange(len(free.pivot))
         # multiples of the original pivot rows that row k loses, in the
         # scale of row k
         mix = free.M * self.row_scale[:, None] / norms[free.pivot]
-
-        def touching(bi):
-            """The rows left on block bi, ascending, and their coefficients;
-            rows M leaves alone by reference."""
-            rows = {k: constraints[i].coeffs.get(bi) for k, i in enumerate(free.rest)}
-            for k in np.flatnonzero(mix.any(axis=1)):
-                rows[k] = fold(rows[k], bi, mix[k])
-            keys = np.flatnonzero([a is not None for a in rows.values()])
-            return keys, [rows[k] for k in keys]
-
-        self.m = len(free.rest)
         members = []  # (size, index, entry, C, entries) in block order
         for bi, block in enumerate(blocks):
             if block.kind is BlockKind.FREE:
                 continue
-            C = fold(problem.objective.get(bi), bi, free.v / norms[free.pivot])
-            keys, coeffs = touching(bi)
-            if block.kind is BlockKind.PSD:
-                entries = _psd_entries(block.size, keys, coeffs, self.row_scale)
-                members.append((block.size, bi, -1, C, entries))
+            n, t = block.size, tables[bi]
+            # the pivot rows' entries, in pivot order; C loses their multiples v
+            at = np.flatnonzero(pivot[t.row] >= 0)
+            at = at[np.argsort(pivot[t.row[at]], kind="stable")]
+            l = pivot[t.row[at]]
+            w = free.v[l] / norms[t.row[at]] * t.value[at]
+            C = problem.objective.get(bi, 0.0)
+            C = C - _scatter(block, 0 * l, t.i[at], t.j[at], w)[0]
+            own = rest[t.row] >= 0
+            k, i, j, value = rest[t.row[own]], t.i[own], t.j[own], t.value[own]
+            if mix.any():  # fold the pivot rows into the rest rows, densely
+                pivot_rows = (l, t.i[at], t.j[at], t.value[at], len(free.pivot))
+                dense = _scatter(block, k, i, j, value, self.m)
+                for p, pivot_row in enumerate(_scatter(block, *pivot_rows)):
+                    dense -= np.multiply.outer(mix[:, p], pivot_row)
+                index = np.nonzero(np.triu(dense) if dense.ndim == 3 else dense)
+                k, i, j, value = index[0], index[1], index[-1], dense[index]
+            value = value / self.row_scale[k]
+            if block.kind is BlockKind.PSD:  # both triangles, row-major in each row
+                off = i != j
+                pairs = ((k, k), (i, j), (j, i), (value, value))
+                k, i, j, value = (np.concatenate([a, b[off]]) for a, b in pairs)
+                order = np.argsort((k * n + i) * n + j, kind="stable")
+                keys, local = np.unique(k[order], return_inverse=True)
+                entries = (keys, local, i[order], j[order], value[order])
+                members.append((n, bi, -1, C, entries))
                 continue
-            vec = np.stack(coeffs) if coeffs else np.zeros((0, block.size))
-            js, at = np.nonzero(vec.T)
-            split = np.searchsorted(js, np.arange(1, block.size))
-            for j, rows in enumerate(np.split(at, split)):
-                zero = np.zeros(len(rows), np.intp)
-                value = vec[rows, j] / self.row_scale[keys[rows]]
-                entries = (keys[rows], np.arange(len(rows)), zero, zero, value)
-                Cj = None if C is None else C[j : j + 1, None]
-                members.append((1, bi, j, Cj, entries))
+            order = np.argsort(i, kind="stable")  # by coordinate, rows ascending
+            split = np.searchsorted(i[order], np.arange(1, n))
+            columns = zip(np.split(k[order], split), np.split(value[order], split))
+            for c, (kc, vc) in enumerate(columns):
+                zero = np.zeros(len(kc), np.intp)
+                entries = (kc, np.arange(len(kc)), zero, zero, vc)
+                members.append((1, bi, c, C[c : c + 1, None], entries))
 
         sizes = np.array([mem[0] for mem in members], dtype=np.intp)
         offsets = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])
@@ -891,7 +959,8 @@ class _HsdSolver:
             return None
         free, problem = self.cone.free, self.problem
         kept = np.sort(np.concatenate([free.pivot, free.rest[rows.columns]]))
-        kept_rows = [problem.constraints[i] for i in kept]
+        rhs = problem.rhs()[kept]
+        kept_rows = [SdpConstraint(r, b) for r, b in zip(problem._dense_rows(kept), rhs)]
         sol = solve(SdpProblem(problem.blocks, problem.objective, kept_rows), self.opts)
         if sol.y is not None:
             y = np.zeros(problem.num_constraints)
@@ -1041,7 +1110,7 @@ class _HsdSolver:
         cone = self.cone
         out = self._collect_blocks(X, scale)
         if xf is None:
-            rows = [self.problem.constraints[i].coeffs for i in cone.free.pivot]
+            rows = self.problem._dense_rows(cone.free.pivot)
             ax = [sum(float(np.sum(a * out[bi])) for bi, a in r.items()) for r in rows]
             ax = np.array(ax) / cone.norms[cone.free.pivot]
             xf = cone.free.restore_x(t * cone.b_pivot - ax)

@@ -10,9 +10,9 @@ variables, one equality row per monomial.  Maximizing a moment pairing of
 p makes the optimal p the best certified under-approximation of
 min-over-constrained-variables of the target: that is the value fit.
 Exponents are mixed-radix integer keys (radix row degree + 1, so sums
-never carry): the rows of all Gram entries times all terms of h_j come
-from one broadcast sum and one sorted lookup, and one bincount fills a
-block's coefficient arrays.
+never carry): the rows of all upper Gram entries times all terms of h_j
+come from one broadcast sum and one sorted lookup, and one sort splits a
+block's entries into the rows' (i, j, value) triples.
 
 The order-t moment relaxation of  min f over {h_l >= 0}  is the same
 identity with p a constant lambda and sigma_0 of order t, so a
@@ -193,25 +193,26 @@ def build_sos_identity(
         raise ValueError("too many variables for 64-bit exponent keys")
     powers = (row_degree + 1) ** np.arange(len(ambient), dtype=np.int64)
     row_of = _key_lookup(row_basis, powers)
-    rows: List[Dict[int, np.ndarray]] = [dict() for _ in row_basis.monomials]
+    rows: List[Dict[int, tuple]] = [dict() for _ in row_basis.monomials]
     weights = [{(0,) * len(ambient): 1.0}] + [h.terms for h, _ in mult_list]
     for j, (basis, terms) in enumerate(zip(sigma_bases, weights)):
-        # row of Gram entry (a, b) times term t of the weight, shape (t, a, b);
-        # each (row, a, b) takes one term at most, so bincount adds it to 0
-        n = len(basis)
+        # row of upper Gram entry e = (a, b) times term t of the weight, shape
+        # (t, e); each (row, a, b) takes one term at most
+        a, b = np.triu_indices(len(basis))
         keys = _exponent_keys(basis.monomials, powers)
         term_keys = _exponent_keys(list(terms), powers)
-        hit = row_of(term_keys[:, None, None] + keys[:, None] + keys).ravel()
-        touched, local = np.unique(hit, return_inverse=True)
-        entry = (local.reshape(-1, n * n) * (n * n) + np.arange(n * n)).ravel()
-        value = np.repeat(np.fromiter(terms.values(), float, len(terms)), n * n)
-        mats = np.bincount(entry, value, len(touched) * n * n).reshape(-1, n, n)
-        for r, mat in zip(touched.tolist(), mats):
-            rows[r][j] = mat
+        hit = row_of(term_keys[:, None] + keys[a] + keys[b]).ravel()
+        order = np.argsort(hit * len(a) + np.tile(np.arange(len(a)), len(terms)))
+        value = np.repeat(np.fromiter(terms.values(), float, len(terms)), len(a))
+        entry = order % len(a)
+        a, b, value = a[entry], b[entry], value[order]
+        touched, start = np.unique(hit[order], return_index=True)
+        stop = [*start[1:].tolist(), len(order)]
+        for r, lo, hi in zip(touched.tolist(), start.tolist(), stop):
+            rows[r][j] = (a[lo:hi], b[lo:hi], value[lo:hi])
     free_index = prog.free_block_index
-    free = np.eye(len(p_basis))
     for pi, r in enumerate(row_of(_exponent_keys(p_exp_ambient, powers)).tolist()):
-        rows[r][free_index] = free[pi]
+        rows[r][free_index] = (np.array([pi]), np.ones(1))
     rhs = np.zeros(len(row_basis))
     rhs[row_of(_exponent_keys(list(target.terms), powers))] = [*target.terms.values()]
     constraints = [SdpConstraint(c, r) for c, r in zip(rows, rhs.tolist())]

@@ -1,5 +1,6 @@
 """Solver tests: analytic micro-problems, a seeded random-instance oracle
-with constructed optima, and certificate soundness for infeasible data."""
+with constructed optima, certificate soundness for infeasible data, and
+constraint data given as dense arrays or as entry triples, checked alike."""
 
 import numpy as np
 import pytest
@@ -119,6 +120,11 @@ def test_residuals_dimension_mismatch():
         residuals(prob, [np.zeros(2)], np.array([0.0]))
     with pytest.raises(ValueError):
         residuals(prob, [np.zeros((2, 2))], np.array([0.0, 1.0]))
+    # slacks are checked like the primal: one per block, of its shape
+    with pytest.raises(ValueError, match="slack block 0"):
+        residuals(prob, [np.eye(2)], np.array([1.0]), [np.zeros(2)])
+    with pytest.raises(ValueError, match="one slack"):
+        residuals(prob, [np.eye(2)], np.array([1.0]), [np.zeros((2, 2))] * 2)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +258,77 @@ def test_dump_roundtrippable_text():
     assert lines[0].startswith("blocks psd:2")
     assert any(line.startswith("0 0 ") for line in lines)  # objective entries
     assert any(line.startswith("1 0 ") for line in lines)  # constraint entries
+
+
+def _as_triples(prob, rng):
+    """``prob`` with every constraint coefficient given as its entries, in
+    shuffled order."""
+    rows = []
+    for con in prob.constraints:
+        coeffs = {}
+        for bi, arr in con.coeffs.items():
+            index = np.nonzero(np.triu(arr) if arr.ndim == 2 else arr)
+            order = rng.permutation(len(index[0]))
+            coeffs[bi] = tuple(a[order] for a in (*index, arr[index]))
+        rows.append(SdpConstraint(coeffs, con.rhs))
+    return SdpProblem(prob.blocks, prob.objective, rows)
+
+
+def _free_variable_problem():
+    # minimize t subject to t - x = 0, x >= 0, x = 3
+    return SdpProblem(
+        blocks=[SdpBlock(BlockKind.FREE, 1), SdpBlock(BlockKind.NONNEG, 2)],
+        objective={0: np.array([1.0]), 1: np.array([0.0, 1.0])},
+        constraints=[
+            SdpConstraint({0: np.array([1.0]), 1: np.array([-1.0, 0.0])}, 0.0),
+            SdpConstraint({1: np.array([1.0, 1.0])}, 3.0),
+        ],
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_triples_solve_to_the_dense_bytes(seed):
+    rng = np.random.default_rng(seed)
+    for dense in (
+        make_random_instance(1000 + seed)[0],
+        make_infeasible_instance(2000 + seed),
+        _free_variable_problem(),
+    ):
+        a, b = solve(dense), solve(_as_triples(dense, rng))
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        for got, want in ((a.primal, b.primal), (a.s, b.s), ([a.y], [b.y])):
+            if want is not None:
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+@pytest.mark.parametrize(
+    "entries, what",
+    [
+        ((np.array([0]), np.array([1]), np.array([np.inf])), "not finite"),
+        ((np.array([0]), np.array([2]), np.array([1.0])), "outside the block"),
+        ((np.array([1]), np.array([0]), np.array([1.0])), "below the diagonal"),
+        ((np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0])), "repeated"),
+    ],
+    ids=["non-finite", "index-too-large", "below-diagonal", "repeated"],
+)
+def test_malformed_triples_name_their_constraint(entries, what):
+    rows = [SdpConstraint({0: np.eye(2)}, 2.0), SdpConstraint({0: entries}, 1.0)]
+    with pytest.raises(ValueError, match=f"^constraint 1: .*{what}"):
+        SdpProblem([SdpBlock(BlockKind.PSD, 2)], {}, rows)
+
+
+def test_asymmetry_beyond_rounding_rejected():
+    psd = [SdpBlock(BlockKind.PSD, 2)]
+    skew = np.array([[1.0, 1.0], [1.000009, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SdpProblem(psd, {}, [SdpConstraint({0: skew}, 1.0)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SdpProblem(psd, {0: skew}, [SdpConstraint({0: np.eye(2)}, 1.0)])
+    # an asymmetry of one ulp is averaged
+    near = np.array([[1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0]])
+    stored = SdpProblem(psd, {}, [SdpConstraint({0: near}, 1.0)]).constraints[0]
+    average = 0.5 * (near[0, 1] + near[1, 0])
+    assert stored.coeffs[0][0, 1] == stored.coeffs[0][1, 0] == average
 
 
 def test_options_validation():

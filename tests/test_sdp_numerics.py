@@ -12,9 +12,9 @@ size, come back at their own indices whatever their order.  Free columns
 that the set-up elimination mixes into other rows come back with the
 full dual vector, and a certificate carries no iterate residuals.  The
 remaining cases pin the Nesterov-Todd scaling point, the sparse svec
-store of the constraint data against the dense problem, the value-fit
-programs against reference values, the check of the solver tolerances
-and the text dump, the one triangle of the Newton system (the Cholesky
+store of the constraint data against the dense problem (which no solve
+builds), the value-fit programs against reference values, the check of
+the solver tolerances and the text dump, the one triangle of the Newton system (the Cholesky
 factor of G'G, or the QR's triangle of G, never shifted) and its one
 refined solve, the QR's triangle taken only inside a failed Cholesky
 factor, a relaxation whose refined solves reach 1e-9 and 1e-10 (also
@@ -375,6 +375,19 @@ def p1_value_program():
 
 def _close(got, want, rel=1e-12):
     return np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+
+
+def test_solves_never_build_the_dense_rows(monkeypatch):
+    # set-up, solve and the restored free values read the entry tables alone
+    def refuse(problem):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(SdpProblem, "constraints", property(refuse))
+    approx = compute_value_approximation(bundled_instance("p1_mpec"), 3)
+    assert approx.identity_error <= 1e-6
+    f, g = parse_polynomial("x^4 - x^2", ["x"]), parse_polynomial("1 - x^2", ["x"])
+    _, prob = build_moment_relaxation(f, [g], 3)
+    assert solve(prob).status is SdpStatus.OPTIMAL
 
 
 def test_sparse_store_matches_dense_constraints(p1_value_program):
