@@ -33,9 +33,11 @@ matrix G'G flags them and the elimination of free variables decides them:
 a Farkas ray ends the solve primal infeasible, else the rest are solved.
 
 Constraint data arrive and are kept sparse, as one table of upper-triangle
-entries per block (dense rows exist only on request), and every product
-with them goes through np.bincount: the Gram-form programs built here touch
-under 1% of the entries of their dense blocks.
+entries per block (dense rows exist only on request): the Gram-form
+programs built here touch under 1% of the entries of their dense blocks.
+Products with the rows go through np.bincount, and each scaled matrix
+R'A_iR is formed from its row's own entries (Fujisawa, Kojima and Nakata
+1997), rows of like entry count batched together.
 The per-iteration work is dense: the scaling points, the scaled constraint
 matrix and its factorization.  Blocks of one size are stacked, so that
 work is one batched numpy call per size, not one per block; a nonnegative
@@ -48,7 +50,6 @@ import collections
 import copy
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -233,22 +234,38 @@ class SdpProblem:
     @functools.cached_property
     def constraints(self) -> List[SdpConstraint]:
         """The rows with dense coefficients, blocks in ascending index."""
-        rows = self._dense_rows(np.arange(self.num_constraints))
+        rows = self._dense_rows()
         return [SdpConstraint(row, b) for row, b in zip(rows, self._rhs.tolist())]
 
-    def _dense_rows(self, rows: np.ndarray) -> List[Dict[int, np.ndarray]]:
-        """The dense coefficients of ``rows``, blocks in ascending index."""
-        place = np.full(self.num_constraints, -1)
-        place[rows] = np.arange(len(rows))
-        out: List[Dict[int, np.ndarray]] = [{} for _ in rows]
+    def _dense_rows(self) -> List[Dict[int, np.ndarray]]:
+        """The dense coefficients of every row, blocks in ascending index."""
+        out: List[Dict[int, np.ndarray]] = [{} for _ in range(self.num_constraints)]
         for bi, (row, i, j, value) in self.tables.items():
-            keep = place[row] >= 0
-            touched, slot = np.unique(place[row[keep]], return_inverse=True)
-            entries = (slot, i[keep], j[keep], value[keep], len(touched))
-            dense = _scatter(self.blocks[bi], *entries)
+            touched, slot = np.unique(row, return_inverse=True)
+            dense = _scatter(self.blocks[bi], slot, i, j, value, len(touched))
             for r, coeff in zip(touched.tolist(), dense):
                 out[r][bi] = coeff
         return out
+
+    def _restricted(self, rows: np.ndarray) -> "SdpProblem":
+        """The problem of ``rows`` alone, in ascending order, built from the
+        tables' entries."""
+        place = np.full(self.num_constraints, -1)
+        place[rows] = np.arange(len(rows))
+        coeffs: List[Dict[int, tuple]] = [{} for _ in rows]
+        for bi, (row, i, j, value) in self.tables.items():
+            keep = place[row] >= 0
+            if not keep.any():
+                continue
+            slot = place[row[keep]]
+            psd = self.blocks[bi].kind is BlockKind.PSD
+            entries = (i[keep], j[keep], value[keep]) if psd else (i[keep], value[keep])
+            cut = np.flatnonzero(np.diff(slot)) + 1
+            parts = (np.split(a, cut) for a in entries)
+            for r, *coeff in zip(slot[np.r_[0, cut]], *parts):
+                coeffs[r][bi] = tuple(coeff)
+        constraints = [SdpConstraint(c, b) for c, b in zip(coeffs, self._rhs[rows])]
+        return SdpProblem(self.blocks, self.objective, constraints)
 
     def dump(self) -> str:
         """Sparse text form for differential testing against other solvers.
@@ -298,6 +315,17 @@ class SdpSolution:
 # public residual computation
 
 
+def _apply_tables(problem: SdpProblem, values: Sequence[np.ndarray]) -> np.ndarray:
+    """The vector of sum_B <A_iB, X_B> over every row, one np.bincount per
+    block, for the block values X_B."""
+    ax = np.zeros(problem.num_constraints)
+    for (row, i, j, value), X in zip(problem.tables.values(), values):
+        X = np.asarray(X, dtype=float)
+        x = X[i] if X.ndim == 1 else X[i, j] + X[j, i] * (i != j)
+        ax += np.bincount(row, value * x, len(ax))
+    return ax
+
+
 def residuals(
     problem: SdpProblem,
     primal: Sequence[np.ndarray],
@@ -323,14 +351,12 @@ def residuals(
         raise ValueError("dual vector length mismatch")
 
     b = problem.rhs()
-    ax = np.zeros(problem.num_constraints)
+    ax = _apply_tables(problem, primal)
     c_norm_sq = 0.0
     pobj = 0.0
     dual_gap_blocks = []
     for bi, block in enumerate(blocks):
         X, (row, i, j, value) = np.asarray(primal[bi], dtype=float), problem.tables[bi]
-        x = X[i] if X.ndim == 1 else X[i, j] + X[j, i] * (i != j)
-        ax += np.bincount(row, value * x, len(ax))
         coeff = problem.objective.get(bi, 0.0)
         c_norm_sq += float(np.sum(coeff**2))
         pobj += float(np.sum(coeff * X))
@@ -357,8 +383,9 @@ def residuals(
 # solver internals
 
 
-# entries of the scaled matrices formed at once: 128 KB chunks stay in
-# cache through the product that forms them and the svec gather after it
+# entries of the scaled matrices formed at once: a group of _CHUNK // n^2
+# rows (128 KB) stays in cache through the product that forms it and the
+# svec gather after it
 _CHUNK = 1 << 14
 
 
@@ -368,21 +395,20 @@ class _PsdStack:
     Matrices carry a leading member axis.  svec stacks the upper triangle
     row by row, off-diagonal entries times sqrt(2), so <A, X> =
     svec(A)'svec(X).  The svec entries of the A_i are triples (svec row
-    j*dim + r of member j, row i, value); the entries of both triangles, in
-    chunks, form R'A_iR.  Member j (by row count) is cone block ``order[j]``,
-    owns ``rows[j]`` of the scaled constraint matrix and is public block
-    ``index[j]`` (its coordinate ``entry[j]`` if nonnegative, else -1).
+    j*dim + r of member j, row i, value); the entries of both triangles
+    form R'A_iR, in groups of (member, row) pairs of like entry count.
+    Member j is cone block ``order[j]``, owns ``rows[j]`` of the scaled
+    constraint matrix and is public block ``index[j]`` (its coordinate
+    ``entry[j]`` if nonnegative, else -1).
     """
 
     def __init__(self, members, order: np.ndarray, offsets: np.ndarray, m: int):
         # members[o] for o in order: (n, index, entry, C, (keys, local, j, k,
         # value)) for one size n, where an entry lies in row keys[local]
-        rank = np.argsort([len(members[o][4][0]) for o in order], kind="stable")
-        self.order = order[rank]
-        self.offsets = offsets[self.order]
-        chosen = [members[o] for o in self.order]
-        sizes, self.index, self.entry, Cs, tables = zip(*chosen)
-        n, k = sizes[0], len(rank)
+        self.order = order
+        self.offsets = offsets[order]
+        sizes, self.index, self.entry, Cs, tables = zip(*(members[o] for o in order))
+        n, k = sizes[0], len(order)
         self.size, self.count, self.m = n, k, m
         self.iu = np.triu_indices(n)
         self.flat = self.iu[0] * n + self.iu[1]
@@ -392,9 +418,9 @@ class _PsdStack:
         self.C = np.array(Cs)
 
         counts = np.array([len(t[0]) for t in tables], dtype=np.intp)
-        # member j's rows are cons[start[j]:start[j + 1]]
+        # the (member, row) pairs: member j's rows are cons[start[j]:start[j + 1]]
         self.cons = np.concatenate([t[0] for t in tables])
-        self.start = start = np.concatenate([[0], np.cumsum(counts)])
+        start = np.concatenate([[0], np.cumsum(counts)])
         member = np.repeat(np.arange(k), [len(t[1]) for t in tables])
         local, js, ks, vals = (np.concatenate(a) for a in list(zip(*tables))[1:])
         pair = start[member] + local
@@ -405,22 +431,32 @@ class _PsdStack:
         self.vals = vals[up] * self.weight[pos]
         self.bins = member[up] * m + self.cols  # (member, row) of an entry
 
-        # A chunk holds rows lo..hi of members g..h-1, of one row count, so
-        # a member's product with its R has the shape it has alone.  Per
-        # entry: its row of the stacked R and where its multiple of that row
-        # lands in the stack of (A_i R)' (see scaled_columns).
+        # The pairs in order of entry count, cut into groups of _CHUNK // n^2.
+        # A group lists its pairs by member and row, each padded to the
+        # widest of the group with repeats of its first entry, of value 0.
+        # Per group: the rows of the stacked R that a and b of each entry
+        # pick, the values, and a run (member, first, last, rows) of the
+        # group's pairs per member.
         width = max(1, _CHUNK // (n * n))
-        self.chunks = []
-        for c in np.unique(counts[counts > 0]):
-            first, last = np.searchsorted(counts, [c, c + 1])
-            per = max(1, width // c)
-            for g, lo in itertools.product(range(first, last, per), range(0, c, width)):
-                h, hi = min(g + per, last), min(lo + width, c)
-                a, b = np.searchsorted(pair, [start[g] + lo, start[h - 1] + hi])
-                slot = (member[a:b] - g) * (hi - lo) + local[a:b] - lo
-                target = ((slot * n * n + js[a:b])[:, None] + n * np.arange(n)).ravel()
-                source = member[a:b] * n + ks[a:b]
-                self.chunks.append((g, h, lo, hi, source, vals[a:b], target))
+        per_pair = np.bincount(pair, minlength=len(self.cons))
+        first = np.cumsum(per_pair) - per_pair  # entries run pair by pair
+        owner = np.repeat(np.arange(k), counts)
+        by_count = np.argsort(per_pair, kind="stable")
+        self.groups = []
+        for lo in range(0, len(by_count), width):
+            pairs = np.sort(by_count[lo : lo + width])
+            place = np.arange(per_pair[pairs].max())
+            real = place < per_pair[pairs, None]
+            e = first[pairs, None] + np.where(real, place, 0)
+            base = owner[pairs, None] * n
+            a, b = base + js[e], base + ks[e]
+            v = np.where(real, vals[e], 0.0)
+            cut = np.flatnonzero(np.diff(owner[pairs])) + 1
+            runs = [
+                (owner[pairs[f]], f, t, self.cons[pairs[f:t]])
+                for f, t in zip(np.r_[0, cut], np.r_[cut, len(pairs)])
+            ]
+            self.groups.append((a, b, v[..., None], runs))
 
     def svec(self, X: np.ndarray) -> np.ndarray:
         return X[..., self.iu[0], self.iu[1]] * self.weight
@@ -445,18 +481,19 @@ class _PsdStack:
         return v.astype(float, copy=False).reshape(self.count, self.m)
 
     def scaled_columns(self, R: np.ndarray):
-        """Yield (member, rows, svec(R'A_iR) of those rows), chunk by chunk:
-        the sparse products (A_i R)' summed into a dense stack, times R."""
+        """Yield (member, rows, svec(R'A_iR) of those rows), group by group:
+        R'A_iR = sum_e v_e R[a_e]'R[b_e] over the entries e of row i, both
+        triangles, as one batched product P'Q with P = R[a], Q = v R[b]."""
         n = self.size
-        for g, h, lo, hi, source, vals, target in self.chunks:
-            shape = (h - g, hi - lo, n * n)
-            weights = (vals[:, None] * R.reshape(-1, n)[source]).ravel()
-            stack = np.bincount(target, weights=weights, minlength=math.prod(shape))
-            stack = stack.astype(float, copy=False).reshape(h - g, -1, n)
-            part = np.take((stack @ R[g:h]).reshape(shape), self.flat, axis=2)
+        stacked = R.reshape(-1, n)
+        for a, b, v, runs in self.groups:
+            Q = stacked[b]
+            Q *= v
+            stack = _t(stacked[a]) @ Q
+            part = np.take(stack.reshape(len(a), n * n), self.flat, axis=1)
             part *= self.weight
-            for j in range(g, h):
-                yield j, self.cons[self.start[j] + lo : self.start[j] + hi], part[j - g]
+            for j, first, last, rows in runs:
+                yield j, rows, part[first:last]
 
 
 class _Cone:
@@ -959,9 +996,7 @@ class _HsdSolver:
             return None
         free, problem = self.cone.free, self.problem
         kept = np.sort(np.concatenate([free.pivot, free.rest[rows.columns]]))
-        rhs = problem.rhs()[kept]
-        kept_rows = [SdpConstraint(r, b) for r, b in zip(problem._dense_rows(kept), rhs)]
-        sol = solve(SdpProblem(problem.blocks, problem.objective, kept_rows), self.opts)
+        sol = solve(problem._restricted(kept), self.opts)
         if sol.y is not None:
             y = np.zeros(problem.num_constraints)
             y[kept] = sol.y
@@ -1110,9 +1145,8 @@ class _HsdSolver:
         cone = self.cone
         out = self._collect_blocks(X, scale)
         if xf is None:
-            rows = self.problem._dense_rows(cone.free.pivot)
-            ax = [sum(float(np.sum(a * out[bi])) for bi, a in r.items()) for r in rows]
-            ax = np.array(ax) / cone.norms[cone.free.pivot]
+            pivot = cone.free.pivot
+            ax = _apply_tables(self.problem, out)[pivot] / cone.norms[pivot]
             xf = cone.free.restore_x(t * cone.b_pivot - ax)
         for bi, cols in cone.free_cols:
             out[bi] = xf[cols]

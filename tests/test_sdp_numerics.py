@@ -12,22 +12,24 @@ size, come back at their own indices whatever their order.  Free columns
 that the set-up elimination mixes into other rows come back with the
 full dual vector, and a certificate carries no iterate residuals.  The
 remaining cases pin the Nesterov-Todd scaling point, the sparse svec
-store of the constraint data against the dense problem (which no solve
-builds), the value-fit programs against reference values, the check of
-the solver tolerances and the text dump, the one triangle of the Newton system (the Cholesky
-factor of G'G, or the QR's triangle of G, never shifted) and its one
-refined solve, the QR's triangle taken only inside a failed Cholesky
-factor, a relaxation whose refined solves reach 1e-9 and 1e-10 (also
-with its right side moved by a few ulps), the benchmark's largest value
-fit and p3's order-4 value fit, whose end game runs on the QR's
-triangle, under the same ulp moves, dependent rows settled once at the
-start point: a Farkas ray with S = 0 when their right sides disagree,
-whatever dpotrf makes of the singular start G'G, and the independent
-rows solved on, the others at y = 0, when they agree (a random objective
-may then leave a recession ray, never a false certificate), the stall
-named on a run that stops early, and the three solves through the factor
-in each iteration, with a fourth, the corrector's correction pass, only
-where its Newton residuals near the tolerances.
+store of the constraint data and its scaled matrices, formed in groups of
+rows of any members, against the dense problem (which no solve builds),
+the value-fit programs against reference values, the check of the solver
+tolerances and the text dump, the one triangle of the Newton system (the
+Cholesky factor of G'G, or the QR's triangle of G, never shifted) and its
+one refined solve, the QR's triangle taken only inside a Cholesky factor
+that fails (here made to fail), a relaxation whose refined solves reach
+1e-9 and 1e-10 (also with its right side moved by a few ulps), the
+benchmark's largest value fit and p3's order-4 value fit, whose G'G
+nears singularity late in its solve, under the same ulp moves, dependent
+rows settled once at the start point: a Farkas ray with S = 0 when their
+right sides disagree, whatever dpotrf makes of the singular start G'G,
+and the independent rows solved on, the others at y = 0, when they agree
+(a random objective may then leave a recession ray, never a false
+certificate), the stall named on a run that stops early, and the three
+solves through the factor in each iteration, with a fourth, the
+corrector's correction pass, only where its Newton residuals near the
+tolerances.
 """
 
 import itertools
@@ -378,26 +380,44 @@ def _close(got, want, rel=1e-12):
 
 
 def test_solves_never_build_the_dense_rows(monkeypatch):
-    # set-up, solve and the restored free values read the entry tables alone
-    def refuse(problem):
+    # set-up, solve, the restored free values and the kept rows of a
+    # dependent set read the entry tables alone
+    def refuse(*args):
         raise AssertionError("dense rows built")
 
+    # the mixed blocks' nine rows and a repeat of row 2 (built dense first)
+    given, _ = _mixed_blocks_problem(range(5))
+    rows = given.constraints + given.constraints[2:3]
+    dependent = SdpProblem(given.blocks, given.objective, rows)
     monkeypatch.setattr(SdpProblem, "constraints", property(refuse))
+    monkeypatch.setattr(SdpProblem, "_dense_rows", refuse)
     approx = compute_value_approximation(bundled_instance("p1_mpec"), 3)
     assert approx.identity_error <= 1e-6
     f, g = parse_polynomial("x^4 - x^2", ["x"]), parse_polynomial("1 - x^2", ["x"])
     _, prob = build_moment_relaxation(f, [g], 3)
     assert solve(prob).status is SdpStatus.OPTIMAL
+    # one copy of the repeat is dropped at the start and the nine rows over
+    # all five blocks solved to the optimum of the given problem
+    sol, want = solve(dependent), solve(given)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert abs(sol.primal_objective - want.primal_objective) <= 1e-9
+    assert np.flatnonzero(sol.y == 0.0).tolist() in ([2], [9])
 
 
-def test_sparse_store_matches_dense_constraints(p1_value_program):
-    prob = p1_value_program
+def _member_coeff(prob, row, s, j):
+    """The dense coefficient of constraint ``row`` on member j of stack s,
+    or None where the row misses its block."""
+    A = prob.constraints[row].coeffs.get(s.index[j])
+    return A if A is None or s.entry[j] < 0 else A[s.entry[j]].reshape(1, 1)
+
+
+def _assert_store_matches_dense(prob):
+    """The sparse store of each stack, and its scaled columns group by
+    group, against the dense rows of ``prob``."""
     cone = _Cone(prob)
     rest = cone.free.rest
     rng = np.random.default_rng(5)
     y = rng.normal(size=len(rest))
-    # the free columns are unit vectors, so the elimination only drops rows
-    assert cone.stacks and len(cone.free.pivot) and not cone.free.M.any()
     for s in cone.stacks:
         raw = rng.normal(size=(s.count, s.size, s.size))
         X = raw + np.swapaxes(raw, 1, 2)
@@ -405,20 +425,64 @@ def test_sparse_store_matches_dense_constraints(p1_value_program):
         # the store holds the rows prescaled by 1 / row_scale
         applied = s.apply(X) * cone.row_scale
         combined = s.combine(y * cone.row_scale)
-        for j, bi in enumerate(s.index):
+        touched = []  # the (member, row) pairs with entries
+        for j in range(s.count):
             inner = np.zeros(len(rest))
             dense = np.zeros((s.size, s.size))
             for k, i in enumerate(rest):
-                A = prob.constraints[i].coeffs.get(bi)
+                A = _member_coeff(prob, i, s, j)
                 if A is not None:
                     inner[k] = np.sum(A * X[j])
                     dense += y[k] * A
+                    if A.any():
+                        touched.append((j, k))
             assert _close(applied[j], inner)
             assert _close(combined[j], dense)
+        # each pair is formed once, in a group of _CHUNK // n^2 pairs of
+        # any members
+        formed = []
         for j, cons, part in s.scaled_columns(R):
             for k, column in zip(cons, part):
-                A = prob.constraints[rest[k]].coeffs[s.index[j]] / cone.row_scale[k]
+                A = _member_coeff(prob, rest[k], s, j) / cone.row_scale[k]
                 assert _close(s.smat(column), R[j].T @ A @ R[j])
+                formed.append((j, k))
+        assert sorted(formed) == touched
+        assert len(s.groups) == -(-len(touched) // (sdp._CHUNK // s.size**2))
+    return cone
+
+
+def test_sparse_store_matches_dense_constraints(p1_value_program):
+    cone = _assert_store_matches_dense(p1_value_program)
+    # the free columns are unit vectors, so the elimination only drops rows
+    assert cone.stacks and len(cone.free.pivot) and not cone.free.M.any()
+    # the order-5 moment block and the localizing blocks take several groups
+    assert all(len(s.groups) > 1 for s in cone.stacks)
+
+
+def _p1_order4_relaxation():
+    """The order-4 moment relaxation of p1 at k = 3, eps 5e-4, as
+    `solve-p1-k4` builds it."""
+    p1 = bundled_instance("p1_mpec")
+    gens = _perturbed_generators(p1, compute_value_approximation(p1, 3), 5e-4)
+    scaling = p1.box.halfwidths
+    return build_moment_relaxation(p1.objective_f, gens, 4, scaling=scaling)[1]
+
+
+@pytest.mark.parametrize("which", ["mixed blocks", "p1 order-4 relaxation"])
+def test_grouped_scaled_columns_match_dense_constraints(which):
+    # 1x1 members beside nonnegative coordinates, and members of different
+    # row counts, share groups; the relaxation's four localizing blocks of
+    # size 10 have rows with more entries (12) than the block has rows
+    if which == "mixed blocks":
+        prob, _ = _mixed_blocks_problem(range(5))
+    else:
+        prob = _p1_order4_relaxation()
+        ten = [bi for bi, b in enumerate(prob.blocks) if b.size == 10]
+        assert len(ten) == 4
+        rows = [c.coeffs.get(bi, 0) for c in prob.constraints for bi in ten]
+        widest = max(np.count_nonzero(A) for A in rows)
+        assert widest > 10  # entries in both triangles
+    _assert_store_matches_dense(prob)
 
 
 def _mixed_blocks_problem(order):
@@ -569,14 +633,23 @@ def test_repeated_row_is_dropped_at_the_start(monkeypatch, seed):
 
 
 def test_value_fit_takes_the_qr_only_after_a_failed_factor(monkeypatch):
-    # late in the solve of p3's order-4 value fit, dpotrf fails on G'G
+    # dpotrf reports failure at iteration 21 of p3's order-4 value fit, late
+    # in its solve, whatever rounding makes of G'G there
     _, prob = build_value_program(bundled_instance("p3_sip"), 4)
+    dpotrf, calls = sdp.sla.lapack.dpotrf, []
+
+    def fail_at_21(M):
+        U, info = dpotrf(M)
+        calls.append(info)
+        return U, 1 if len(calls) == 22 else info
+
+    monkeypatch.setattr(sdp.sla.lapack, "dpotrf", fail_at_21)
     sol, factors = _solve_recording_factors(monkeypatch, prob)
     assert sol.status is SdpStatus.OPTIMAL
-    # each iteration factors G'G once, and a factor whose dpotrf failed
+    # each iteration factors G'G once, and the factor whose dpotrf failed
     # holds the QR's triangle of G as numpy gives it, with no shift
-    assert len(factors) == sol.iterations
-    assert any(failed for _, failed, _ in factors)
+    assert len(factors) == sol.iterations > 21
+    assert [failed for _, failed, _ in factors] == [i == 21 for i in range(len(factors))]
     assert all(qr == failed for _, failed, qr in factors)
 
 
@@ -663,9 +736,10 @@ def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program):
 
 
 def test_p3_order4_value_fit_is_optimal_under_ulp_moves():
-    # the one pipeline SDP whose dpotrf fails (late in its solve), so part
-    # of its end game runs on the QR's triangle: that must cost it neither
-    # its optimum nor the agreement of its objective across the trials
+    # a pipeline SDP whose Schur complement G'G nears singularity late in
+    # its solve, where dpotrf can fail by rounding and hand the end game to
+    # the QR's triangle: neither the rounding nor the route may cost it its
+    # optimum or the agreement of its objective across the trials
     _, prob = build_value_program(bundled_instance("p3_sip"), 4)
     objectives = [s.primal_objective for s in _assert_status_under_ulp_moves(prob, 1e-8)]
     assert max(objectives) - min(objectives) <= 1e-11
