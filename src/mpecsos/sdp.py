@@ -23,9 +23,11 @@ Each PSD block is scaled by its NT point R, which maps both X and S to the
 same diagonal matrix; the scaled constraint matrices R'A_iR are symmetric,
 so a block contributes n(n+1)/2 rows (its svec coordinates) to the scaled
 constraint matrix G.  The Newton system is solved through one upper
-triangle U with U'U = G'G, and each solve is refined once against its own
+triangle U with U'U = G'G, and each solve is refined against its own
 residual: G'G's condition number grows like 1/mu^2, and the refinement
-wins back the digits that squaring loses, so residuals reach 1e-10.  U is
+wins back the digits that squaring loses, so residuals reach 1e-10.  The
+predictor and the corrector are refined once, the tau column, whose error
+every direction inherits, twice; an iteration makes three solves.  U is
 the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
 takes U from a QR factorization of G.  Neither is shifted: dependent rows
 are settled once, at the start point, where a small pivot of the Gram
@@ -118,8 +120,6 @@ def _scatter(block: SdpBlock, slot, i, j, value, count: int = 1) -> np.ndarray:
 MAX_ITERATIONS = 200
 # share of the step to the cone boundary that an iteration takes
 STEP_FRACTION = 0.98
-# share of the tolerances above which the corrector's Newton residuals take a pass
-CORRECTION_FRACTION = 0.1
 
 
 @dataclass
@@ -707,8 +707,9 @@ class _SchurFactor:
     flops of a general product, and dpotrf factors it.  ``failed`` is set
     when dpotrf stops at a pivot that is not positive (G'G indefinite in
     rounding); U is then the QR's triangle R of G, unshifted.  A solve
-    through U'U loses about log10 cond(G'G) digits, so each is refined once
-    against G'xh = h (the corrected semi-normal equations, Bjorck 1987).
+    through U'U loses about log10 cond(G'G) digits, so each is refined
+    against G'xh = h (the corrected semi-normal equations, Bjorck 1987),
+    ``steps`` times.
     """
 
     def __init__(self, G: np.ndarray):
@@ -719,15 +720,18 @@ class _SchurFactor:
         if self.failed:
             self.U = np.linalg.qr(G, mode="r")
 
-    def solve(self, e: np.ndarray, h: np.ndarray):
+    def solve(self, e: np.ndarray, h: np.ndarray, steps: int = 1):
         """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e),
-        then dy += (G'G)^{-1}(h - G'xh) and xh += G times that correction."""
+        then, ``steps`` times, dy += (G'G)^{-1}(h - G'xh) and xh += G times
+        that correction."""
         if not len(h):  # dpotrs rejects the 0x0 factor
             return e.copy(), np.zeros(0)
         dy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ e)
         xh = e + self.G @ dy
-        ddy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ xh)
-        return xh + self.G @ ddy, dy + ddy
+        for _ in range(steps):
+            ddy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ xh)
+            xh, dy = xh + self.G @ ddy, dy + ddy
+        return xh, dy
 
 
 class _State:
@@ -830,10 +834,6 @@ class _HsdSolver:
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
         return {"blocks": blocks, "factor": _SchurFactor(G), "c_hat": c_hat}
 
-    def _scaled(self, fact, mats):
-        """R' M R per stack, at the scaling points of ``fact``."""
-        return [_t(R) @ M @ R for (R, _, _), M in zip(fact["blocks"], mats)]
-
     def _direction(self, st: _State, fact, rhs, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets.
 
@@ -866,53 +866,6 @@ class _HsdSolver:
         d.update(y=d_y, tau=d_tau, kappa=(rc_tau - st.kappa * d_tau) / st.tau)
         return d
 
-    def _newton_residuals(self, st: _State, fact, d, rhs, Rc, rc_tau):
-        """Residuals of the five Newton equations for a computed direction.
-
-        All products here are well scaled (no S^{-1}), so these residuals
-        expose the error introduced by the ill-conditioned elimination.
-        """
-        cone = self.cone
-        r_p, r_d, r_g, _ = rhs
-        rho1 = r_p - (cone.apply(d["X"]) - cone.b * d["tau"])
-        rho2 = [
-            rd - (s.combine(d["y"]) + dS - s.C * d["tau"])
-            for s, rd, dS in zip(cone.stacks, r_d, d["S"])
-        ]
-        rho3 = r_g - (float(cone.b @ d["y"]) - cone.inner(cone.C, d["X"]) - d["kappa"])
-        rho4 = [
-            Rc_s - jordan * (dXt + dSt)
-            for Rc_s, (*_, jordan), dXt, dSt in zip(Rc, fact["blocks"], d["Xt"], d["St"])
-        ]
-        rho6 = rc_tau - (d["tau"] * st.kappa + st.tau * d["kappa"])
-        return rho1, rho2, rho3, rho4, rho6
-
-    def _direction_refined(self, st: _State, fact, rhs, Rc, rc_tau, objectives):
-        """Corrector direction, refined against its Newton residuals on demand.
-
-        dX comes from the scaled primal step and dS from dy, so rounding in
-        the solve shows up in the Newton residuals.  When the primal, dual
-        or gap row among them exceeds CORRECTION_FRACTION of its stopping
-        tolerance, in the stopping test's normalization at the iterate of
-        objectives (pobj, dobj), a correction pass (one more solve through
-        the factorization and one more direction) removes it.  Most
-        iterations skip it; the order-4 moment relaxation of x^4 - x^2 on
-        [-1, 1] at 1e-9 needs it, and without it ends NumericalTrouble.
-        """
-        d = self._direction(st, fact, rhs, Rc, rc_tau)
-        r1, r2, r3, r4, r6 = self._newton_residuals(st, fact, d, rhs, Rc, rc_tau)
-        rows = self._scaled_rows(st.tau, r1, r2, r3 / st.tau, objectives)
-        tols = (self.opts.feas_tol, self.opts.feas_tol, self.opts.gap_tol)
-        if all(r <= CORRECTION_FRACTION * t for r, t in zip(rows, tols)):
-            return d
-        dc = self._direction(st, fact, (r1, r2, r3, self._scaled(fact, r2)), r4, r6)
-        for key in ("X", "S", "Xt", "St"):
-            d[key] = [a + b for a, b in zip(d[key], dc[key])]
-        d["y"] = d["y"] + dc["y"]
-        d["tau"] += dc["tau"]
-        d["kappa"] += dc["kappa"]
-        return d
-
     def _max_step(self, st: _State, fact, d) -> float:
         """Largest step keeping the iterate in the cone: a block stays PSD
         while diag(lam) + a*dZ (scaled coordinates) does, for a up to -1 over
@@ -930,7 +883,8 @@ class _HsdSolver:
         return alpha
 
     def _apply_step(self, st: _State, d, alpha: float):
-        # new lists, so a shallow copy of the state (the best iterate) stays
+        # new lists, so a shallow copy (the best iterate, the trial of
+        # _mu_after) and the state it was taken from never share a step
         st.X = [X + alpha * dX for X, dX in zip(st.X, d["X"])]
         st.S = [S + alpha * dS for S, dS in zip(st.S, d["S"])]
         st.y = st.y + alpha * d["y"]
@@ -939,23 +893,17 @@ class _HsdSolver:
 
     # -- termination -------------------------------------------------------
 
-    def _scaled_rows(self, tau: float, r_p, r_d, diff: float, objectives):
-        """r_p, r_d and the objective difference diff as the stopping test
-        reads them at an iterate of scale tau and objectives (pobj, dobj)."""
-        cone = self.cone
-        pobj, dobj = objectives
-        # the pivot rows and the free block's dual rows hold exactly
-        p_res = np.linalg.norm(cone.row_scale * r_p) / (tau * (1.0 + cone.b_norm))
-        d_res = math.sqrt(cone.inner(r_d, r_d)) / (tau * (1.0 + cone.c_norm))
-        return p_res, d_res, abs(diff) / (1.0 + abs(pobj) + abs(dobj))
-
     def _convergence_metrics(self, st: _State, resid):
         cone = self.cone
         r_p, r_d, _, ctx = resid
         pobj = ctx / st.tau + cone.offset
         dobj = float(cone.b @ st.y) / st.tau + cone.offset
-        rows = self._scaled_rows(st.tau, r_p, r_d, pobj - dobj, (pobj, dobj))
-        return (*rows, pobj, dobj)
+        # the pivot rows and the free block's dual rows hold exactly
+        tau = st.tau
+        p_res = np.linalg.norm(cone.row_scale * r_p) / (tau * (1.0 + cone.b_norm))
+        d_res = math.sqrt(cone.inner(r_d, r_d)) / (tau * (1.0 + cone.c_norm))
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        return p_res, d_res, gap, pobj, dobj
 
     def _certificates(self, st: _State, resid):
         """Check the two Farkas-ray conditions on the current iterate."""
@@ -1023,7 +971,7 @@ class _HsdSolver:
             resid = self._residuals(st)
             mu = st.mu(cone)
             self.mu_history.append(mu)
-            p_res, d_res, gap, pobj, dobj = self._convergence_metrics(st, resid)
+            p_res, d_res, gap, _, _ = self._convergence_metrics(st, resid)
 
             merit = max(p_res, d_res, gap)
             if math.isfinite(merit) and merit < best_merit:
@@ -1055,7 +1003,7 @@ class _HsdSolver:
                 settled = None if iterations else self._settle_rows(st, fact["factor"].U)
                 if settled is not None:
                     return settled
-                step, alpha = self._search_direction(st, fact, resid, mu, (pobj, dobj))
+                step, alpha = self._search_direction(st, fact, resid, mu)
                 alpha = min(STEP_FRACTION * alpha, 1.0)
                 if not math.isfinite(alpha) or alpha <= 0:
                     raise np.linalg.LinAlgError("no step inside the cone")
@@ -1070,7 +1018,7 @@ class _HsdSolver:
 
         return self._package(st, status, iterations, cert_residual, stall)
 
-    def _search_direction(self, st: _State, fact, resid, mu: float, objectives):
+    def _search_direction(self, st: _State, fact, resid, mu: float):
         """Mehrotra predictor-corrector step from the factorization ``fact``.
 
         Returns the direction and the largest step that keeps the iterate
@@ -1078,21 +1026,22 @@ class _HsdSolver:
         stated in the scaled coordinates, where the iterate is diag(lam).
         The predictor only sets sigma and the corrector's second-order term,
         so it is solved once (Mehrotra 1992): three solves through the factor
-        (tau column, predictor, corrector), and a fourth in an iteration whose
-        corrector takes its correction pass.
+        (tau column, predictor, corrector).  Both directions inherit the tau
+        column's error, so its solve is refined twice, the others once.
         """
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
         # kappa/tau + ||xh_tau||^2, where xh_tau is the scaled primal step
         # of the column: a sum of squares, with no cancellation to clamp.
-        tau_col = fact["factor"].solve(-fact["c_hat"], self.cone.b)
+        tau_col = fact["factor"].solve(-fact["c_hat"], self.cone.b, steps=2)
         pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
         if not (pivot > 0 and math.isfinite(pivot)):
             raise np.linalg.LinAlgError("singular tau pivot")
         fact.update(tau_col=tau_col, tau_pivot=pivot)
         lams = [lam for _, lam, _ in fact["blocks"]]
         r_p, r_d, r_g, _ = resid
-        rhs = (r_p, r_d, r_g, self._scaled(fact, r_d))
+        rd_t = [_t(R) @ rd @ R for (R, _, _), rd in zip(fact["blocks"], r_d)]
+        rhs = (r_p, r_d, r_g, rd_t)
         # predictor: pure Newton step onto complementarity target 0
         Rc_aff = [_diag(-(lam * lam)) for lam in lams]
         aff = self._direction(st, fact, rhs, Rc_aff, -(st.tau * st.kappa))
@@ -1105,14 +1054,13 @@ class _HsdSolver:
             for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
-        d = self._direction_refined(st, fact, rhs, Rc, rc_t, objectives)
+        d = self._direction(st, fact, rhs, Rc, rc_t)
         return d, self._max_step(st, fact, d)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:
-        start = (st.tau + alpha * d["tau"]) * (st.kappa + alpha * d["kappa"])
-        X = [X + alpha * dX for X, dX in zip(st.X, d["X"])]
-        S = [S + alpha * dS for S, dS in zip(st.S, d["S"])]
-        return self.cone.inner(X, S, start) / (self.cone.nu + 1)
+        trial = copy.copy(st)
+        self._apply_step(trial, d, alpha)
+        return trial.mu(self.cone)
 
     # -- assembling the public solution --------------------------------------
 

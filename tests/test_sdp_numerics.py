@@ -27,9 +27,8 @@ right sides disagree, whatever dpotrf makes of the singular start G'G,
 and the independent rows solved on, the others at y = 0, when they agree
 (a random objective may then leave a recession ray, never a false
 certificate), the stall named on a run that stops early, and the three
-solves through the factor in each iteration, with a fourth, the
-corrector's correction pass, only where its Newton residuals near the
-tolerances.
+solves through the factor in each iteration, the tau column's refined
+twice, without which a quartic relaxation misses 1e-10 under ulp moves.
 """
 
 import itertools
@@ -690,22 +689,27 @@ def _ulps_up(value, steps):
     return value
 
 
-def _assert_status_under_ulp_moves(prob, tol, status=SdpStatus.OPTIMAL):
-    """One run could pass by luck of its path near the rounding floor, so
-    every right side is also moved by 0-2 ulps toward +inf in 15 more
-    trials, and all 16 must end ``status``: Optimal within ``tol``, or
-    PrimalInfeasible with b'y = 1 and a certificate residual within
-    ``tol``.  Returns the 16 solutions."""
+def _ulp_trials(prob):
+    """prob as it is, then with every right side moved by 0-2 ulps toward
+    +inf in 15 more trials."""
     m = prob.num_constraints
     rng = np.random.default_rng(0)
-    sols = []
     for trial in range(16):
         steps = rng.integers(0, 3, size=m) if trial else np.zeros(m, dtype=int)
         rows = [
             SdpConstraint(c.coeffs, _ulps_up(c.rhs, n))
             for c, n in zip(prob.constraints, steps)
         ]
-        moved = SdpProblem(prob.blocks, prob.objective, rows)
+        yield SdpProblem(prob.blocks, prob.objective, rows)
+
+
+def _assert_status_under_ulp_moves(prob, tol, status=SdpStatus.OPTIMAL):
+    """One run could pass by luck of its path near the rounding floor, so
+    all 16 `_ulp_trials` must end ``status``: Optimal within ``tol``, or
+    PrimalInfeasible with b'y = 1 and a certificate residual within
+    ``tol``.  Returns the 16 solutions."""
+    sols = []
+    for trial, moved in enumerate(_ulp_trials(prob)):
         sol = solve(moved, SolverOptions(gap_tol=tol, feas_tol=tol))
         assert sol.status is status, (trial, sol.status, sol.stall)
         if status is SdpStatus.OPTIMAL:
@@ -730,7 +734,7 @@ def test_p2_relaxation_reaches_tight_tolerances(tol):
 
 def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program):
     # the benchmark's largest SDP (G is 3,486 x 220), at the pipeline's
-    # tolerance: the correction pass it skips must not cost it its optimum
+    # tolerance: the rounding of its solves must not cost it its optimum
     # when the last bits of its right side change
     _assert_status_under_ulp_moves(p1_value_program, 1e-8)
 
@@ -883,36 +887,55 @@ def test_dependent_rows_are_settled_at_the_start():
             _assert_recession_ray(sol, rows, C)
 
 
-def test_correction_pass_runs_only_near_the_tolerances(monkeypatch):
-    # each iteration solves for the tau column, the predictor and the
-    # corrector and evaluates the corrector's Newton residuals once; only
-    # residuals near the tolerances take the correction pass, one more
-    # solve and direction (the last iteration only checks the tolerances)
-    calls = {"solve": 0, "direction": 0, "residuals": 0}
+def test_each_iteration_makes_three_solves(monkeypatch):
+    # the tau column, the predictor and the corrector, one direction each
+    # for the last two; only the tau column's solve is refined twice (the
+    # last iteration only checks the tolerances)
+    calls = {"solve": 0, "twice": 0, "direction": 0}
+    inner_solve, direction = _SchurFactor.solve, sdp._HsdSolver._direction
 
-    def counted(method, key):
-        def wrapper(*args):
-            calls[key] += 1
-            return method(*args)
+    def counted_solve(self, e, h, steps=1):
+        calls["solve"] += 1
+        calls["twice"] += steps == 2
+        return inner_solve(self, e, h, steps)
 
-        return wrapper
+    def counted_direction(*args):
+        calls["direction"] += 1
+        return direction(*args)
 
-    monkeypatch.setattr(_SchurFactor, "solve", counted(_SchurFactor.solve, "solve"))
-    for name, key in (("_direction", "direction"), ("_newton_residuals", "residuals")):
-        method = getattr(sdp._HsdSolver, name)
-        monkeypatch.setattr(sdp._HsdSolver, name, counted(method, key))
+    monkeypatch.setattr(_SchurFactor, "solve", counted_solve)
+    monkeypatch.setattr(sdp._HsdSolver, "_direction", counted_direction)
     _, prob = build_value_program(bundled_instance("p1_mpec"), 3)
     sol = solve(prob)
     assert sol.status is SdpStatus.OPTIMAL and sol.iterations >= 10
-    passes = calls["direction"] - 2 * sol.iterations
-    assert calls["solve"] == 3 * sol.iterations + passes
-    assert calls["residuals"] == sol.iterations
-    assert 0 <= passes < sol.iterations
-    # without the pass, this relaxation ends NumericalTrouble at 1e-9
+    assert calls["solve"] == 3 * sol.iterations
+    assert calls["twice"] == sol.iterations
+    assert calls["direction"] == 2 * sol.iterations
+
+
+def _quartic_relaxation():
+    """The order-4 moment relaxation of x^4 - x^2 on [-1, 1]."""
     f = parse_polynomial("x^4 - x^2", ["x"])
     g = parse_polynomial("1 - x^2", ["x"])
-    _, prob = build_moment_relaxation(f, [g], 4)
-    calls.update(solve=0, direction=0, residuals=0)
-    sol = solve(prob, SolverOptions(gap_tol=1e-9, feas_tol=1e-9))
-    assert sol.status is SdpStatus.OPTIMAL, (sol.status, sol.stall)
-    assert calls["direction"] - 2 * sol.iterations >= 1
+    return build_moment_relaxation(f, [g], 4)[1]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_quartic_relaxation_is_optimal_under_ulp_moves(tol):
+    # near its end the primal residual is the error of the tau column's
+    # solve; refined twice, it stays below 1e-10 whatever the last bits of
+    # the right side
+    _assert_status_under_ulp_moves(_quartic_relaxation(), tol)
+
+
+def test_quartic_relaxation_needs_the_tau_column_refined_twice(monkeypatch):
+    # the witness of the test above: with the tau column refined once, like
+    # the other two solves, some of the 16 trials miss 1e-10
+    solve_once = _SchurFactor.solve
+    monkeypatch.setattr(
+        _SchurFactor, "solve", lambda self, e, h, steps=1: solve_once(self, e, h)
+    )
+    tight = SolverOptions(gap_tol=1e-10, feas_tol=1e-10)
+    trials = _ulp_trials(_quartic_relaxation())
+    statuses = [solve(moved, tight).status for moved in trials]
+    assert statuses.count(SdpStatus.OPTIMAL) < 16, statuses
