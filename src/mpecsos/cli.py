@@ -127,6 +127,8 @@ def cmd_solve(args) -> int:
     problem = _load(args.instance)
     k_start, k_max = _parse_k_range(args.k)
     config = AlgoConfig(epsilon=args.eps, k_start=k_start, k_max=k_max)
+    if args.fstar is not None and not abs(args.fstar) < float("inf"):
+        raise ValueError(f"--fstar must be finite, got {args.fstar}")
     trace = solve_mpec(problem, config)
     for record in trace.records:
         value = "-" if record.value is None else _fmt(record.value)

@@ -280,6 +280,8 @@ def within_upper_bound(
     trace: AlgorithmTrace, reference_value: float, epsilon: float
 ) -> bool:
     """Final value sits below the reference plus the perturbation budget."""
+    if not (math.isfinite(reference_value) and math.isfinite(epsilon)):
+        raise ValueError(f"reference {reference_value}, epsilon {epsilon}: must be finite")
     if not trace.successful_records():
         raise ValueError("trace has no successful iteration")
     return trace.final_value < reference_value + epsilon + 1e-6

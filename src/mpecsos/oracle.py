@@ -116,7 +116,11 @@ def _masked_inner_scan(
     """Minimum of phi over the feasible inner nodes, per outer point.
 
     Returns (values, argmin_index); empty slices give +inf and index -1.
+    A NaN or infinite coordinate raises ValueError.
     """
+    if not np.isfinite(points).all():
+        bad = points[~np.isfinite(points).all(axis=1)][0].tolist()
+        raise ValueError(f"point coordinates must be finite, got {bad}")
     n, m = problem.n, problem.m
     h_xv = problem.h_in_xv()
     phi = problem.coupling_full()

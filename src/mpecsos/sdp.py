@@ -34,12 +34,13 @@ are settled once, at the start point, where a small pivot of the Gram
 matrix G'G flags them and the elimination of free variables decides them:
 a Farkas ray ends the solve primal infeasible, else the rest are solved.
 
-Constraint data arrive and are kept sparse, as one table of upper-triangle
-entries per block (dense rows exist only on request): the Gram-form
-programs built here touch under 1% of the entries of their dense blocks.
-Products with the rows go through np.bincount, and each scaled matrix
-R'A_iR is formed from its row's own entries (Fujisawa, Kojima and Nakata
-1997), rows of like entry count batched together.
+Constraint data are one table of upper-triangle entries per block from
+the builder (`SdpProblem.from_tables`) to the PSD stacks, which alone
+mirror them into both triangles; dense rows exist only on request.  The
+Gram-form programs built here touch under 1% of the entries of their
+dense blocks.  Products with the rows go through np.bincount, and each
+scaled matrix R'A_iR is formed from its row's own entries (Fujisawa,
+Kojima and Nakata 1997), rows of like entry count batched together.
 The per-iteration work is dense: the scaling points, the scaled constraint
 matrix and its factorization.  Blocks of one size are stacked, so that
 work is one batched numpy call per size, not one per block; a nonnegative
@@ -86,21 +87,26 @@ class SdpBlock:
 
 @dataclass
 class SdpConstraint:
-    """One equality row: sum over touched blocks of <coeff, X_block> = rhs.
-
-    A coefficient is dense (a symmetric matrix for a PSD block, a vector
-    otherwise) or a tuple of entry arrays: the upper triangle (i, j, value)
-    of a PSD block, (index, value) of a vector block.  Zero entries are
-    dropped, so a block given as zeros is one the row does not touch.
+    """One equality row with dense coefficients: sum over touched blocks of
+    <coeff, X_block> = rhs, coeff a symmetric matrix for a PSD block and a
+    vector otherwise.  Zero entries are dropped, so a block given as zeros
+    is one the row does not touch.  Sparse rows go to `SdpProblem.from_tables`.
     """
 
-    coeffs: Dict[int, object]
+    coeffs: Dict[int, np.ndarray]
     rhs: float
 
 
 # one block's entries over all rows, sorted by (row, i, j): its upper
 # triangle, or (i, i) for coordinate i of a vector block
 _Table = collections.namedtuple("_Table", "row i j value")
+
+
+def _nonzero(arr: np.ndarray, psd: bool):
+    """The indices and values of the nonzero entries of ``arr``, of its upper
+    triangles (the last two axes) if ``psd``."""
+    index = np.nonzero(np.triu(arr) if psd else arr)
+    return (*index, arr[index])
 
 
 def _scatter(block: SdpBlock, slot, i, j, value, count: int = 1) -> np.ndarray:
@@ -135,9 +141,10 @@ class SolverOptions:
 class SdpProblem:
     """Validated block-structured SDP in equality-standard form.
 
-    ``tables`` holds the constraint data, one table of (row, i, j, value)
-    entries per block, checked as a whole; ``constraints`` gives them as
-    dense rows, built on first use.
+    ``tables`` holds the constraint data, one ``_Table`` per block, checked
+    as a whole.  ``from_tables`` takes such tables, in any order; the
+    constructor turns dense rows into them, and ``constraints`` gives those
+    back, built on first use.
     """
 
     def __init__(
@@ -147,22 +154,39 @@ class SdpProblem:
         constraints: Sequence[SdpConstraint],
     ):
         self.blocks = tuple(blocks)
-        if not constraints:
-            raise ValueError("at least one constraint is required")
-        self.objective = {}
-        for bi, coeff in objective.items():
-            self.objective[bi] = self._check_coeff(bi, coeff, "objective")
-        parts = [[] for _ in self.blocks]  # per block: (row, i, j, value) of its rows
+        shapes = [(b.size,) * (1 + (b.kind is BlockKind.PSD)) for b in self.blocks]
+        dense = [np.zeros((len(constraints), *shape)) for shape in shapes]
         for ci, con in enumerate(constraints):
             where = f"constraint {ci}"
             if not con.coeffs:
                 raise ValueError(f"{where} touches no block")
             for bi, coeff in con.coeffs.items():
-                parts[bi].append((ci, *self._entries(bi, coeff, where)))
-            if not math.isfinite(float(con.rhs)):
-                raise ValueError(f"{where}: right side {con.rhs} not finite")
-        self._rhs = np.array([float(con.rhs) for con in constraints])
-        self.tables = {bi: self._table(bi, part) for bi, part in enumerate(parts)}
+                dense[bi][ci] = self._check_coeff(bi, coeff, where)
+        tables = [_nonzero(d, d.ndim == 3) for d in dense]
+        self._set_data(objective, tables, [con.rhs for con in constraints])
+
+    @classmethod
+    def from_tables(cls, blocks, objective, tables, rhs) -> "SdpProblem":
+        """The problem of one entry table per block: (row, i, j, value) over
+        the upper triangle of a PSD block, (row, index, value) for a vector
+        block, in any order, rows counted from 0 as in ``rhs``."""
+        problem = cls.__new__(cls)
+        problem.blocks = tuple(blocks)
+        if len(tables) != len(problem.blocks):
+            raise ValueError("one entry table per block required")
+        problem._set_data(objective, tables, rhs)
+        return problem
+
+    def _set_data(self, objective, tables, rhs):
+        self._rhs = np.array(rhs, dtype=float)
+        if not len(self._rhs):
+            raise ValueError("at least one constraint is required")
+        if not np.isfinite(self._rhs).all():
+            at = np.isfinite(self._rhs).argmin()
+            raise ValueError(f"constraint {at}: right side {self._rhs[at]} not finite")
+        check = self._check_coeff
+        self.objective = {bi: check(bi, c, "objective") for bi, c in objective.items()}
+        self.tables = {bi: self._table(bi, table) for bi, table in enumerate(tables)}
 
     def _check_coeff(self, block_index: int, coeff, where: str) -> np.ndarray:
         if not 0 <= block_index < len(self.blocks):
@@ -184,35 +208,23 @@ class SdpProblem:
                 raise ValueError(f"{where}: expected vector of length {block.size}")
         return arr
 
-    def _entries(self, block_index: int, coeff, where: str):
-        """(i, j, value) of one coefficient: its own, or the nonzero upper
-        entries of a dense one."""
-        if not isinstance(coeff, tuple):
-            arr = self._check_coeff(block_index, coeff, where)
-            index = np.nonzero(np.triu(arr) if arr.ndim == 2 else arr)
-            return index[0], index[-1], arr[index]
-        if not 0 <= block_index < len(self.blocks):
-            raise ValueError(f"{where}: no block {block_index}")
-        psd = self.blocks[block_index].kind is BlockKind.PSD
-        if len(coeff) != 2 + psd or len(set(map(len, coeff))) != 1:
-            shape = "(i, j, value)" if psd else "(index, value)"
-            raise ValueError(f"{where}: expected {shape} arrays of one length")
-        return coeff[0], coeff[-2], coeff[-1]
-
-    def _table(self, block_index: int, part) -> _Table:
+    def _table(self, block_index: int, table) -> _Table:
         """The entries of one block, checked, sorted and without zeros."""
-        n = self.blocks[block_index].size
-        rows, i, j, value = zip(*part) if part else ((),) * 4
-        row = np.repeat(np.array(rows, dtype=np.intp), [len(v) for v in value])
-        i, j = (np.concatenate([np.zeros(0, np.intp), *a]) for a in (i, j))
-        value = np.concatenate([np.zeros(0), *value])
-        if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+        n, m = self.blocks[block_index].size, len(self._rhs)
+        psd = self.blocks[block_index].kind is BlockKind.PSD
+        if len(table) != 3 + psd or len(set(map(len, table))) > 1:
+            shape = "(row, i, j, value)" if psd else "(row, index, value)"
+            raise ValueError(f"block {block_index}: expected {shape} arrays of one length")
+        row, i, j = (np.asarray(a) for a in (table[0], table[1], table[-2]))
+        value = np.asarray(table[-1], dtype=float)
+        if any(a.dtype.kind not in "iu" for a in (row, i, j)):
             raise ValueError(f"block {block_index}: entry index not an integer")
         key = (row * n + i) * n + j
         order = np.argsort(key, kind="stable")
         repeated = np.zeros(len(key), bool)
         repeated[order[1:]] = np.diff(key[order]) == 0
         for bad, what in (
+            ((row < 0) | (row >= m), f"row outside 0..{m - 1}"),
             (~np.isfinite(value), "coefficient not finite"),
             ((i < 0) | (j < 0) | (i >= n) | (j >= n), "index outside the block"),
             (i > j, "entry below the diagonal"),
@@ -234,38 +246,25 @@ class SdpProblem:
     @functools.cached_property
     def constraints(self) -> List[SdpConstraint]:
         """The rows with dense coefficients, blocks in ascending index."""
-        rows = self._dense_rows()
-        return [SdpConstraint(row, b) for row, b in zip(rows, self._rhs.tolist())]
-
-    def _dense_rows(self) -> List[Dict[int, np.ndarray]]:
-        """The dense coefficients of every row, blocks in ascending index."""
-        out: List[Dict[int, np.ndarray]] = [{} for _ in range(self.num_constraints)]
+        coeffs: List[Dict[int, np.ndarray]] = [{} for _ in range(self.num_constraints)]
         for bi, (row, i, j, value) in self.tables.items():
             touched, slot = np.unique(row, return_inverse=True)
             dense = _scatter(self.blocks[bi], slot, i, j, value, len(touched))
             for r, coeff in zip(touched.tolist(), dense):
-                out[r][bi] = coeff
-        return out
+                coeffs[r][bi] = coeff
+        return [SdpConstraint(c, b) for c, b in zip(coeffs, self._rhs.tolist())]
 
     def _restricted(self, rows: np.ndarray) -> "SdpProblem":
         """The problem of ``rows`` alone, in ascending order, built from the
         tables' entries."""
         place = np.full(self.num_constraints, -1)
         place[rows] = np.arange(len(rows))
-        coeffs: List[Dict[int, tuple]] = [{} for _ in rows]
-        for bi, (row, i, j, value) in self.tables.items():
+        tables = []
+        for block, (row, i, j, value) in zip(self.blocks, self.tables.values()):
             keep = place[row] >= 0
-            if not keep.any():
-                continue
-            slot = place[row[keep]]
-            psd = self.blocks[bi].kind is BlockKind.PSD
-            entries = (i[keep], j[keep], value[keep]) if psd else (i[keep], value[keep])
-            cut = np.flatnonzero(np.diff(slot)) + 1
-            parts = (np.split(a, cut) for a in entries)
-            for r, *coeff in zip(slot[np.r_[0, cut]], *parts):
-                coeffs[r][bi] = tuple(coeff)
-        constraints = [SdpConstraint(c, b) for c, b in zip(coeffs, self._rhs[rows])]
-        return SdpProblem(self.blocks, self.objective, constraints)
+            table = (place[row[keep]], i[keep], j[keep], value[keep])
+            tables.append(table if block.kind is BlockKind.PSD else table[:2] + table[3:])
+        return SdpProblem.from_tables(self.blocks, self.objective, tables, self._rhs[rows])
 
     def dump(self) -> str:
         """Sparse text form for differential testing against other solvers.
@@ -281,7 +280,8 @@ class SdpProblem:
         ]
         parts = [(np.full(len(t.row), bi), *t) for bi, t in self.tables.items()]
         for bi, coeff in sorted(self.objective.items()):
-            i, j, value = self._entries(bi, coeff, "objective")
+            *index, value = _nonzero(coeff, coeff.ndim == 2)
+            i, j = index[0], index[-1]
             parts.append((np.full(len(i), bi), np.full(len(i), -1), i, j, value))
         bis, row, i, j, value = (np.concatenate(a) for a in zip(*parts))
         psd = np.array([b.kind is BlockKind.PSD for b in self.blocks])
@@ -394,17 +394,18 @@ class _PsdStack:
 
     Matrices carry a leading member axis.  svec stacks the upper triangle
     row by row, off-diagonal entries times sqrt(2), so <A, X> =
-    svec(A)'svec(X).  The svec entries of the A_i are triples (svec row
-    j*dim + r of member j, row i, value); the entries of both triangles
-    form R'A_iR, in groups of (member, row) pairs of like entry count.
+    svec(A)'svec(X).  Each member brings the upper entries of its rows;
+    their svec entries are triples (svec row j*dim + r of member j, row i,
+    value), and their mirror into both triangles, made here alone, forms
+    R'A_iR, in groups of (member, row) pairs of like entry count.
     Member j is cone block ``order[j]``, owns ``rows[j]`` of the scaled
     constraint matrix and is public block ``index[j]`` (its coordinate
     ``entry[j]`` if nonnegative, else -1).
     """
 
     def __init__(self, members, order: np.ndarray, offsets: np.ndarray, m: int):
-        # members[o] for o in order: (n, index, entry, C, (keys, local, j, k,
-        # value)) for one size n, where an entry lies in row keys[local]
+        # members[o] for o in order: (n, index, entry, C, (row, i, j, value))
+        # for one size n, the upper entries sorted by (row, i, j)
         self.order = order
         self.offsets = offsets[order]
         sizes, self.index, self.entry, Cs, tables = zip(*(members[o] for o in order))
@@ -417,19 +418,22 @@ class _PsdStack:
         self.rows = self.offsets[:, None] + np.arange(dim)
         self.C = np.array(Cs)
 
-        counts = np.array([len(t[0]) for t in tables], dtype=np.intp)
-        # the (member, row) pairs: member j's rows are cons[start[j]:start[j + 1]]
-        self.cons = np.concatenate([t[0] for t in tables])
-        start = np.concatenate([[0], np.cumsum(counts)])
-        member = np.repeat(np.arange(k), [len(t[1]) for t in tables])
-        local, js, ks, vals = (np.concatenate(a) for a in list(zip(*tables))[1:])
-        pair = start[member] + local
+        member = np.repeat(np.arange(k), [len(t[0]) for t in tables])
+        row, js, ks, vals = (np.concatenate(a) for a in zip(*tables))
+        pos = js * n - js * (js - 1) // 2 + ks - js  # svec place
+        self.svec_rows, self.cols = member * dim + pos, row
+        self.vals = vals * self.weight[pos]
+        self.bins = member * m + row  # (member, row) of an entry
 
-        up = js <= ks
-        pos = js[up] * n - js[up] * (js[up] - 1) // 2 + ks[up] - js[up]  # svec place
-        self.svec_rows, self.cols = member[up] * dim + pos, self.cons[pair[up]]
-        self.vals = vals[up] * self.weight[pos]
-        self.bins = member[up] * m + self.cols  # (member, row) of an entry
+        # the entries of both triangles, row-major in each (member, row)
+        # pair; pair p, in (member, row) order, is row cons[p] of owner[p]
+        off = js != ks
+        both = [np.concatenate([a, b[off]]) for a, b in
+                ((self.bins, self.bins), (js, ks), (ks, js), (vals, vals))]
+        order = np.argsort((both[0] * n + both[1]) * n + both[2], kind="stable")
+        bins, js, ks, vals = (a[order] for a in both)
+        keys, per_pair = np.unique(bins, return_counts=True)
+        owner, self.cons = np.divmod(keys, m)
 
         # The pairs in order of entry count, cut into groups of _CHUNK // n^2.
         # A group lists its pairs by member and row, each padded to the
@@ -438,9 +442,7 @@ class _PsdStack:
         # pick, the values, and a run (member, first, last, rows) of the
         # group's pairs per member.
         width = max(1, _CHUNK // (n * n))
-        per_pair = np.bincount(pair, minlength=len(self.cons))
         first = np.cumsum(per_pair) - per_pair  # entries run pair by pair
-        owner = np.repeat(np.arange(k), counts)
         by_count = np.argsort(per_pair, kind="stable")
         self.groups = []
         for lo in range(0, len(by_count), width):
@@ -552,7 +554,7 @@ class _Cone:
         # multiples of the original pivot rows that row k loses, in the
         # scale of row k
         mix = free.M * self.row_scale[:, None] / norms[free.pivot]
-        members = []  # (size, index, entry, C, entries) in block order
+        members = []  # (size, index, entry, C, upper entries) in block order
         for bi, block in enumerate(blocks):
             if block.kind is BlockKind.FREE:
                 continue
@@ -574,22 +576,14 @@ class _Cone:
                 index = np.nonzero(np.triu(dense) if dense.ndim == 3 else dense)
                 k, i, j, value = index[0], index[1], index[-1], dense[index]
             value = value / self.row_scale[k]
-            if block.kind is BlockKind.PSD:  # both triangles, row-major in each row
-                off = i != j
-                pairs = ((k, k), (i, j), (j, i), (value, value))
-                k, i, j, value = (np.concatenate([a, b[off]]) for a, b in pairs)
-                order = np.argsort((k * n + i) * n + j, kind="stable")
-                keys, local = np.unique(k[order], return_inverse=True)
-                entries = (keys, local, i[order], j[order], value[order])
-                members.append((n, bi, -1, C, entries))
+            if block.kind is BlockKind.PSD:
+                members.append((n, bi, -1, C, (k, i, j, value)))
                 continue
             order = np.argsort(i, kind="stable")  # by coordinate, rows ascending
             split = np.searchsorted(i[order], np.arange(1, n))
             columns = zip(np.split(k[order], split), np.split(value[order], split))
-            for c, (kc, vc) in enumerate(columns):
-                zero = np.zeros(len(kc), np.intp)
-                entries = (kc, np.arange(len(kc)), zero, zero, vc)
-                members.append((1, bi, c, C[c : c + 1, None], entries))
+            for c, (kc, vc) in enumerate(columns):  # coordinate c is a 1x1 block
+                members.append((1, bi, c, C[c : c + 1, None], (kc, 0 * kc, 0 * kc, vc)))
 
         sizes = np.array([mem[0] for mem in members], dtype=np.intp)
         offsets = np.concatenate([[0], np.cumsum(sizes * (sizes + 1) // 2)])

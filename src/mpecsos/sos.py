@@ -11,8 +11,9 @@ p makes the optimal p the best certified under-approximation of
 min-over-constrained-variables of the target: that is the value fit.
 Exponents are mixed-radix integer keys (radix row degree + 1, so sums
 never carry): the rows of all upper Gram entries times all terms of h_j
-come from one broadcast sum and one sorted lookup, and one sort splits a
-block's entries into the rows' (i, j, value) triples.
+come from one broadcast sum and one sorted lookup, and one sort orders a
+block's entries into its (row, i, j, value) table, which goes to the
+solver as it is (`SdpProblem.from_tables`).
 
 The order-t moment relaxation of  min f over {h_l >= 0}  is the same
 identity with p a constant lambda and sigma_0 of order t, so a
@@ -41,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,7 +56,6 @@ from .polynomials import (
 from .sdp import (
     BlockKind,
     SdpBlock,
-    SdpConstraint,
     SdpProblem,
     SdpSolution,
     SdpStatus,
@@ -193,9 +193,9 @@ def build_sos_identity(
         raise ValueError("too many variables for 64-bit exponent keys")
     powers = (row_degree + 1) ** np.arange(len(ambient), dtype=np.int64)
     row_of = _key_lookup(row_basis, powers)
-    rows: List[Dict[int, tuple]] = [dict() for _ in row_basis.monomials]
+    tables = []  # per block: (row, i, j, value), sorted by (row, i, j)
     weights = [{(0,) * len(ambient): 1.0}] + [h.terms for h, _ in mult_list]
-    for j, (basis, terms) in enumerate(zip(sigma_bases, weights)):
+    for basis, terms in zip(sigma_bases, weights):
         # row of upper Gram entry e = (a, b) times term t of the weight, shape
         # (t, e); each (row, a, b) takes one term at most
         a, b = np.triu_indices(len(basis))
@@ -205,23 +205,16 @@ def build_sos_identity(
         order = np.argsort(hit * len(a) + np.tile(np.arange(len(a)), len(terms)))
         value = np.repeat(np.fromiter(terms.values(), float, len(terms)), len(a))
         entry = order % len(a)
-        a, b, value = a[entry], b[entry], value[order]
-        touched, start = np.unique(hit[order], return_index=True)
-        stop = [*start[1:].tolist(), len(order)]
-        for r, lo, hi in zip(touched.tolist(), start.tolist(), stop):
-            rows[r][j] = (a[lo:hi], b[lo:hi], value[lo:hi])
-    free_index = prog.free_block_index
-    for pi, r in enumerate(row_of(_exponent_keys(p_exp_ambient, powers)).tolist()):
-        rows[r][free_index] = (np.array([pi]), np.ones(1))
+        tables.append((hit[order], a[entry], b[entry], value[order]))
+    p_rows = row_of(_exponent_keys(p_exp_ambient, powers))
+    tables.append((p_rows, np.arange(len(p_basis)), np.ones(len(p_basis))))
     rhs = np.zeros(len(row_basis))
     rhs[row_of(_exponent_keys(list(target.terms), powers))] = [*target.terms.values()]
-    constraints = [SdpConstraint(c, r) for c, r in zip(rows, rhs.tolist())]
 
     blocks = [SdpBlock(BlockKind.PSD, len(b)) for b in sigma_bases]
     blocks.append(SdpBlock(BlockKind.FREE, len(p_basis)))
-    objective = {free_index: -gamma}
-    sdp = SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
-    return prog, sdp
+    objective = {prog.free_block_index: -gamma}
+    return prog, SdpProblem.from_tables(blocks, objective, tables, rhs)
 
 
 @dataclass

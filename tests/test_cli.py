@@ -152,6 +152,12 @@ def test_oracle_wrong_point_dimension(capsys):
     assert main(["oracle", "p1_mpec", "--J", "0.8"]) == 4
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_oracle_non_finite_point_exit_code(value, capsys):
+    assert main(["oracle", "p1_mpec", "--J", value, "0.5"]) == 4
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_fit_eps_sweep(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     code = main(
@@ -230,6 +236,17 @@ variables:
 
 def test_solve_k_below_threshold_exit_code(capsys):
     assert main(["solve", "p1_mpec", "--eps", "0.001", "--k", "1..2"]) == 4
+
+
+@pytest.mark.parametrize("fstar", ["nan", "inf", "-inf"])
+def test_solve_non_finite_fstar_refused_before_solving(fstar, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr("mpecsos.cli.solve_mpec", refuse)
+    args = ["solve", "p1_mpec", "--eps", "5e-4", "--k", "3..3", f"--fstar={fstar}"]
+    assert main(args) == 4
+    assert "--fstar must be finite" in capsys.readouterr().err
 
 
 def test_solve_reports_upper_bound_check(capsys):

@@ -111,6 +111,13 @@ def test_upper_bound_property(p1_trace, p2_trace, p3_trace):
     assert within_upper_bound(p3_trace, 0.0, p3_trace.epsilon)
 
 
+@pytest.mark.parametrize("reference, epsilon", [(math.nan, 1e-4), (1.0, math.inf)])
+def test_upper_bound_refuses_non_finite_data(p1_trace, reference, epsilon):
+    # a NaN reference used to read as a violated bound
+    with pytest.raises(ValueError, match="must be finite"):
+        within_upper_bound(p1_trace, reference, epsilon)
+
+
 def test_upper_bound_negative_control(p1_trace):
     # a reference far below the achieved value must fail the check
     assert not within_upper_bound(p1_trace, p1_trace.final_value - 1.0, 1e-4)

@@ -92,6 +92,17 @@ def test_inner_value_grid_refuses_wrong_point_length(p1, points):
         inner_value_grid(p1, points)
 
 
+@pytest.mark.parametrize(
+    "x, y", [([math.nan], [0.5]), ([math.inf], [0.5]), ([0.5], [-math.inf])]
+)
+def test_inner_value_refuses_non_finite_coordinates(p1, x, y):
+    # a NaN coordinate used to read as an empty inner set
+    with pytest.raises(ValueError, match="must be finite"):
+        inner_value(p1, x, y)
+    with pytest.raises(ValueError, match="must be finite"):
+        inner_value_grid(p1, np.array([[0.8, 0.5], [*x, *y]]))
+
+
 def test_inner_value_upper_bounds_feasible_samples(p1):
     """Minimization soundness: the reported value never exceeds phi at a
     feasible inner sample."""

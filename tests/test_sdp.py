@@ -1,6 +1,7 @@
 """Solver tests: analytic micro-problems, a seeded random-instance oracle
 with constructed optima, certificate soundness for infeasible data, and
-constraint data given as dense arrays or as entry triples, checked alike."""
+constraint data given as dense rows or as one entry table per block,
+checked alike."""
 
 import numpy as np
 import pytest
@@ -260,18 +261,20 @@ def test_dump_roundtrippable_text():
     assert any(line.startswith("1 0 ") for line in lines)  # constraint entries
 
 
-def _as_triples(prob, rng):
-    """``prob`` with every constraint coefficient given as its entries, in
-    shuffled order."""
-    rows = []
-    for con in prob.constraints:
-        coeffs = {}
+def _as_tables(prob, rng):
+    """``prob`` given to ``SdpProblem.from_tables``: the nonzero upper
+    entries of every dense row, one table per block, in shuffled order."""
+    parts = [[] for _ in prob.blocks]
+    for row, con in enumerate(prob.constraints):
         for bi, arr in con.coeffs.items():
             index = np.nonzero(np.triu(arr) if arr.ndim == 2 else arr)
-            order = rng.permutation(len(index[0]))
-            coeffs[bi] = tuple(a[order] for a in (*index, arr[index]))
-        rows.append(SdpConstraint(coeffs, con.rhs))
-    return SdpProblem(prob.blocks, prob.objective, rows)
+            parts[bi].append((np.full(len(index[0]), row), *index, arr[index]))
+    tables = []
+    for part in parts:
+        table = [np.concatenate(a) for a in zip(*part)]
+        order = rng.permutation(len(table[0]))
+        tables.append([a[order] for a in table])
+    return SdpProblem.from_tables(prob.blocks, prob.objective, tables, prob.rhs())
 
 
 def _free_variable_problem():
@@ -288,13 +291,15 @@ def _free_variable_problem():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_triples_solve_to_the_dense_bytes(seed):
+    # the entry tables of each dense problem, in a permuted entry order,
+    # solve to that problem's bytes
     rng = np.random.default_rng(seed)
     for dense in (
         make_random_instance(1000 + seed)[0],
         make_infeasible_instance(2000 + seed),
         _free_variable_problem(),
     ):
-        a, b = solve(dense), solve(_as_triples(dense, rng))
+        a, b = solve(dense), solve(_as_tables(dense, rng))
         assert (a.status, a.iterations) == (b.status, b.iterations)
         for got, want in ((a.primal, b.primal), (a.s, b.s), ([a.y], [b.y])):
             if want is not None:
@@ -302,19 +307,35 @@ def test_triples_solve_to_the_dense_bytes(seed):
 
 
 @pytest.mark.parametrize(
-    "entries, what",
+    "entries, what, row",
     [
-        ((np.array([0]), np.array([1]), np.array([np.inf])), "not finite"),
-        ((np.array([0]), np.array([2]), np.array([1.0])), "outside the block"),
-        ((np.array([1]), np.array([0]), np.array([1.0])), "below the diagonal"),
-        ((np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0])), "repeated"),
+        ((np.array([0]), np.array([1]), np.array([np.inf])), "not finite", 1),
+        ((np.array([0]), np.array([2]), np.array([1.0])), "outside the block", 1),
+        ((np.array([1]), np.array([0]), np.array([1.0])), "below the diagonal", 1),
+        ((np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0])), "repeated", 1),
+        ((np.array([0]), np.array([1]), np.array([1.0])), "row outside 0..1", 2),
     ],
-    ids=["non-finite", "index-too-large", "below-diagonal", "repeated"],
+    ids=[
+        "non-finite", "index-too-large", "below-diagonal", "repeated", "row-too-large"
+    ],
 )
-def test_malformed_triples_name_their_constraint(entries, what):
-    rows = [SdpConstraint({0: np.eye(2)}, 2.0), SdpConstraint({0: entries}, 1.0)]
-    with pytest.raises(ValueError, match=f"^constraint 1: .*{what}"):
-        SdpProblem([SdpBlock(BlockKind.PSD, 2)], {}, rows)
+def test_malformed_triples_name_their_constraint(entries, what, row):
+    # row 0 holds the identity, row ``row`` the malformed entries
+    i, j, value = entries
+    rows = np.r_[0, 0, np.full(len(i), row)]
+    table = (rows, np.r_[0, 1, i], np.r_[0, 1, j], np.r_[1.0, 1.0, value])
+    with pytest.raises(ValueError, match=f"^constraint {row}: .*{what}"):
+        SdpProblem.from_tables([SdpBlock(BlockKind.PSD, 2)], {}, [table], [2.0, 1.0])
+
+
+def test_tables_of_the_wrong_shape_are_refused():
+    psd, i = [SdpBlock(BlockKind.PSD, 2)], np.array([0])
+    with pytest.raises(ValueError, match="one entry table per block"):
+        SdpProblem.from_tables(psd, {}, [], [1.0])
+    with pytest.raises(ValueError, match=r"block 0: expected \(row, i, j, value\)"):
+        SdpProblem.from_tables(psd, {}, [(i, i, np.ones(1))], [1.0])
+    with pytest.raises(ValueError, match="block 0: entry index not an integer"):
+        SdpProblem.from_tables(psd, {}, [(i * 1.0, i, i, np.ones(1))], [1.0])
 
 
 def test_asymmetry_beyond_rounding_rejected():

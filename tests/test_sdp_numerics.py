@@ -13,8 +13,9 @@ that the set-up elimination mixes into other rows come back with the
 full dual vector, and a certificate carries no iterate residuals.  The
 remaining cases pin the Nesterov-Todd scaling point, the sparse svec
 store of the constraint data and its scaled matrices, formed in groups of
-rows of any members, against the dense problem (which no solve builds),
-the value-fit programs against reference values, the check of the solver
+rows of any members, against the dense problem (which no builder or
+solve builds, and no SdpConstraint either), the value-fit programs
+against reference values, the check of the solver
 tolerances and the text dump, the one triangle of the Newton system (the
 Cholesky factor of G'G, or the QR's triangle of G, never shifted) and its
 one refined solve, the QR's triangle taken only inside a Cholesky factor
@@ -379,8 +380,9 @@ def _close(got, want, rel=1e-12):
 
 
 def test_solves_never_build_the_dense_rows(monkeypatch):
-    # set-up, solve, the restored free values and the kept rows of a
-    # dependent set read the entry tables alone
+    # the builders, set-up, solve, the restored free values and the kept
+    # rows of a dependent set read and write entry tables alone: no dense
+    # view and no SdpConstraint
     def refuse(*args):
         raise AssertionError("dense rows built")
 
@@ -389,7 +391,7 @@ def test_solves_never_build_the_dense_rows(monkeypatch):
     rows = given.constraints + given.constraints[2:3]
     dependent = SdpProblem(given.blocks, given.objective, rows)
     monkeypatch.setattr(SdpProblem, "constraints", property(refuse))
-    monkeypatch.setattr(SdpProblem, "_dense_rows", refuse)
+    monkeypatch.setattr(SdpConstraint, "__init__", refuse)
     approx = compute_value_approximation(bundled_instance("p1_mpec"), 3)
     assert approx.identity_error <= 1e-6
     f, g = parse_polynomial("x^4 - x^2", ["x"]), parse_polynomial("1 - x^2", ["x"])
