@@ -350,8 +350,11 @@ def validate_assumptions(problem: MpecProblem, sample_count: int = 4000) -> Vali
 
     These are spot checks, not proofs: failures are reported as warnings
     and never raise.  Sampling uses a fixed seed so reports are
-    reproducible.
+    reproducible.  A ``sample_count`` below 1 checks nothing and is
+    refused with a ValueError.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(20240 + problem.n + problem.m)
     report = ValidationReport()
 

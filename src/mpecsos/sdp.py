@@ -27,7 +27,12 @@ triangle U with U'U = G'G, and each solve is refined against its own
 residual: G'G's condition number grows like 1/mu^2, and the refinement
 wins back the digits that squaring loses, so residuals reach 1e-10.  The
 predictor and the corrector are refined once, the tau column, whose error
-every direction inherits, twice; an iteration makes three solves.  U is
+every direction inherits, twice; an iteration makes three solves.  Where
+forming and factoring G'G costs at least CENTRALITY_RATIO times the flops
+of a centrality corrector (Gondzio 1996), a rule read off the problem's
+sizes alone, each iteration makes a fourth: the corrector, refined twice,
+which aims the complementarity of a longer trial step at a box around
+sigma mu and is kept if it lengthens the step by 1%.  U is
 the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
 takes U from a QR factorization of G.  Neither is shifted: dependent rows
 are settled once, at the start point, where a small pivot of the Gram
@@ -126,6 +131,9 @@ def _scatter(block: SdpBlock, slot, i, j, value, count: int = 1) -> np.ndarray:
 MAX_ITERATIONS = 200
 # share of the step to the cone boundary that an iteration takes
 STEP_FRACTION = 0.98
+# an SDP whose Schur complement costs at least this many times the flops of
+# one centrality corrector to form and factor tries one in every iteration
+CENTRALITY_RATIO = 8.0
 
 
 @dataclass
@@ -781,6 +789,23 @@ class _HsdSolver:
         # scaled constraint matrix, refilled in place each iteration; nothing
         # writes the entries of the rows a block misses, which stay zero
         self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
+        self.centring = self._centring_pays()
+
+    def _centring_pays(self) -> bool:
+        """Whether a centrality corrector pays, read off the sizes alone.
+
+        As in Gondzio (1996), the flops of forming and factoring the Schur
+        complement (dsyrk of the N x m matrix G, dpotrf of G'G) are weighed
+        against those of one corrector: a solve refined twice (six products
+        with G, three with the factor) and, per block of size n, about 24n^3
+        of dense work (its trial product, the eigh of it, the correction,
+        the direction's two congruences and the step bound).
+        """
+        m, N = self.cone.m, self.cone.scaled_size
+        schur = N * m * m + m**3 / 3
+        blocks = sum(s.count * s.size**3 for s in self.cone.stacks)
+        corrector = 12 * N * m + 6 * m * m + 24 * blocks
+        return schur >= CENTRALITY_RATIO * corrector
 
     # -- residuals of the homogeneous model (scaled data) ----------------
 
@@ -828,11 +853,12 @@ class _HsdSolver:
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
         return {"blocks": blocks, "factor": _SchurFactor(G), "c_hat": c_hat}
 
-    def _direction(self, st: _State, fact, rhs, Rc, rc_tau):
+    def _direction(self, st: _State, fact, rhs, Rc, rc_tau, steps: int = 1):
         """Newton direction for the scaled complementarity targets.
 
         rhs is (r_p, r_d, r_g, R' r_d R); Rc holds, per stack, the targets
-        of Lam o (dX~ + dS~) in the members' scaled coordinates.
+        of Lam o (dX~ + dS~) in the members' scaled coordinates.  The solve
+        through the factor is refined ``steps`` times.
         """
         cone = self.cone
         r_p, r_d, r_g, rd_t = rhs
@@ -841,7 +867,7 @@ class _HsdSolver:
         e = np.empty(cone.scaled_size)
         for s, (_, _, jordan), Rc_s, rdt in zip(cone.stacks, fact["blocks"], Rc, rd_t):
             e[s.rows] = s.svec(Rc_s / jordan - rdt)
-        xh, d_y = fact["factor"].solve(e, r_p)
+        xh, d_y = fact["factor"].solve(e, r_p, steps)
 
         vx, vy = fact["tau_col"]
         numer = r_g + rc_tau / st.tau - float(cone.b @ d_y) + float(fact["c_hat"] @ xh)
@@ -1022,6 +1048,16 @@ class _HsdSolver:
         so it is solved once (Mehrotra 1992): three solves through the factor
         (tau column, predictor, corrector).  Both directions inherit the tau
         column's error, so its solve is refined twice, the others once.
+
+        Where `_centring_pays`, a fourth solve follows: one centrality
+        corrector (Gondzio 1996; Colombo and Gondzio 2008).  At the trial
+        step a = min(1, 1.5 alpha + 0.1) the complementarity of each block,
+        V = sym((Lam + a dX~)(Lam + a dS~)), and tau kappa have their
+        eigenvalues projected onto [0.1, 10] sigma mu, a fall capped at
+        10 sigma mu; the projection's change joins the corrector's targets,
+        whose direction is solved anew, refined twice: near the rounding
+        floor the step it takes must be no less accurate than the tau
+        column.  It is kept if its step is at least 1% longer.
         """
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
@@ -1049,7 +1085,25 @@ class _HsdSolver:
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
         d = self._direction(st, fact, rhs, Rc, rc_t)
-        return d, self._max_step(st, fact, d)
+        alpha = self._max_step(st, fact, d)
+        if not self.centring:
+            return d, alpha
+
+        # the centrality corrector
+        a = min(1.0, 1.5 * min(alpha, 1.0) + 0.1)
+        low, high = 0.1 * sigma * mu, 10.0 * sigma * mu
+
+        def correction(v):
+            return np.maximum(np.clip(v, low, high) - v, -high)
+
+        Rc_c = []
+        for lam, dXt, dSt, rc in zip(lams, d["Xt"], d["St"], Rc):
+            v, Q = np.linalg.eigh(_sym((_diag(lam) + a * dXt) @ (_diag(lam) + a * dSt)))
+            Rc_c.append(rc + (Q * correction(v)[..., None, :]) @ _t(Q))
+        v_t = (st.tau + a * d["tau"]) * (st.kappa + a * d["kappa"])
+        d_c = self._direction(st, fact, rhs, Rc_c, rc_t + float(correction(v_t)), 2)
+        alpha_c = self._max_step(st, fact, d_c)
+        return (d_c, alpha_c) if alpha_c >= 1.01 * alpha else (d, alpha)
 
     def _mu_after(self, st: _State, d, alpha: float) -> float:
         trial = copy.copy(st)

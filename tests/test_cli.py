@@ -148,6 +148,14 @@ def test_oracle_p3_reference(capsys):
     assert "value: 0.000000" in out or "value: -0.000000" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_validate_refuses_too_few_samples(samples, capsys):
+    assert main(["validate", "p1_mpec", "--samples", samples]) == 4
+    captured = capsys.readouterr()
+    assert f"sample_count must be at least 1, got {samples}" in captured.err
+    assert "[ok]" not in captured.out
+
+
 def test_oracle_wrong_point_dimension(capsys):
     assert main(["oracle", "p1_mpec", "--J", "0.8"]) == 4
 

@@ -29,7 +29,10 @@ and the independent rows solved on, the others at y = 0, when they agree
 (a random objective may then leave a recession ray, never a false
 certificate), the stall named on a run that stops early, and the three
 solves through the factor in each iteration, the tau column's refined
-twice, without which a quartic relaxation misses 1e-10 under ulp moves.
+twice, without which a quartic relaxation misses 1e-10 under ulp moves,
+and the fourth, a centrality corrector's, that only an SDP whose Schur
+complement dominates makes, which shortens the benchmark's largest value
+fit and keeps it optimal at 1e-10 under ulp moves.
 """
 
 import itertools
@@ -734,11 +737,13 @@ def test_p2_relaxation_reaches_tight_tolerances(tol):
     _assert_status_under_ulp_moves(prob, tol)
 
 
-def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program):
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program, tol):
     # the benchmark's largest SDP (G is 3,486 x 220), at the pipeline's
-    # tolerance: the rounding of its solves must not cost it its optimum
-    # when the last bits of its right side change
-    _assert_status_under_ulp_moves(p1_value_program, 1e-8)
+    # tolerance and below it: the rounding of its solves, centrality
+    # corrector included, must not cost it its optimum when the last bits
+    # of its right side change
+    _assert_status_under_ulp_moves(p1_value_program, tol)
 
 
 def test_p3_order4_value_fit_is_optimal_under_ulp_moves():
@@ -913,6 +918,28 @@ def test_each_iteration_makes_three_solves(monkeypatch):
     assert calls["solve"] == 3 * sol.iterations
     assert calls["twice"] == sol.iterations
     assert calls["direction"] == 2 * sol.iterations
+
+
+def test_large_value_fit_takes_a_centrality_corrector(monkeypatch, p1_value_program):
+    # the order-5 value fit's Schur complement costs more than
+    # CENTRALITY_RATIO correctors, so each iteration makes a fourth solve,
+    # the corrector's, and the solve ends in fewer iterations than without it
+    assert sdp._HsdSolver(p1_value_program, SolverOptions()).centring
+    calls = {"solve": 0}
+    inner_solve = _SchurFactor.solve
+
+    def counted_solve(self, e, h, steps=1):
+        calls["solve"] += 1
+        return inner_solve(self, e, h, steps)
+
+    monkeypatch.setattr(_SchurFactor, "solve", counted_solve)
+    sol = solve(p1_value_program)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert calls["solve"] == 4 * sol.iterations
+    monkeypatch.setattr(sdp, "CENTRALITY_RATIO", math.inf)
+    without = solve(p1_value_program)
+    assert without.status is SdpStatus.OPTIMAL
+    assert sol.iterations < without.iterations
 
 
 def _quartic_relaxation():
