@@ -73,6 +73,14 @@ def _parse_k_range(text: str):
     return k, k
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse, before any work, an output file that names a directory or
+    whose directory does not exist."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir() or not path.parent.is_dir():
+            raise ValueError(f"cannot write the output file {path}")
+
+
 def cmd_validate(args) -> int:
     problem = _load(args.instance)
     report = validate_assumptions(problem, sample_count=args.samples)
@@ -90,6 +98,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    _check_outputs(args.out)
     problem = _load(args.instance)
     approx = compute_value_approximation(problem, args.k)
     violation = lower_bound_violation(approx, problem, args.grid)
@@ -124,6 +133,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_outputs(args.out, args.csv)
     problem = _load(args.instance)
     k_start, k_max = _parse_k_range(args.k)
     config = AlgoConfig(epsilon=args.eps, k_start=k_start, k_max=k_max)
@@ -184,6 +194,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fit_eps(args) -> int:
+    _check_outputs(args.csv)
     problem = _load(args.instance)
     eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     if len(eps_values) < 3:

@@ -330,6 +330,8 @@ def fit_perturbation_scaling(
         )
     if len(positive) < 3:
         raise ValueError("fewer than three samples with a positive gap")
+    if len({e for e, _ in positive}) < 2:
+        raise ValueError("the samples with a positive gap share one eps")
     log_e = np.array([math.log(e) for e, _ in positive])
     log_g = np.array([math.log(g) for _, g in positive])
     design = np.stack([np.ones_like(log_e), log_e], axis=-1)

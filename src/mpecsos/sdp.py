@@ -32,7 +32,8 @@ forming and factoring G'G costs at least CENTRALITY_RATIO times the flops
 of a centrality corrector (Gondzio 1996), a rule read off the problem's
 sizes alone, each iteration makes a fourth: the corrector, refined twice,
 which aims the complementarity of a longer trial step at a box around
-sigma mu and is kept if it lengthens the step by 1%.  U is
+sigma mu and is kept if it lengthens the step by 1%.  A direction stays
+scaled until it is taken; step bounds read least eigenvalues alone.  U is
 the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
 takes U from a QR factorization of G.  Neither is shifted: dependent rows
 are settled once, at the start point, where a small pivot of the Gram
@@ -797,9 +798,9 @@ class _HsdSolver:
         As in Gondzio (1996), the flops of forming and factoring the Schur
         complement (dsyrk of the N x m matrix G, dpotrf of G'G) are weighed
         against those of one corrector: a solve refined twice (six products
-        with G, three with the factor) and, per block of size n, about 24n^3
-        of dense work (its trial product, the eigh of it, the correction,
-        the direction's two congruences and the step bound).
+        with G, three with the factor) and, per block of size n, 24n^3 of
+        dense work (its trial product, the eigh of it, the correction and
+        the step bound, weighed as when a direction carried two congruences).
         """
         m, N = self.cone.m, self.cone.scaled_size
         schur = N * m * m + m**3 / 3
@@ -825,19 +826,16 @@ class _HsdSolver:
     # constraint matrix A_i to R'A_iR; all three are symmetric and are
     # stored as svec vectors, so <A_i, dX> is a dot product over
     # n(n+1)/2 entries.  The Jordan-symmetrized complementarity
-    # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates.  The 1x1
-    # block of a nonnegative coordinate has R^2 = x/s and Lam = sqrt(xs),
+    # Lam o (dX~ + dS~) = Rc is diagonal in these coordinates, so dS~ is
+    # Rc o/ J - dX~, J the Jordan weights (Todd, Toh and Tutuncu 1998).  The
+    # 1x1 block of a nonnegative coordinate has R^2 = x/s and Lam = sqrt(xs),
     # so its scaled column is A_i sqrt(x/s) and its step bound x/(-dx).
     # Each stack computes these for all its members at once and writes
     # their rows of G, c_hat and e at the members' offsets, in block order.
     # The free blocks are solved out of the data at set-up, so with G the
     # stacked scaled constraints the Newton equations become the
-    # least-squares system
-    #     xh - G dy = e,    G'xh = h.
-    # Each iteration solves it through one triangle U with U'U = G'G
-    # (`_SchurFactor`): the Cholesky factor, or the QR's triangle of an
-    # iteration where that fails, never shifted: `_settle_rows` leaves
-    # independent rows.
+    # least-squares system xh - G dy = e, G'xh = h, solved through
+    # `_SchurFactor`.
 
     def _factorize(self, st: _State):
         """Scaled constraint data and its factorization."""
@@ -854,19 +852,18 @@ class _HsdSolver:
         return {"blocks": blocks, "factor": _SchurFactor(G), "c_hat": c_hat}
 
     def _direction(self, st: _State, fact, rhs, Rc, rc_tau, steps: int = 1):
-        """Newton direction for the scaled complementarity targets.
-
-        rhs is (r_p, r_d, r_g, R' r_d R); Rc holds, per stack, the targets
-        of Lam o (dX~ + dS~) in the members' scaled coordinates.  The solve
-        through the factor is refined ``steps`` times.
+        """Newton direction for the scaled complementarity targets, in scaled
+        coordinates alone: dX~ from the solve through the factor, refined
+        ``steps`` times, and dS~ = Rc o/ J - dX~.  rhs is (r_p, r_g, R' r_d R);
+        Rc holds, per stack, the targets of Lam o (dX~ + dS~).
         """
         cone = self.cone
-        r_p, r_d, r_g, rd_t = rhs
-
+        r_p, r_g, rd_t = rhs
+        targets = [Rc_s / jordan for (_, _, jordan), Rc_s in zip(fact["blocks"], Rc)]
         # e = Lam o^{-1} Rc - R' r_d R, block by block
         e = np.empty(cone.scaled_size)
-        for s, (_, _, jordan), Rc_s, rdt in zip(cone.stacks, fact["blocks"], Rc, rd_t):
-            e[s.rows] = s.svec(Rc_s / jordan - rdt)
+        for s, target, rdt in zip(cone.stacks, targets, rd_t):
+            e[s.rows] = s.svec(target - rdt)
         xh, d_y = fact["factor"].solve(e, r_p, steps)
 
         vx, vy = fact["tau_col"]
@@ -875,26 +872,26 @@ class _HsdSolver:
         xh = xh + d_tau * vx
         d_y = d_y + d_tau * vy
 
-        d = {"X": [], "S": [], "Xt": [], "St": []}
-        for s, (R, _, _), rd in zip(cone.stacks, fact["blocks"], r_d):
-            dS = rd - s.combine(d_y) + s.C * d_tau
-            dXt = s.smat(xh[s.rows])
-            d["S"].append(dS)
-            d["St"].append(_sym(_t(R) @ dS @ R))
-            d["Xt"].append(dXt)
-            d["X"].append(_sym(R @ dXt @ _t(R)))
-        d.update(y=d_y, tau=d_tau, kappa=(rc_tau - st.kappa * d_tau) / st.tau)
-        return d
+        Xt = [s.smat(xh[s.rows]) for s in cone.stacks]
+        St = [target - dXt for target, dXt in zip(targets, Xt)]
+        kappa = (rc_tau - st.kappa * d_tau) / st.tau
+        return {"Xt": Xt, "St": St, "y": d_y, "tau": d_tau, "kappa": kappa}
 
     def _max_step(self, st: _State, fact, d) -> float:
         """Largest step keeping the iterate in the cone: a block stays PSD
         while diag(lam) + a*dZ (scaled coordinates) does, for a up to -1 over
-        the least eigenvalue of Lam^{-1/2} dZ Lam^{-1/2}, dZ = dX~ or dS~."""
+        the least eigenvalue of Lam^{-1/2} dZ Lam^{-1/2}, dZ = dX~ or dS~.
+        LAPACK's dsyevr finds it alone, from the lower triangle as eigvalsh."""
         low = math.inf
         for (_, lam, _), dXt, dSt in zip(fact["blocks"], d["Xt"], d["St"]):
-            root = 1.0 / np.sqrt(lam)
-            scaled = [root[..., :, None] * dZ * root[..., None, :] for dZ in (dXt, dSt)]
-            low = min(low, np.linalg.eigvalsh(np.concatenate(scaled)).min())
+            root = np.tile(1.0 / np.sqrt(lam), (2, 1))
+            for scaled in root[:, :, None] * np.concatenate([dXt, dSt]) * root[:, None, :]:
+                w, _, found, _, info = sla.lapack.dsyevr(
+                    scaled, compute_v=0, range="I", il=1, iu=1, lower=1
+                )
+                if info:
+                    raise np.linalg.LinAlgError(f"dsyevr failed ({info})")
+                low = w[:found].min(initial=low)
         alpha = math.inf if low >= -1e-16 else 1.0 / (-low)
         if d["tau"] < 0:
             alpha = min(alpha, -st.tau / d["tau"])
@@ -903,8 +900,8 @@ class _HsdSolver:
         return alpha
 
     def _apply_step(self, st: _State, d, alpha: float):
-        # new lists, so a shallow copy (the best iterate, the trial of
-        # _mu_after) and the state it was taken from never share a step
+        # new lists, so a shallow copy (the best iterate) and the state it
+        # was taken from never share a step
         st.X = [X + alpha * dX for X, dX in zip(st.X, d["X"])]
         st.S = [S + alpha * dS for S, dS in zip(st.S, d["S"])]
         st.y = st.y + alpha * d["y"]
@@ -1042,8 +1039,10 @@ class _HsdSolver:
         """Mehrotra predictor-corrector step from the factorization ``fact``.
 
         Returns the direction and the largest step that keeps the iterate
-        in the cone.  The complementarity targets of the PSD blocks are
-        stated in the scaled coordinates, where the iterate is diag(lam).
+        in the cone.  Targets, directions, step bounds and mu after the
+        predictor's trial step are read in the scaled coordinates, where the
+        iterate is diag(lam); only the direction taken gets its unscaled
+        dX = sym(R dX~ R') and dS from the dual row.
         The predictor only sets sigma and the corrector's second-order term,
         so it is solved once (Mehrotra 1992): three solves through the factor
         (tau column, predictor, corrector).  Both directions inherit the tau
@@ -1068,47 +1067,48 @@ class _HsdSolver:
         if not (pivot > 0 and math.isfinite(pivot)):
             raise np.linalg.LinAlgError("singular tau pivot")
         fact.update(tau_col=tau_col, tau_pivot=pivot)
-        lams = [lam for _, lam, _ in fact["blocks"]]
+        cone = self.cone
+        Lams = [_diag(lam) for _, lam, _ in fact["blocks"]]
         r_p, r_d, r_g, _ = resid
         rd_t = [_t(R) @ rd @ R for (R, _, _), rd in zip(fact["blocks"], r_d)]
-        rhs = (r_p, r_d, r_g, rd_t)
+        rhs = (r_p, r_g, rd_t)
         # predictor: pure Newton step onto complementarity target 0
-        Rc_aff = [_diag(-(lam * lam)) for lam in lams]
+        Rc_aff = [_diag(-(lam * lam)) for _, lam, _ in fact["blocks"]]
         aff = self._direction(st, fact, rhs, Rc_aff, -(st.tau * st.kappa))
-        alpha_aff = min(1.0, self._max_step(st, fact, aff))
-        mu_aff = self._mu_after(st, aff, alpha_aff)
+        a = min(1.0, self._max_step(st, fact, aff))
+        X, S = ([Lam + a * dZ for Lam, dZ in zip(Lams, aff[k])] for k in ("Xt", "St"))
+        tk = (st.tau + a * aff["tau"]) * (st.kappa + a * aff["kappa"])
+        mu_aff = cone.inner(X, S, tk) / (cone.nu + 1)
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         Rc = [
             _diag(sigma * mu - lam * lam) - _sym(dXt @ dSt)
-            for lam, dXt, dSt in zip(lams, aff["Xt"], aff["St"])
+            for (_, lam, _), dXt, dSt in zip(fact["blocks"], aff["Xt"], aff["St"])
         ]
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
         d = self._direction(st, fact, rhs, Rc, rc_t)
         alpha = self._max_step(st, fact, d)
-        if not self.centring:
-            return d, alpha
+        if self.centring:  # the centrality corrector
+            a = min(1.0, 1.5 * min(alpha, 1.0) + 0.1)
+            low, high = 0.1 * sigma * mu, 10.0 * sigma * mu
 
-        # the centrality corrector
-        a = min(1.0, 1.5 * min(alpha, 1.0) + 0.1)
-        low, high = 0.1 * sigma * mu, 10.0 * sigma * mu
+            def correction(v):
+                return np.maximum(np.clip(v, low, high) - v, -high)
 
-        def correction(v):
-            return np.maximum(np.clip(v, low, high) - v, -high)
+            Rc_c = []
+            for Lam, dXt, dSt, rc in zip(Lams, d["Xt"], d["St"], Rc):
+                v, Q = np.linalg.eigh(_sym((Lam + a * dXt) @ (Lam + a * dSt)))
+                Rc_c.append(rc + (Q * correction(v)[..., None, :]) @ _t(Q))
+            v_t = (st.tau + a * d["tau"]) * (st.kappa + a * d["kappa"])
+            d_c = self._direction(st, fact, rhs, Rc_c, rc_t + float(correction(v_t)), 2)
+            alpha_c = self._max_step(st, fact, d_c)
+            if alpha_c >= 1.01 * alpha:
+                d, alpha = d_c, alpha_c
 
-        Rc_c = []
-        for lam, dXt, dSt, rc in zip(lams, d["Xt"], d["St"], Rc):
-            v, Q = np.linalg.eigh(_sym((_diag(lam) + a * dXt) @ (_diag(lam) + a * dSt)))
-            Rc_c.append(rc + (Q * correction(v)[..., None, :]) @ _t(Q))
-        v_t = (st.tau + a * d["tau"]) * (st.kappa + a * d["kappa"])
-        d_c = self._direction(st, fact, rhs, Rc_c, rc_t + float(correction(v_t)), 2)
-        alpha_c = self._max_step(st, fact, d_c)
-        return (d_c, alpha_c) if alpha_c >= 1.01 * alpha else (d, alpha)
-
-    def _mu_after(self, st: _State, d, alpha: float) -> float:
-        trial = copy.copy(st)
-        self._apply_step(trial, d, alpha)
-        return trial.mu(self.cone)
+        d_y, d_tau = d["y"], d["tau"]
+        d["X"] = [_sym(R @ dXt @ _t(R)) for (R, _, _), dXt in zip(fact["blocks"], d["Xt"])]
+        d["S"] = [rd - s.combine(d_y) + s.C * d_tau for s, rd in zip(cone.stacks, r_d)]
+        return d, alpha
 
     # -- assembling the public solution --------------------------------------
 

@@ -194,6 +194,35 @@ def test_fit_eps_too_few_samples(capsys):
     assert main(["fit-eps", "p1_mpec", "--eps", "1e-3,1e-2", "--fstar", "1"]) == 4
 
 
+def test_fit_eps_refuses_one_repeated_eps(capsys):
+    args = ["fit-eps", "p1_mpec", "--eps", "1e-3,1e-3,1e-3", "--fstar", "1"]
+    assert main(args) == 4
+    assert "share one eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["approx", "p1_mpec", "--k", "3", "--out"],
+        ["solve", "p1_mpec", "--eps", "5e-4", "--k", "3..3", "--out"],
+        ["solve", "p1_mpec", "--eps", "5e-4", "--k", "3..3", "--csv"],
+        ["fit-eps", "p1_mpec", "--eps", "1e-4,1e-3,1e-2", "--fstar", "1", "--csv"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing/out", "."])
+def test_unwritable_output_refused_before_any_work(
+    args, where, tmp_path, monkeypatch, capsys
+):
+    # a file in a directory that does not exist, or a directory itself
+    def refuse(*args):
+        raise AssertionError("computed")
+
+    for name in ("compute_value_approximation", "solve_mpec", "solve_perturbed_reference"):
+        monkeypatch.setattr(f"mpecsos.cli.{name}", refuse)
+    assert main(args + [str(tmp_path / where)]) == 4
+    assert "cannot write the output file" in capsys.readouterr().err
+
+
 def test_unknown_instance_exit_code(capsys):
     assert main(["validate", "no_such_instance"]) == 2
 

@@ -266,6 +266,13 @@ def test_fit_requires_three_samples():
         fit_perturbation_scaling([(1e-3, 0.5), (1e-2, 0.4)], 1.0)
 
 
+def test_fit_requires_two_distinct_eps_with_a_gap():
+    # gaps at one eps alone make a rank-one design: no power law to fit
+    samples = [(1e-3, 0.9), (1e-3, 0.9), (1e-3, 0.9), (1e-2, 1.0)]
+    with pytest.raises(ValueError, match="share one eps"):
+        fit_perturbation_scaling(samples, 1.0)
+
+
 @pytest.mark.parametrize(
     "samples, reference",
     [

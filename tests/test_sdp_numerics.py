@@ -32,12 +32,17 @@ solves through the factor in each iteration, the tau column's refined
 twice, without which a quartic relaxation misses 1e-10 under ulp moves,
 and the fourth, a centrality corrector's, that only an SDP whose Schur
 complement dominates makes, which shortens the benchmark's largest value
-fit and keeps it optimal at 1e-10 under ulp moves.
+fit and keeps it optimal at 1e-10 under ulp moves.  Directions stay in
+scaled coordinates until the step: the step bound reads each scaled
+block's least eigenvalue alone, sum_i y_i A_i is formed only for the
+residuals and the step taken, and dS~, read off the complementarity row,
+stays within 1e-8 of R'dS R of the dual step taken.
 """
 
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -940,6 +945,71 @@ def test_large_value_fit_takes_a_centrality_corrector(monkeypatch, p1_value_prog
     without = solve(p1_value_program)
     assert without.status is SdpStatus.OPTIMAL
     assert sol.iterations < without.iterations
+
+
+@pytest.mark.parametrize("size", [1, 3, 10, 35])
+def test_step_bound_reads_the_least_eigenvalue_alone(size):
+    # dsyevr's least eigenvalue of each scaled block gives the bound that the
+    # full spectrum of np.linalg.eigvalsh gives, on random directions of a
+    # stack of three members
+    rng = np.random.default_rng(size)
+    st = SimpleNamespace(tau=1.0, kappa=1.0)
+    for _ in range(5):
+        lam = rng.uniform(1e-3, 10.0, size=(3, size))
+        dXt, dSt = (sdp._sym(rng.normal(size=(3, size, size))) for _ in range(2))
+        d = {"Xt": [dXt], "St": [dSt], "tau": 1.0, "kappa": 1.0}
+        fact = {"blocks": [(None, lam, None)]}
+        root = 1.0 / np.sqrt(lam)
+        scaled = [root[:, :, None] * dZ * root[:, None, :] for dZ in (dXt, dSt)]
+        low = min(np.linalg.eigvalsh(dZ).min() for dZ in scaled)
+        want = math.inf if low >= -1e-16 else 1.0 / -low
+        assert sdp._HsdSolver._max_step(None, st, fact, d) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_directions_stay_scaled_until_the_step(monkeypatch, order):
+    # sum_i y_i A_i is formed once per stack for each residual evaluation and
+    # once per stack for the step taken: the predictor, and a corrector that
+    # is discarded, never leave scaled coordinates (at order 5 the
+    # centrality corrector runs too)
+    calls = {"combine": 0, "residuals": 0}
+    combine, residuals_ = sdp._PsdStack.combine, sdp._HsdSolver._residuals
+
+    def counted_combine(self, y):
+        calls["combine"] += 1
+        return combine(self, y)
+
+    def counted_residuals(self, st):
+        calls["residuals"] += 1
+        return residuals_(self, st)
+
+    monkeypatch.setattr(sdp._PsdStack, "combine", counted_combine)
+    monkeypatch.setattr(sdp._HsdSolver, "_residuals", counted_residuals)
+    _, prob = build_value_program(bundled_instance("p1_mpec"), order)
+    stacks = len(_Cone(prob).stacks)
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL and sol.iterations >= 10
+    assert calls["combine"] == stacks * (calls["residuals"] + sol.iterations)
+
+
+def test_scaled_dual_step_agrees_with_the_step_taken(monkeypatch):
+    # dS~ is read off the complementarity row, Rc o/ J - dX~; along p1's
+    # order-4 value fit it stays within 1e-8 of R'dS R of the unscaled dS
+    # the iterate takes (the gap grows to about 7e-10 as mu falls)
+    gaps = []
+    search = sdp._HsdSolver._search_direction
+
+    def checked(self, st, fact, resid, mu):
+        d, alpha = search(self, st, fact, resid, mu)
+        for (R, _, _), dS, St in zip(fact["blocks"], d["S"], d["St"]):
+            want = sdp._sym(sdp._t(R) @ dS @ R)
+            gaps.append(np.linalg.norm(St - want) / np.linalg.norm(want))
+        return d, alpha
+
+    monkeypatch.setattr(sdp._HsdSolver, "_search_direction", checked)
+    _, prob = build_value_program(bundled_instance("p1_mpec"), 4)
+    assert solve(prob).status is SdpStatus.OPTIMAL
+    assert gaps and max(gaps) <= 1e-8
 
 
 def _quartic_relaxation():
