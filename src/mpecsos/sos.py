@@ -6,8 +6,10 @@ Every program here is one Gram-form identity
 
 with sum-of-squares multipliers sigma_j (Gram matrices, one PSD block
 each) and an unknown polynomial p whose coefficients enter as free scalar
-variables, one equality row per monomial.  Maximizing a moment pairing of
-p makes the optimal p the best certified under-approximation of
+variables, one equality row per monomial.  Each is posed on the unit box
+(z_i = c_i u_i for box half-widths c), or high-order monomials span c^(2t) in
+one row and wreck the solve.  Maximizing a moment pairing of p makes the
+optimal p the best certified under-approximation of
 min-over-constrained-variables of the target: that is the value fit.
 Exponents are mixed-radix integer keys (radix row degree + 1, so sums
 never carry): the rows of all upper Gram entries times all terms of h_j
@@ -108,10 +110,14 @@ class SosIdentityProgram:
     sigma_bases: Tuple[MonomialBasis, ...]  # sigma_0 first, then one per multiplier
     row_basis: MonomialBasis          # ambient monomials with one equality row each
     gamma: np.ndarray                 # moments paired with p, aligned with p_basis
+    scaling: Tuple[float, ...]        # half-widths c of the stretch z_i = c_i u_i
 
     @property
     def free_block_index(self) -> int:
         return len(self.sigma_bases)
+
+    def unscale_point(self, point: np.ndarray) -> np.ndarray:
+        return point * np.array(self.scaling)
 
 
 def build_sos_identity(
@@ -120,9 +126,10 @@ def build_sos_identity(
     p_degree: int,
     multipliers: Sequence[Tuple[Polynomial, int]],
     gamma: np.ndarray,
+    scaling: Optional[Sequence[float]] = None,
     sigma0_order: Optional[int] = None,
 ) -> Tuple[SosIdentityProgram, SdpProblem]:
-    """Encode the weighted-SOS identity as a block SDP.
+    """Encode the weighted-SOS identity as a block SDP, on the unit box.
 
     ``p_degree`` bounds the unknown polynomial (an even integer 2k); each
     multiplier comes with the degree bound of its Gram basis, so
@@ -130,8 +137,15 @@ def build_sos_identity(
     ``sigma0_order`` is the degree of sigma_0's Gram basis; by default the
     smallest that covers p and the target.  sigma_0 then reaches every
     monomial of degree <= 2 * sigma0_order, which is one row each.
+    ``scaling`` holds a half-width c_i > 0 per ambient variable (all ones by
+    default); the program, as recorded, is in u with z_i = c_i u_i: target
+    and multipliers stretched, gamma_alpha divided by c^alpha.
     """
     ambient = target.variables
+    scaling = (1.0,) * len(ambient) if scaling is None else tuple(map(float, scaling))
+    if len(scaling) != len(ambient) or not all(0 < c < math.inf for c in scaling):
+        raise ValueError(f"scaling {scaling} of {ambient}: need one finite c_i > 0 each")
+    target = target.scaled(scaling)
     p_vars = tuple(p_vars)
     for name in p_vars:
         if name not in ambient:
@@ -151,8 +165,7 @@ def build_sos_identity(
     row_degree = 2 * sigma0_order
     mult_list = []
     for h, bound in multipliers:
-        if h.variables != ambient:
-            h = h.in_variables(ambient)
+        h = h.in_variables(ambient).scaled(scaling)
         if bound < 0:
             raise ValueError("Gram degree bound must be nonnegative")
         if 2 * bound + h.degree > row_degree:
@@ -170,6 +183,7 @@ def build_sos_identity(
     p_exp_ambient[:, [ambient.index(v) for v in p_vars]] = np.reshape(
         p_basis.monomials, (len(p_basis), len(p_vars))
     )
+    gamma = gamma / np.prod(np.power(scaling, p_exp_ambient), axis=1)
 
     sigma_bases = [monomial_basis(len(ambient), sigma0_order)]
     sigma_bases += [monomial_basis(len(ambient), bound) for _, bound in mult_list]
@@ -185,6 +199,7 @@ def build_sos_identity(
         sigma_bases=tuple(sigma_bases),
         row_basis=row_basis,
         gamma=gamma,
+        scaling=scaling,
     )
 
     # one row per monomial, found by its exponent key; the degree checks
@@ -229,7 +244,8 @@ class SosIdentitySolution:
     def identity_residual(self, prog: SosIdentityProgram) -> float:
         """Max-abs coefficient of target - p - sigma_0 - sum sigma_j h_j.
 
-        Expanded again from the Gram matrices alone, one exponent row and
+        Read on the unit box, as posed, with p stretched back.  Expanded
+        again from the Gram matrices alone, one exponent row and
         weight per Gram entry and term of h_j, collapsed under keys of its
         own radix, so it checks the builder's row keys rather than sharing
         them.  A non-finite coefficient gives inf.
@@ -239,7 +255,7 @@ class SosIdentitySolution:
         def rows(monomials) -> np.ndarray:
             return np.array(monomials, dtype=np.int64).reshape(len(monomials), nv)
 
-        known = (prog.target, -self.p.in_variables(prog.ambient))
+        known = (prog.target, -self.p.in_variables(prog.ambient).scaled(prog.scaling))
         exps = [rows(list(f.terms)) for f in known]
         weights = [np.fromiter(f.terms.values(), float, len(f.terms)) for f in known]
         hs = [Polynomial.constant(prog.ambient, -1.0)]
@@ -278,7 +294,8 @@ def solve_sos_identity(
     sol = _solve_checked(sdp, "identity program")
     p_values = sol.primal[prog.free_block_index]
     terms = dict(zip(prog.p_basis.monomials, p_values))
-    p = Polynomial(prog.p_vars, terms)
+    widths = dict(zip(prog.ambient, prog.scaling))
+    p = Polynomial(prog.p_vars, terms).scaled([1 / widths[v] for v in prog.p_vars])
     grams = [np.array(sol.primal[j]) for j in range(len(prog.sigma_bases))]
     rho = float(prog.gamma @ p_values)
     return SosIdentitySolution(
@@ -293,18 +310,12 @@ def solve_sos_identity(
 @dataclass
 class MomentRelaxation(SosIdentityProgram):
     """The order-t identity program of  min f  over  {h_j >= 0}: ``target``
-    is f and the multipliers are the h_j, both in the stretched coordinates;
-    ``row_basis`` indexes the moments and ``sigma_bases[0]`` the rows and
-    columns of the moment matrix."""
+    is f and the multipliers are the h_j, both on the unit box; ``row_basis``
+    indexes the moments there and ``sigma_bases[0]`` the rows and columns of
+    the moment matrix."""
 
     order: int
     flat_step: int                    # v = max_j ceil(deg h_j / 2), at least 1
-    scaling: Tuple[float, ...]        # per-coordinate stretch applied on entry
-
-    def unscale_point(self, point: np.ndarray) -> np.ndarray:
-        if not self.scaling:
-            return point
-        return point * np.array(self.scaling)
 
 
 def build_moment_relaxation(
@@ -319,23 +330,14 @@ def build_moment_relaxation(
     subject to  f - lambda = sigma_0 + sum_j sigma_j h_j, with sigma_0 of
     order t and sigma_j of order t - ceil(deg h_j / 2).
 
-    ``scaling`` stretches each coordinate before building (z_i = c_i w_i),
-    which normalizes sets living in wide boxes to the unit box; high-order
-    moments otherwise span c^(2t) in magnitude and wreck the solve.  Atoms
-    are mapped back to the original coordinates by the solution path.
+    ``scaling`` goes to ``build_sos_identity``, which poses the program on
+    the unit box: the moments are those of the stretched variables, and
+    the solution path maps atoms back to the original coordinates.
     """
-    gens = [h.in_variables(f.variables) for h in generators]
-    scale_tuple: Tuple[float, ...] = ()
-    if scaling is not None:
-        scale_tuple = tuple(float(c) for c in scaling)
-        if any(c <= 0 for c in scale_tuple):
-            raise ValueError("scaling entries must be positive")
-        f = f.scaled(scale_tuple)
-        gens = [h.scaled(scale_tuple) for h in gens]
     t = order
     if t < math.ceil(f.degree / 2):
         raise ValueError(f"order {t} below objective half-degree")
-    for h in gens:
+    for h in generators:
         if t < math.ceil(h.degree / 2):
             raise ValueError(f"order {t} below half-degree of generator {h.render()}")
 
@@ -346,15 +348,15 @@ def build_moment_relaxation(
         f,
         (),
         0,
-        [(h, t - math.ceil(h.degree / 2)) for h in gens],
+        [(h, t - math.ceil(h.degree / 2)) for h in generators],
         _UNIT_MASS,
         sigma0_order=t,
+        scaling=scaling,
     )
     relax = MomentRelaxation(
         **vars(prog),
         order=t,
-        flat_step=max([1] + [math.ceil(h.degree / 2) for h in gens]),
-        scaling=scale_tuple,
+        flat_step=max([1] + [math.ceil(h.degree / 2) for h in generators]),
     )
     return relax, sdp
 

@@ -14,9 +14,10 @@ constraints are deliberately left out of the multiplier list (the
 certificate does not need them, and leaving them out keeps the program
 smaller), while the y-coordinate box constraints are kept.
 
-The optimal p is the order-k value-function approximation; its pairing
-with the box moments is the program value rho_k.  The program is solved
-at the solver's default tolerances and is accepted only when optimal.
+The program is posed on the unit box (each v_i takes y_i's half-width)
+and accepted only when optimal at the solver's default tolerances; the
+optimal p, mapped back, is the order-k value-function approximation, and
+its pairing with the box moments is the program value rho_k.
 Diagnostics compare p against the brute-force oracle, at its default grid
 counts, on a box grid: p must stay below the oracle everywhere (to
 tolerance) and the normalized L1 gap should shrink as k grows.
@@ -49,7 +50,7 @@ class ValueFunctionApprox:
     rho: float                      # moment pairing of the fitted polynomial
     gap: float                      # solver gap achieved for the program
     multiplier_degrees: Tuple[int, ...]
-    identity_error: float           # max-abs coefficient residual of the certificate
+    identity_error: float           # max-abs coefficient residual of the certificate, unit box
 
     def coefficient_table(self) -> List[dict]:
         """Graded-lex coefficient listing for golden-file comparison."""
@@ -92,12 +93,14 @@ def build_value_program(
         if name in fit_vars:
             multipliers.append((ybox.in_variables(ambient), (two_k - 2) // 2))
     widths = dict(zip(problem.z_vars, problem.box.halfwidths))
+    widths.update(zip(problem.v_vars, problem.y_halfwidths()))
 
     gamma = box_moments(
         monomial_basis(len(fit_vars), two_k).monomials,
         [widths[name] for name in fit_vars],
     )
-    return build_sos_identity(target, fit_vars, two_k, multipliers, gamma)
+    scaling = [widths[name] for name in ambient]
+    return build_sos_identity(target, fit_vars, two_k, multipliers, gamma, scaling)
 
 
 def compute_value_approximation(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,10 +136,25 @@ def _p_exponents(prog):
     return out
 
 
-@pytest.mark.parametrize("order", [3, 4, 5])
-def test_value_program_matches_reference_bitwise(order):
-    prog, sdp = build_value_program(bundled_instance("p1_mpec"), order)
+@pytest.mark.parametrize(
+    "name, order",
+    [("p1_mpec", 3), ("p1_mpec", 4), ("p1_mpec", 5)]
+    + [(name, k) for name in ("p2_bilevel", "p3_sip") for k in (3, 4)],
+    ids=["3", "4", "5", "p2-3", "p2-4", "p3-3", "p3-4"],
+)
+def test_value_program_matches_reference_bitwise(name, order):
+    problem = bundled_instance(name)
+    prog, sdp = build_value_program(problem, order)
     assert list(prog.p_exponents_ambient) == _p_exponents(prog)
+    # the program is posed on the unit box: each v takes its y's half-width,
+    # and with half-widths 1 and 2 the stretch is exact
+    widths = dict(zip(problem.z_vars, problem.box.halfwidths))
+    widths.update(zip(problem.v_vars, problem.y_halfwidths()))
+    assert prog.scaling == tuple(widths[v] for v in prog.ambient)
+    want = problem.phi.in_variables(prog.ambient).scaled(prog.scaling)
+    assert list(prog.target.terms.items()) == list(want.terms.items())
+    ones = box_moments(prog.p_basis.monomials, np.ones(len(prog.p_vars)))
+    assert prog.gamma.tobytes() == ones.tobytes()
     rows, rhs = _reference_rows(
         prog.target,
         prog.sigma_bases,
@@ -203,6 +219,16 @@ def test_identity_rejects_a_moment_vector_of_the_wrong_length():
     target = parse_polynomial("x^2 + 1", ["x", "v"])
     with pytest.raises(ValueError, match="moment vector"):
         build_sos_identity(target, ["x"], 2, [], np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "scaling", [(1.0, math.nan), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0,)]
+)
+def test_identity_rejects_a_bad_half_width(scaling):
+    target = parse_polynomial("x^2 + v", ["x", "v"])
+    named = re.escape(f"scaling {scaling!r} of ('x', 'v'): need one finite c_i > 0 each")
+    with pytest.raises(ValueError, match=named):
+        build_sos_identity(target, ["x"], 2, [], np.ones(3), scaling)
 
 
 def test_identity_rejects_keys_that_would_overflow():
