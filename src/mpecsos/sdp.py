@@ -25,15 +25,19 @@ so a block contributes n(n+1)/2 rows (its svec coordinates) to the scaled
 constraint matrix G.  The Newton system is solved through one upper
 triangle U with U'U = G'G, and each solve is refined against its own
 residual: G'G's condition number grows like 1/mu^2, and the refinement
-wins back the digits that squaring loses, so residuals reach 1e-10.  The
-predictor and the corrector are refined once, the tau column, whose error
-every direction inherits, twice; an iteration makes three solves.  Where
-forming and factoring G'G costs at least CENTRALITY_RATIO times the flops
-of a centrality corrector (Gondzio 1996), a rule read off the problem's
-sizes alone, each iteration makes a fourth: the corrector, refined twice,
-which aims the complementarity of a longer trial step at a box around
-sigma mu and is kept if it lengthens the step by 1%.  A direction stays
-scaled until it is taken; step bounds read least eigenvalues alone.  U is
+wins back the digits that squaring loses, so residuals reach 1e-10.  A
+solve is refined until its residual, read in the stopping test's own
+normalization of the primal residual, is a tenth of what that test allows
+at the iterate, or until a step no longer halves it; most solves need no
+step.  The tau column, whose error every direction inherits, takes one
+step more; an iteration makes three solves (tau column, predictor,
+corrector).  Where forming and factoring G'G costs at least
+CENTRALITY_RATIO times the flops of a centrality corrector (Gondzio 1996),
+a rule read off the problem's sizes alone, each iteration makes a fourth:
+the corrector, which aims the complementarity of a longer trial step at a
+box around sigma mu and is kept if it lengthens the step by 1%.  A
+direction stays scaled until it is taken; step bounds read least
+eigenvalues alone.  U is
 the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
 takes U from a QR factorization of G.  Neither is shifted: dependent rows
 are settled once, at the start point, where a small pivot of the Gram
@@ -710,31 +714,44 @@ class _SchurFactor:
     flops of a general product, and dpotrf factors it.  ``failed`` is set
     when dpotrf stops at a pivot that is not positive (G'G indefinite in
     rounding); U is then the QR's triangle R of G, unshifted.  A solve
-    through U'U loses about log10 cond(G'G) digits, so each is refined
-    against G'xh = h (the corrected semi-normal equations, Bjorck 1987),
-    ``steps`` times.
+    through U'U loses about log10 cond(G'G) digits, so it is refined
+    against G'xh = h (the corrected semi-normal equations, Bjorck 1987)
+    until the residual r = h - G'xh, read as the stopping test reads a
+    primal residual, ||row_scale o r||, is at most ``target``, or until a
+    step fails to halve it.
     """
 
-    def __init__(self, G: np.ndarray):
-        self.G = G
+    def __init__(self, G: np.ndarray, row_scale: np.ndarray, target: float):
+        self.G, self.row_scale, self.target = G, row_scale, target
         M = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
         self.U, info = sla.lapack.dpotrf(M)
         self.failed = info != 0
         if self.failed:
             self.U = np.linalg.qr(G, mode="r")
 
-    def solve(self, e: np.ndarray, h: np.ndarray, steps: int = 1):
+    def solve(self, e: np.ndarray, h: np.ndarray, extra_step: bool = False):
         """(xh, dy) with xh - G dy = e and G'xh = h: dy = (G'G)^{-1}(h - G'e),
-        then, ``steps`` times, dy += (G'G)^{-1}(h - G'xh) and xh += G times
-        that correction."""
+        then, while r = h - G'xh misses the target and the last step halved
+        ||row_scale o r||, dy += (G'G)^{-1} r and xh += G times that
+        correction.  ``extra_step`` takes one more step, from the last r,
+        once the refinement stops."""
         if not len(h):  # dpotrs rejects the 0x0 factor
             return e.copy(), np.zeros(0)
         dy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ e)
         xh = e + self.G @ dy
-        for _ in range(steps):
-            ddy, _ = sla.lapack.dpotrs(self.U, h - self.G.T @ xh)
+        last = math.inf
+        while True:
+            r = h - self.G.T @ xh
+            norm = float(np.linalg.norm(self.row_scale * r))
+            # written so that a NaN norm stops too
+            stop = norm <= self.target or not norm <= 0.5 * last
+            if stop and not extra_step:
+                return xh, dy
+            ddy, _ = sla.lapack.dpotrs(self.U, r)
             xh, dy = xh + self.G @ ddy, dy + ddy
-        return xh, dy
+            if stop:
+                return xh, dy
+            last = norm
 
 
 class _State:
@@ -801,6 +818,9 @@ class _HsdSolver:
         with G, three with the factor) and, per block of size n, 24n^3 of
         dense work (its trial product, the eigh of it, the correction and
         the step bound, weighed as when a direction carried two congruences).
+        The solve's weight is kept from when every corrector was refined
+        twice, though most now stop at their target after three products,
+        so that the rule still picks the SDPs it picked then.
         """
         m, N = self.cone.m, self.cone.scaled_size
         schur = N * m * m + m**3 / 3
@@ -838,7 +858,9 @@ class _HsdSolver:
     # `_SchurFactor`.
 
     def _factorize(self, st: _State):
-        """Scaled constraint data and its factorization."""
+        """Scaled constraint data and its factorization, whose solves refine
+        until their primal error is a tenth of what the stopping test
+        allows at this iterate."""
         cone = self.cone
         G = self.G
         c_hat = np.empty(cone.scaled_size)
@@ -849,13 +871,16 @@ class _HsdSolver:
                 G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
-        return {"blocks": blocks, "factor": _SchurFactor(G), "c_hat": c_hat}
+        target = 0.1 * self.opts.feas_tol * st.tau * (1.0 + cone.b_norm)
+        factor = _SchurFactor(G, cone.row_scale, target)
+        return {"blocks": blocks, "factor": factor, "c_hat": c_hat}
 
-    def _direction(self, st: _State, fact, rhs, Rc, rc_tau, steps: int = 1):
+    def _direction(self, st: _State, fact, rhs, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets, in scaled
         coordinates alone: dX~ from the solve through the factor, refined
-        ``steps`` times, and dS~ = Rc o/ J - dX~.  rhs is (r_p, r_g, R' r_d R);
-        Rc holds, per stack, the targets of Lam o (dX~ + dS~).
+        until its primal error meets the factor's target, and
+        dS~ = Rc o/ J - dX~.  rhs is (r_p, r_g, R' r_d R); Rc holds, per
+        stack, the targets of Lam o (dX~ + dS~).
         """
         cone = self.cone
         r_p, r_g, rd_t = rhs
@@ -864,7 +889,7 @@ class _HsdSolver:
         e = np.empty(cone.scaled_size)
         for s, target, rdt in zip(cone.stacks, targets, rd_t):
             e[s.rows] = s.svec(target - rdt)
-        xh, d_y = fact["factor"].solve(e, r_p, steps)
+        xh, d_y = fact["factor"].solve(e, r_p)
 
         vx, vy = fact["tau_col"]
         numer = r_g + rc_tau / st.tau - float(cone.b @ d_y) + float(fact["c_hat"] @ xh)
@@ -1045,8 +1070,10 @@ class _HsdSolver:
         dX = sym(R dX~ R') and dS from the dual row.
         The predictor only sets sigma and the corrector's second-order term,
         so it is solved once (Mehrotra 1992): three solves through the factor
-        (tau column, predictor, corrector).  Both directions inherit the tau
-        column's error, so its solve is refined twice, the others once.
+        (tau column, predictor, corrector).  Each is refined until its
+        primal error meets the factor's target; every direction inherits
+        the tau column's error, so its solve takes one step more, from the
+        residual its last test already formed.
 
         Where `_centring_pays`, a fourth solve follows: one centrality
         corrector (Gondzio 1996; Colombo and Gondzio 2008).  At the trial
@@ -1054,15 +1081,14 @@ class _HsdSolver:
         V = sym((Lam + a dX~)(Lam + a dS~)), and tau kappa have their
         eigenvalues projected onto [0.1, 10] sigma mu, a fall capped at
         10 sigma mu; the projection's change joins the corrector's targets,
-        whose direction is solved anew, refined twice: near the rounding
-        floor the step it takes must be no less accurate than the tau
-        column.  It is kept if its step is at least 1% longer.
+        whose direction is solved anew, to the same target as the others.
+        It is kept if its step is at least 1% longer.
         """
         # The tau column of the elimination does not depend on the residuals.
         # Its pivot kappa/tau + (b - u)'K^{-1}(b + u) + c'Pc equals
         # kappa/tau + ||xh_tau||^2, where xh_tau is the scaled primal step
         # of the column: a sum of squares, with no cancellation to clamp.
-        tau_col = fact["factor"].solve(-fact["c_hat"], self.cone.b, steps=2)
+        tau_col = fact["factor"].solve(-fact["c_hat"], self.cone.b, extra_step=True)
         pivot = st.kappa / st.tau + float(tau_col[0] @ tau_col[0])
         if not (pivot > 0 and math.isfinite(pivot)):
             raise np.linalg.LinAlgError("singular tau pivot")
@@ -1100,7 +1126,7 @@ class _HsdSolver:
                 v, Q = np.linalg.eigh(_sym((Lam + a * dXt) @ (Lam + a * dSt)))
                 Rc_c.append(rc + (Q * correction(v)[..., None, :]) @ _t(Q))
             v_t = (st.tau + a * d["tau"]) * (st.kappa + a * d["kappa"])
-            d_c = self._direction(st, fact, rhs, Rc_c, rc_t + float(correction(v_t)), 2)
+            d_c = self._direction(st, fact, rhs, Rc_c, rc_t + float(correction(v_t)))
             alpha_c = self._max_step(st, fact, d_c)
             if alpha_c >= 1.01 * alpha:
                 d, alpha = d_c, alpha_c

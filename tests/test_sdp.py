@@ -169,28 +169,16 @@ def make_random_instance(seed: int):
 
 
 def test_random_oracle_suite():
-    """Objective recovered to 1e-7 relative on every constructed optimum.
-
-    A handful of instances sit right at the float64 accuracy floor for the
-    1e-8 residual tolerances; those must still return the best iterate with
-    near-tolerance residuals and an accurate objective, just without the
-    Optimal certificate.
-    """
+    """Objective recovered to 1e-7 relative, and the Optimal certificate, on
+    every constructed optimum."""
     failures = []
-    optimal_count = 0
     for seed in range(50):
         prob, target = make_random_instance(1000 + seed)
         sol = solve(prob)
         rel = abs(sol.primal_objective - target) / (1.0 + abs(target))
-        if rel > 1e-7:
+        if sol.status is not SdpStatus.OPTIMAL or rel > 1e-7:
             failures.append((seed, sol.status, rel))
-            continue
-        if sol.status is SdpStatus.OPTIMAL:
-            optimal_count += 1
-        elif max(sol.primal_residual, sol.dual_residual, sol.gap) > 1e-6:
-            failures.append((seed, sol.status, sol.primal_residual, sol.gap))
     assert not failures, failures
-    assert optimal_count >= 44, optimal_count
 
 
 def test_monotone_complementarity_decay():

@@ -21,22 +21,25 @@ Cholesky factor of G'G, or the QR's triangle of G, never shifted) and its
 one refined solve, the QR's triangle taken only inside a Cholesky factor
 that fails (here made to fail), a relaxation whose refined solves reach
 1e-9 and 1e-10 (also with its right side moved by a few ulps), the
-benchmark's largest value fit and p3's order-4 value fit, whose G'G
-nears singularity late in its solve, under the same ulp moves, dependent
-rows settled once at the start point: a Farkas ray with S = 0 when their
-right sides disagree, whatever dpotrf makes of the singular start G'G,
-and the independent rows solved on, the others at y = 0, when they agree
-(a random objective may then leave a recession ray, never a false
-certificate), the stall named on a run that stops early, and the three
-solves through the factor in each iteration, the tau column's refined
-twice, without which a quartic relaxation misses 1e-10 under ulp moves,
-and the fourth, a centrality corrector's, that only an SDP whose Schur
-complement dominates makes, which shortens the benchmark's largest value
-fit and keeps it optimal at 1e-10 under ulp moves.  Directions stay in
-scaled coordinates until the step: the step bound reads each scaled
-block's least eigenvalue alone, sum_i y_i A_i is formed only for the
-residuals and the step taken, and dS~, read off the complementarity row,
-stays within 1e-8 of R'dS R of the dual step taken.
+benchmark's largest value fit, p1's order-4 value fit at 1e-10 and p3's
+value fits, whose G'G nears singularity late in the solve, under the
+same ulp moves, dependent rows settled once at the start point: a Farkas
+ray with S = 0 when their right sides disagree, whatever dpotrf makes of
+the singular start G'G, and the independent rows solved on, the others
+at y = 0, when they agree (a random objective may then leave a recession
+ray, never a false certificate), the stall named on a run that stops
+early, and the three solves through the factor in each iteration, each
+refined until its primal error meets a target read off the stopping
+test, which takes fewer products with G than a fixed count of steps, and
+the tau column's one step past its target, without which a quartic
+relaxation misses 1e-10 under ulp moves, and the fourth, a centrality
+corrector's, that only an SDP whose Schur complement dominates makes,
+which shortens the benchmark's largest value fit and keeps it optimal at
+1e-10 under ulp moves.  Directions stay in scaled coordinates until the
+step: the step bound reads each scaled block's least eigenvalue alone,
+sum_i y_i A_i is formed only for the residuals and the step taken, and
+dS~, read off the complementarity row, stays within 1e-8 of R'dS R of
+the dual step taken.
 """
 
 import itertools
@@ -587,7 +590,9 @@ def test_factor_routes_agree_on_a_well_conditioned_matrix():
     rng = np.random.default_rng(11)
     G = np.asfortranarray(rng.normal(size=(60, 12)))
     e, h = rng.normal(size=60), rng.normal(size=12)
-    chol, qr = _SchurFactor(G), _SchurFactor(G)
+    # unit row scales, and a target a tenth of the residual bound below
+    factor = [G, np.ones(12), 1e-11 * np.linalg.norm(h)]
+    chol, qr = _SchurFactor(*factor), _SchurFactor(*factor)
     assert not chol.failed
     # the same refined solve through the Cholesky triangle and the QR's
     qr.U = np.linalg.qr(G, mode="r")
@@ -606,8 +611,8 @@ def _solve_recording_factors(monkeypatch, prob):
     factors = []
 
     class Factor(_SchurFactor):
-        def __init__(self, G):
-            super().__init__(G)
+        def __init__(self, G, *target):
+            super().__init__(G, *target)
             qr = self.failed and np.array_equal(self.U, np.linalg.qr(G, mode="r"))
             factors.append((G.shape[1], self.failed, qr))
 
@@ -735,7 +740,7 @@ def _assert_status_under_ulp_moves(prob, tol, status=SdpStatus.OPTIMAL):
 def test_p2_relaxation_reaches_tight_tolerances(tol):
     # p2's order-4 relaxation at k = 3, eps 1e-3: near the end its Schur
     # complement is so ill conditioned that unrefined Cholesky solves stall
-    # short of 1e-9; refined once, they reach 1e-10
+    # short of 1e-9; refined against their residuals, they reach 1e-10
     p2 = bundled_instance("p2_bilevel")
     gens = _perturbed_generators(p2, compute_value_approximation(p2, 3), 1e-3)
     _, prob = build_moment_relaxation(p2.objective_f, gens, 4, scaling=p2.box.halfwidths)
@@ -749,6 +754,14 @@ def test_p1_order5_value_fit_is_optimal_under_ulp_moves(p1_value_program, tol):
     # corrector included, must not cost it its optimum when the last bits
     # of its right side change
     _assert_status_under_ulp_moves(p1_value_program, tol)
+
+
+def test_p1_order4_value_fit_is_optimal_under_ulp_moves():
+    # below the pipeline's tolerance the last iterations of this fit need
+    # directions whose primal error is well under 1e-10: with its solves
+    # refined a fixed number of times, 10 of the 16 trials stopped short
+    _, prob = build_value_program(bundled_instance("p1_mpec"), 4)
+    _assert_status_under_ulp_moves(prob, 1e-10)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
@@ -904,28 +917,43 @@ def test_dependent_rows_are_settled_at_the_start():
 
 def test_each_iteration_makes_three_solves(monkeypatch):
     # the tau column, the predictor and the corrector, one direction each
-    # for the last two; only the tau column's solve is refined twice (the
-    # last iteration only checks the tolerances)
-    calls = {"solve": 0, "twice": 0, "direction": 0}
-    inner_solve, direction = _SchurFactor.solve, sdp._HsdSolver._direction
+    # for the last two; only the tau column's solve takes a step past its
+    # target (the last iteration only checks the tolerances), and the
+    # solves that stop at their target make fewer products with G than the
+    # 14 per iteration of a fixed refinement (twice for the tau column, once
+    # for the others)
+    calls = {"solve": 0, "extra": 0, "direction": 0, "product": 0}
+    inner_init, inner_solve = _SchurFactor.__init__, _SchurFactor.solve
+    direction = sdp._HsdSolver._direction
 
-    def counted_solve(self, e, h, steps=1):
+    class CountedG(np.ndarray):  # G (and G') counting its products
+        def __matmul__(self, other):
+            calls["product"] += 1
+            return np.asarray(self) @ other
+
+    def counted_init(self, G, *target):
+        inner_init(self, G, *target)
+        self.G = G.view(CountedG)
+
+    def counted_solve(self, e, h, extra_step=False):
         calls["solve"] += 1
-        calls["twice"] += steps == 2
-        return inner_solve(self, e, h, steps)
+        calls["extra"] += extra_step
+        return inner_solve(self, e, h, extra_step)
 
     def counted_direction(*args):
         calls["direction"] += 1
         return direction(*args)
 
+    monkeypatch.setattr(_SchurFactor, "__init__", counted_init)
     monkeypatch.setattr(_SchurFactor, "solve", counted_solve)
     monkeypatch.setattr(sdp._HsdSolver, "_direction", counted_direction)
     _, prob = build_value_program(bundled_instance("p1_mpec"), 3)
     sol = solve(prob)
     assert sol.status is SdpStatus.OPTIMAL and sol.iterations >= 10
     assert calls["solve"] == 3 * sol.iterations
-    assert calls["twice"] == sol.iterations
+    assert calls["extra"] == sol.iterations
     assert calls["direction"] == 2 * sol.iterations
+    assert calls["product"] < 14 * sol.iterations
 
 
 def test_large_value_fit_takes_a_centrality_corrector(monkeypatch, p1_value_program):
@@ -936,9 +964,9 @@ def test_large_value_fit_takes_a_centrality_corrector(monkeypatch, p1_value_prog
     calls = {"solve": 0}
     inner_solve = _SchurFactor.solve
 
-    def counted_solve(self, e, h, steps=1):
+    def counted_solve(self, e, h, extra_step=False):
         calls["solve"] += 1
-        return inner_solve(self, e, h, steps)
+        return inner_solve(self, e, h, extra_step)
 
     monkeypatch.setattr(_SchurFactor, "solve", counted_solve)
     sol = solve(p1_value_program)
@@ -1025,17 +1053,19 @@ def _quartic_relaxation():
 @pytest.mark.parametrize("tol", [1e-9, 1e-10])
 def test_quartic_relaxation_is_optimal_under_ulp_moves(tol):
     # near its end the primal residual is the error of the tau column's
-    # solve; refined twice, it stays below 1e-10 whatever the last bits of
-    # the right side
+    # solve; refined to its target and one step past it, it stays below
+    # 1e-10 whatever the last bits of the right side
     _assert_status_under_ulp_moves(_quartic_relaxation(), tol)
 
 
-def test_quartic_relaxation_needs_the_tau_column_refined_twice(monkeypatch):
-    # the witness of the test above: with the tau column refined once, like
-    # the other two solves, some of the 16 trials miss 1e-10
-    solve_once = _SchurFactor.solve
+def test_quartic_relaxation_needs_the_tau_columns_extra_step(monkeypatch):
+    # the witness of the test above: with the tau column's solve stopped at
+    # its target, like the other solves, some of the 16 trials miss 1e-10
+    solve_to_target = _SchurFactor.solve
     monkeypatch.setattr(
-        _SchurFactor, "solve", lambda self, e, h, steps=1: solve_once(self, e, h)
+        _SchurFactor,
+        "solve",
+        lambda self, e, h, extra_step=False: solve_to_target(self, e, h),
     )
     tight = SolverOptions(gap_tol=1e-10, feas_tol=1e-10)
     trials = _ulp_trials(_quartic_relaxation())
