@@ -144,6 +144,8 @@ def cmd_solve(args) -> int:
         value = "-" if record.value is None else _fmt(record.value)
         best = "-" if record.best_value is None else _fmt(record.best_value)
         extra = f" [{record.error}]" if record.error else ""
+        if record.certificate_margin is not None:
+            extra = f" margin={record.certificate_margin:.3g}" + extra
         print(
             f"k={record.order}: set={record.set_status} value={value} "
             f"best={best} flat={record.flat}{extra}"

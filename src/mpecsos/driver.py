@@ -10,12 +10,15 @@ through the bounded moment hierarchy, extracting candidate minimizers when
 the relaxation goes flat.  The hierarchy's first order is also the
 emptiness test: an order that ends with a Putinar ray certifies S_k empty
 (bump k and retry -- the approximation is still too far below the true
-value function), and the record's set status is then EmptyCertified;
-every other record is Unknown.  The running best value is non-increasing
-by construction; the loop stops when it improves by less than STOP_TOL for
-STALL_ITERATIONS successful iterations in a row, when k exceeds its cap,
-or when every iteration certified emptiness.  Each hierarchy runs at most
-RELAX_ORDER_EXTRA orders above its first.
+value function), and the record's set status is then EmptyCertified,
+with the ray's verified margin: Omega's box bounds every variable of
+S_k, so each ray is proved (`sos.verify_putinar_ray`) and one that does
+not verify decides nothing.  Every other record is Unknown.  The running
+best value is non-increasing by construction; the loop stops when it
+improves by less than STOP_TOL for STALL_ITERATIONS successful iterations
+in a row, when k exceeds its cap, or when every iteration certified
+emptiness.  Each hierarchy runs at most RELAX_ORDER_EXTRA orders above
+its first.
 
 The perturbation-scaling fit estimates the local power law of the
 reference value as a function of eps from oracle sweeps; a flat sweep is
@@ -79,6 +82,8 @@ class IterationRecord:
     best_value: Optional[float]
     seconds: float
     error: Optional[str] = None
+    # an EmptyCertified record's verified margin (`sos.verify_putinar_ray`)
+    certificate_margin: Optional[float] = None
 
 
 @dataclass
@@ -153,6 +158,7 @@ def solve_mpec(
         flat: bool = False,
         points: Optional[List[Tuple[float, ...]]] = None,
         error: Optional[str] = None,
+        certificate_margin: Optional[float] = None,
     ) -> IterationRecord:
         """Record of the current order k.
 
@@ -169,6 +175,7 @@ def solve_mpec(
             best_value=best,
             seconds=time.perf_counter() - tick,
             error=error,
+            certificate_margin=certificate_margin,
         )
 
     for k in range(config.k_start, config.k_max + 1):
@@ -194,7 +201,8 @@ def solve_mpec(
             records.append(record(approx, UNKNOWN, error=f"relaxation failed: {err}"))
             continue
         if hier.infeasible:
-            records.append(record(approx, EMPTY, hier.order))
+            margin = hier.certificate_margin
+            records.append(record(approx, EMPTY, hier.order, certificate_margin=margin))
             continue
 
         value = hier.bound
@@ -372,6 +380,7 @@ def trace_to_report(trace: AlgorithmTrace) -> dict:
                 "best_value": r.best_value,
                 "seconds": r.seconds,
                 "error": r.error,
+                "certificate_margin": r.certificate_margin,
                 "rho": r.approx.rho if r.approx else None,
                 "approx_gap": r.approx.gap if r.approx else None,
                 "coefficients": r.approx.coefficient_table() if r.approx else None,
@@ -393,6 +402,11 @@ def verify_report(report: dict) -> List[str]:
     for rec in report["records"]:
         if rec["set_status"] == EMPTY and (rec["value"] is not None or rec["points"]):
             problems.append(f"order {rec['order']}: empty set carries a value or points")
+        margin = rec.get("certificate_margin")
+        if rec["set_status"] == EMPTY and not (margin is not None and margin > 0):
+            problems.append(
+                f"order {rec['order']}: empty set without a verified margin"
+            )
         if rec["value"] is not None and (best is None or not rec["value"] >= best):
             best = rec["value"]
         # None until the first value, then the running min on every record

@@ -10,7 +10,10 @@ PSD blocks, nonnegative vectors and free (unconstrained) vectors:
 The solver runs the homogeneous self-dual embedding with Nesterov-Todd
 search directions and a Mehrotra predictor-corrector, so a run ends either
 at an optimal primal-dual pair or at a certificate of primal or dual
-infeasibility (the Farkas ray needed to prove a relaxation empty).  Free
+infeasibility (the Farkas ray needed to prove a relaxation empty).  A
+caller that can prove a primal ray itself passes ``accept`` to `solve`:
+the solve then ends at the first iterate whose ray the caller proves,
+which is often several iterations before the ray test's tolerance.  Free
 variables are solved out of the constraint data once per problem: pivot
 rows chosen by an LU factorization of the free columns fix them, and the
 other rows, the objective and the right side are rewritten without them,
@@ -65,7 +68,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -798,9 +801,15 @@ def _nt_scaling(X: np.ndarray, S: np.ndarray):
 
 
 class _HsdSolver:
-    def __init__(self, problem: SdpProblem, options: SolverOptions):
+    def __init__(
+        self,
+        problem: SdpProblem,
+        options: SolverOptions,
+        accept: Optional[Callable[[List[np.ndarray]], bool]] = None,
+    ):
         self.problem = problem
         self.opts = options
+        self.accept = accept
         self.cone = _Cone(problem)
         self.state = _State(self.cone)
         self.mu_history: List[float] = []
@@ -1034,6 +1043,12 @@ class _HsdSolver:
                 status = SdpStatus.DUAL_INFEASIBLE
                 cert_residual = certs["dual"]
                 break
+            # the caller's own proof of the ray ends the solve where it holds
+            if self.accept is not None and certs.get("dual", math.inf) < 1:
+                cert = certs["dual"]
+                ray = self._package(st, SdpStatus.DUAL_INFEASIBLE, iterations, cert)
+                if self.accept(ray.primal):
+                    return ray
 
             if iterations == MAX_ITERATIONS:
                 stall = "iteration limit"
@@ -1227,6 +1242,20 @@ class _HsdSolver:
         )
 
 
-def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
-    """Solve the block SDP; deterministic for identical inputs and options."""
-    return _HsdSolver(problem, options or SolverOptions()).run()
+def solve(
+    problem: SdpProblem,
+    options: Optional[SolverOptions] = None,
+    *,
+    accept: Optional[Callable[[List[np.ndarray]], bool]] = None,
+) -> SdpSolution:
+    """Solve the block SDP; deterministic for identical inputs and options.
+
+    ``accept``, if given, is the caller's test of a primal ray.  At every
+    iterate that is not optimal and whose dual-ray estimate (the
+    ``certificate_residual`` a DualInfeasible end would report) is below 1,
+    it receives the primal blocks exactly as a DualInfeasible solution at
+    that iterate would carry them; when it returns True the solve ends
+    there, DualInfeasible, with that solution.  It never changes the
+    iterate, so a solve it never accepts is the solve without it.
+    """
+    return _HsdSolver(problem, options or SolverOptions(), accept).run()

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -244,44 +244,164 @@ class SosIdentitySolution:
     def identity_residual(self, prog: SosIdentityProgram) -> float:
         """Max-abs coefficient of target - p - sigma_0 - sum sigma_j h_j.
 
-        Read on the unit box, as posed, with p stretched back.  Expanded
-        again from the Gram matrices alone, one exponent row and
-        weight per Gram entry and term of h_j, collapsed under keys of its
-        own radix, so it checks the builder's row keys rather than sharing
-        them.  A non-finite coefficient gives inf.
+        Read on the unit box, as posed, with p stretched back, and expanded
+        again from the Gram matrices alone (`_expand_identity`), so it
+        checks the builder's row keys rather than sharing them.  A
+        non-finite coefficient gives inf.
         """
-        nv = len(prog.ambient)
-
-        def rows(monomials) -> np.ndarray:
-            return np.array(monomials, dtype=np.int64).reshape(len(monomials), nv)
-
-        known = (prog.target, -self.p.in_variables(prog.ambient).scaled(prog.scaling))
-        exps = [rows(list(f.terms)) for f in known]
-        weights = [np.fromiter(f.terms.values(), float, len(f.terms)) for f in known]
-        hs = [Polynomial.constant(prog.ambient, -1.0)]
-        hs += [-h for h, _ in prog.multipliers]
-        for basis, gram, h in zip(prog.sigma_bases, self.sigma_grams, hs):
-            B, H = rows(basis.monomials), rows(list(h.terms))
-            exps.append((B[:, None, None] + B[:, None] + H).reshape(-1, nv))
-            h_weights = np.fromiter(h.terms.values(), float, len(h.terms))
-            weights.append((gram[:, :, None] * h_weights).ravel())
-        keys = np.concatenate(exps)
-        radix = 1 + int(keys.max(initial=0))
-        if radix**nv < 2**63:  # one integer per row sorts much faster
-            keys = keys @ radix ** np.arange(nv, dtype=np.int64)
-        _, inverse = np.unique(keys, axis=0, return_inverse=True)
-        coeffs = np.bincount(inverse.ravel(), np.concatenate(weights))
+        p = -self.p.in_variables(prog.ambient).scaled(prog.scaling)
+        known = (prog.target.terms, p.terms)
+        _, weights, inverse = _expand_identity(prog, known, self.sigma_grams)
+        coeffs = np.bincount(inverse, weights)
         if not np.isfinite(coeffs).all():
             return math.inf
         return float(np.abs(coeffs).max(initial=0.0))
 
 
+def _expand_identity(
+    prog: SosIdentityProgram,
+    known: Sequence[Dict[Exponent, float]],
+    grams: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of  sum(known) - sigma_0 - sum_j sigma_j h_j  over
+    ``prog.ambient``, ``known`` given as term maps: one term per
+    coefficient of ``known`` and per Gram entry
+    (both triangles) and term of h_j, as exponent rows, float weights and
+    the index of the distinct monomial each adds to.  The monomials are
+    collapsed under keys of the expansion's own radix, not the builder's.
+    """
+    nv = len(prog.ambient)
+
+    def rows(monomials) -> np.ndarray:
+        return np.array(monomials, dtype=np.int64).reshape(len(monomials), nv)
+
+    exps = [rows(list(terms)) for terms in known]
+    weights = [np.fromiter(terms.values(), float, len(terms)) for terms in known]
+    hs = [Polynomial.constant(prog.ambient, -1.0)]
+    hs += [-h for h, _ in prog.multipliers]
+    for basis, gram, h in zip(prog.sigma_bases, grams, hs):
+        B, H = rows(basis.monomials), rows(list(h.terms))
+        exps.append((B[:, None, None] + B[:, None] + H).reshape(-1, nv))
+        h_weights = np.fromiter(h.terms.values(), float, len(h.terms))
+        weights.append((gram[:, :, None] * h_weights).ravel())
+    exps = keys = np.concatenate(exps)
+    radix = 1 + int(keys.max(initial=0))
+    if radix**nv < 2**63:  # one integer per row sorts much faster
+        keys = keys @ radix ** np.arange(nv, dtype=np.int64)
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return exps, np.concatenate(weights), inverse.ravel()
+
+
+# ----------------------------------------------------------------------
+# verified Putinar rays
+
+_ROUNDOFF = 2.0**-53  # unit roundoff u of IEEE double, round to nearest
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), which bounds the relative error of n
+    roundings in a row (Higham 2002, section 3.1)."""
+    return n * _ROUNDOFF / (1.0 - n * _ROUNDOFF)
+
+
+def box_radii(prog: SosIdentityProgram) -> Optional[np.ndarray]:
+    """Per variable u_i, a bound on |u_i| over the set of the multipliers,
+    or None when some variable has none.
+
+    A multiplier of exactly two terms, a - b u_i^2 with a, b > 0 and no
+    other variable in the square, bounds |u_i| by sqrt(a / b); the least
+    such bound is taken, rounded up past the two roundings of its float
+    value.
+    """
+    nv = len(prog.ambient)
+    radii = np.full(nv, math.inf)
+    for h, _ in prog.multipliers:
+        a = h.constant_term()
+        for i in range(nv):
+            b = -h.terms.get(tuple(2 if j == i else 0 for j in range(nv)), 0.0)
+            if len(h.terms) == 2 and a > 0 and b > 0:
+                radii[i] = min(radii[i], math.sqrt(a / b) * (1.0 + 4.0 * _ROUNDOFF))
+    return radii if np.isfinite(radii).all() else None
+
+
+def _proves_positive_definite(Q: np.ndarray) -> bool:
+    """Q is exactly symmetric and provably positive definite.
+
+    The float Cholesky factorization of Q - delta I must succeed, with
+    delta from Rump's criterion (Rump 2006, BIT 46): the factor's backward
+    error is at most gamma_{n+1} / (1 - gamma_{n+1}) tr(Q) in norm, and
+    delta = 2 gamma_{n+2} tr(Q), plus an allowance for underflow, also
+    covers forming Q - delta I and the trace in floats.
+    """
+    n = len(Q)
+    if not np.isfinite(Q).all() or not np.array_equal(Q, Q.T):
+        return False
+    diag = np.diag(Q)
+    if not diag.min() > 0:
+        return False
+    delta = 2.0 * _gamma(n + 2) * float(diag.sum()) + 2.0 * (n + 1) ** 2 * math.ulp(0.0)
+    try:
+        np.linalg.cholesky(Q - delta * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def verify_putinar_ray(prog: SosIdentityProgram, primal: Sequence[np.ndarray]) -> float:
+    """The verified margin of the Putinar identity a primal ray carries:
+    positive only if it proves the set of the multipliers empty, and -inf
+    where a Gram block or lambda fails.
+
+    The ray's Gram matrices Q_j and free value lambda (``primal`` as an
+    SDP solution holds them) define, exactly, the residual polynomial
+    r = lambda + sigma_0 + sum_j sigma_j h_j.  Each Q_j is proved positive
+    semidefinite (`_proves_positive_definite`), so on the set every
+    sigma_j h_j >= 0 and r >= lambda > 0 there.  Every variable is bounded
+    there by a box multiplier (`box_radii`: |u_i| <= rho_i), so
+    |r(u)| <= sum |r_alpha| rho^alpha, and the set is empty once
+
+        margin = lambda - sum_alpha (|r_alpha| + e_alpha) rho^alpha
+                 - (rounding of the sum)  >  0.
+
+    r is expanded in floats from the Gram matrices (`_expand_identity`);
+    its n_alpha terms of monomial alpha, each a product of a Gram entry
+    and a coefficient of h_j, err in sum by at most
+    e_alpha = 2 gamma_{n_alpha + 1} sum |terms|; the sum over alpha, of
+    nonnegative terms, is raised by 4 gamma_K, with K counting its
+    monomials, the degree and the variables, for its own roundings.  The
+    identity is that of the program as posed: its multipliers are the
+    float polynomials of ``prog`` on the unit box.  Raises ValueError when
+    some variable has no box multiplier.
+    """
+    radii = box_radii(prog)
+    if radii is None:
+        raise ValueError("a variable without a box multiplier bounds no residual")
+    grams = primal[: len(prog.sigma_bases)]
+    lam = float(primal[prog.free_block_index][0])
+    if not 0 < lam < math.inf or not all(map(_proves_positive_definite, grams)):
+        return -math.inf
+    constant = {(0,) * len(prog.ambient): -lam}
+    exps, weights, inverse = _expand_identity(prog, (constant,), grams)
+    residual = np.abs(np.bincount(inverse, weights))
+    absolute = np.bincount(inverse, np.abs(weights))
+    counts = np.bincount(inverse)
+    monomials = np.empty((len(counts), exps.shape[1]), dtype=np.int64)
+    monomials[inverse] = exps
+    extent = np.prod(radii ** monomials, axis=1)  # max of |u^alpha| on the set
+    errors = 2.0 * np.array([_gamma(n + 1) for n in counts.tolist()]) * absolute
+    total = float(extent @ (residual + errors))
+    rounds = len(counts) + 2 * int(monomials.sum(axis=1).max(initial=0)) + len(radii)
+    margin = lam - total * (1.0 + 4.0 * _gamma(rounds + 3))
+    return margin if math.isfinite(margin) else -math.inf
+
+
 def _solve_checked(
-    sdp: SdpProblem, what: str, certificates: Tuple[SdpStatus, ...] = ()
+    sdp: SdpProblem, what: str, certificates: Tuple[SdpStatus, ...] = (), accept=None
 ) -> SdpSolution:
     """Solve at the default tolerances, and raise unless the result is
-    optimal or one of the ``certificates`` statuses the caller reads."""
-    sol = solve(sdp)
+    optimal or one of the ``certificates`` statuses the caller reads.
+    ``accept`` goes to the solver (`sdp.solve`)."""
+    sol = solve(sdp, accept=accept)
     if sol.status is SdpStatus.OPTIMAL or sol.status in certificates:
         return sol
     reason = f"{sol.status.value} ({sol.stall})" if sol.stall else sol.status.value
@@ -373,6 +493,8 @@ class MomentSolution:
     status: SdpStatus
     raw: SdpSolution
     atoms: List[np.ndarray] = field(default_factory=list)
+    # of a ray that proves the set empty (`verify_putinar_ray`), else NaN
+    certificate_margin: float = math.nan
 
     @property
     def infeasible(self) -> bool:
@@ -516,12 +638,26 @@ def solve_moment_relaxation(relax: MomentRelaxation, sdp: SdpProblem) -> MomentS
     """Solve the Gram form; the moments are minus the dual vector.
 
     An unbounded lambda ends ``DualInfeasible``: the primal ray is a
-    Putinar identity proving the set empty, and the bound is +inf.
+    Putinar identity proving the set empty, and the bound is +inf.  Where
+    a box multiplier bounds every variable (`box_radii`), the ray is
+    proved: the solve ends at the first iterate whose ray verifies
+    (`verify_putinar_ray`), the solution carries the verified margin, and
+    a final ray that does not verify raises RelaxationError.  Elsewhere
+    the ray rests on the solver's own test at its tolerance, and the
+    margin is NaN.
     """
-    sol = _solve_checked(sdp, "moment relaxation", (SdpStatus.DUAL_INFEASIBLE,))
+    bounded = box_radii(relax) is not None
+    accept = (lambda primal: verify_putinar_ray(relax, primal) > 0) if bounded else None
+    rays = (SdpStatus.DUAL_INFEASIBLE,)
+    sol = _solve_checked(sdp, "moment relaxation", rays, accept)
     if sol.status is SdpStatus.DUAL_INFEASIBLE:
+        margin = verify_putinar_ray(relax, sol.primal) if bounded else math.nan
+        if bounded and not margin > 0:
+            raise RelaxationError(f"moment relaxation ray not verified: {margin}")
         moments = np.zeros(len(relax.row_basis))
-        return MomentSolution(relax.order, moments, math.inf, False, sol.status, sol)
+        return MomentSolution(
+            relax.order, moments, math.inf, False, sol.status, sol, [], margin
+        )
     moments = -sol.y
     bound = float(sol.primal[relax.free_block_index][0])  # lambda
     flat, _ = check_flatness(moments, relax)

@@ -22,6 +22,7 @@ from mpecsos.driver import (
 from mpecsos.oracle import inner_value, solve_perturbed_reference
 from mpecsos.polynomials import parse_polynomial
 from mpecsos.problems import bundled_instance, load_problem
+from mpecsos.sdp import SdpStatus
 from mpecsos.sos import RelaxationError
 from mpecsos.valuefn import ValueFunctionApprox
 
@@ -363,11 +364,50 @@ def test_report_best_value_before_the_first_value_checked(p1_trace):
     first = report["records"][0]
     assert first["value"] is not None
     empty = dict(first, order=first["order"] - 1, set_status="EmptyCertified")
-    empty.update(value=None, points=[], best_value=None)
+    empty.update(value=None, points=[], best_value=None, certificate_margin=0.5)
     report["records"].insert(0, empty)
     assert verify_report(report) == []
     empty["best_value"] = first["value"]
     assert verify_report(report)
+
+
+def test_report_empty_record_needs_a_verified_margin(p1_trace):
+    report = trace_to_report(p1_trace)
+    assert json.loads(json.dumps(report)) == report
+    empty = report["records"][-1]
+    assert empty["set_status"] == "EmptyCertified"
+    assert empty["certificate_margin"] > 0
+    assert verify_report(report) == []
+    for margin in (0.0, -0.5, math.nan, None):
+        edited = json.loads(json.dumps(report))
+        edited["records"][-1]["certificate_margin"] = margin
+        assert verify_report(edited), margin
+    del edited["records"][-1]["certificate_margin"]
+    assert verify_report(edited)
+
+
+def test_every_ray_of_empty_p1_verifies(p1, monkeypatch):
+    """At eps 1e-6 every perturbed set of p1 is empty: each ray verifies
+    with a positive margin, and its solve ended at that verified iterate,
+    where the solver's own ray test still read above its tolerance."""
+    import mpecsos.sos
+
+    inner = mpecsos.sos.solve
+    rays = []
+
+    def recording(*args, **kwargs):
+        sol = inner(*args, **kwargs)
+        if sol.status is SdpStatus.DUAL_INFEASIBLE:
+            rays.append(sol)
+        return sol
+
+    monkeypatch.setattr(mpecsos.sos, "solve", recording)
+    trace = solve_mpec(p1, AlgoConfig(epsilon=1e-6, k_start=3, k_max=5))
+    assert trace.termination is Termination.ALL_EMPTY
+    assert len(rays) == len(trace.records) == 3
+    assert all(r.certificate_margin > 0 for r in trace.records)
+    assert all(1e-8 < ray.certificate_residual < 1 for ray in rays)
+    assert verify_report(trace_to_report(trace)) == []
 
 
 def test_one_sdp_per_fit_and_per_hierarchy_order(p1, monkeypatch):

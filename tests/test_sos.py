@@ -3,14 +3,17 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import mpecsos.sos as sos
 from mpecsos.boxmoments import box_moments
 from mpecsos.polynomials import Polynomial, monomial_basis, parse_polynomial
 from mpecsos.sos import (
     FeasibilityStatus,
+    box_radii,
     build_moment_relaxation,
     build_sos_identity,
     certify_feasibility,
@@ -20,6 +23,7 @@ from mpecsos.sos import (
     moment_matrix,
     solve_moment_relaxation,
     solve_sos_identity,
+    verify_putinar_ray,
 )
 from mpecsos.problems import bundled_instance
 from mpecsos.sdp import SdpStatus, solve
@@ -437,6 +441,146 @@ def test_certify_interval_nonempty():
     assert result.status is FeasibilityStatus.NONEMPTY
     assert result.witness is not None
     assert -1.0 - 1e-6 <= result.witness[0] <= 1.0 + 1e-6
+
+
+# ----------------------------------------------------------------------
+# verified Putinar rays
+
+
+def _empty_box_relaxation(radius=1.0):
+    # {radius^2 - x^2 >= 0, x - 2 radius >= 0} is empty; the box bounds x
+    x = parse_polynomial("x", ["x"])
+    box = parse_polynomial(f"{radius**2} - x^2", ["x"])
+    return build_moment_relaxation(x, [box, x - 2 * radius], 1)
+
+
+def _ray_residual(relax, primal) -> Polynomial:
+    """lambda + sigma_0 + sum_j sigma_j h_j, expanded term by term."""
+    *grams, free = primal
+    total = Polynomial.constant(relax.ambient, free[0])
+    weights = [Polynomial.constant(relax.ambient, 1.0)]
+    weights += [h for h, _ in relax.multipliers]
+    for gram, basis, weight in zip(grams, relax.sigma_bases, weights):
+        terms = {}
+        for a, alpha in enumerate(basis.monomials):
+            for b, beta in enumerate(basis.monomials):
+                mono = tuple(i + j for i, j in zip(alpha, beta))
+                terms[mono] = terms.get(mono, 0.0) + gram[a, b]
+        total = total + Polynomial(relax.ambient, terms) * weight
+    return total
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_box_bounded_ray_verifies_with_its_residual_margin(radius):
+    relax, sdp = _empty_box_relaxation(radius)
+    assert box_radii(relax) == pytest.approx([radius], abs=1e-15)
+    sol = solve_moment_relaxation(relax, sdp)
+    assert sol.infeasible
+    lam = sol.raw.primal[relax.free_block_index][0]
+    residual = _ray_residual(relax, sol.raw.primal)
+    # the margin is lambda - sum |r_alpha| radius^|alpha|, less rounding
+    expected = lam - sum(abs(c) * radius ** sum(a) for a, c in residual.terms.items())
+    assert 0 < sol.certificate_margin <= expected
+    assert sol.certificate_margin == pytest.approx(expected, abs=1e-12)
+    assert verify_putinar_ray(relax, sol.raw.primal) == sol.certificate_margin
+    # the solve ended at that verified iterate, not at the solver's own test
+    assert sol.raw.iterations <= solve(sdp).iterations
+    assert sol.certificate_residual < 1
+
+
+def test_ray_with_an_indefinite_gram_block_is_refused():
+    relax, sdp = _empty_box_relaxation()
+    primal = [np.array(b) for b in solve_moment_relaxation(relax, sdp).raw.primal]
+    assert verify_putinar_ray(relax, primal) > 0
+    gram = primal[0]
+    # move one diagonal entry just past the Schur complement bound
+    gram[0, 0] = gram[0, 1] ** 2 / gram[1, 1] * (1 - 1e-9)
+    assert np.linalg.eigvalsh(gram).min() < 0
+    assert verify_putinar_ray(relax, primal) == -math.inf
+
+
+def test_gram_check_refuses_a_matrix_indefinite_in_exact_arithmetic():
+    # a float matrix whose exact determinant is negative, though an
+    # unshifted float Cholesky factorization of it succeeds (LAPACK here)
+    Q = np.array(
+        [
+            [5.21241676693919, 1.3509963469740571, 0.24842997852740278],
+            [1.3509963469740571, 0.3502481148599889, 0.06611809897487078],
+            [0.24842997852740278, 0.06611809897487078, 0.046580949756147835],
+        ]
+    )
+    (a, b, c), (_, d, e), (_, _, f) = ([Fraction(v) for v in row] for row in Q.tolist())
+    assert a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c) < 0
+    assert not sos._proves_positive_definite(Q)
+    assert sos._proves_positive_definite(np.diag([1.0, 1e-3, 1e-6]))
+    lopsided = np.eye(2)
+    lopsided[0, 1] = 1e-3
+    assert not sos._proves_positive_definite(lopsided)
+
+
+def test_ray_whose_residual_passes_lambda_is_refused():
+    relax, sdp = _empty_box_relaxation()
+    primal = solve_moment_relaxation(relax, sdp).raw.primal
+    lam = primal[relax.free_block_index][0]
+    # tripled Gram blocks stay definite, and the residual's constant nears -2 lambda
+    scaled = [3 * gram for gram in primal[:-1]] + [primal[-1]]
+    residual = _ray_residual(relax, scaled)
+    assert sum(abs(c) for c in residual.terms.values()) > lam
+    margin = verify_putinar_ray(relax, scaled)
+    assert -math.inf < margin < 0
+
+
+def test_set_without_a_box_multiplier_runs_to_the_solver_test():
+    x = parse_polynomial("x", ["x"])
+    relax, sdp = build_moment_relaxation(x, [x, parse_polynomial("-x - 1", ["x"])], 1)
+    assert box_radii(relax) is None
+    sol = solve_moment_relaxation(relax, sdp)
+    plain = solve(sdp)
+    assert sol.infeasible and math.isnan(sol.certificate_margin)
+    assert sol.raw.iterations == plain.iterations
+    assert sol.certificate_residual == plain.certificate_residual <= 1e-8
+    with pytest.raises(ValueError):
+        verify_putinar_ray(relax, sol.raw.primal)
+
+
+def test_box_radii_read_only_a_pure_square_of_one_variable():
+    # 0.25 - x^2 y holds for every x where y <= 0, so it bounds no variable
+    v = ["x", "y"]
+    texts = ("1 - x^2", "1 - y^2", "0.25 - x^2*y", "x - 0.8")
+    gens = [parse_polynomial(t, v) for t in texts]
+    relax, sdp = build_moment_relaxation(parse_polynomial("x + 1", v), gens, 2)
+    assert box_radii(relax) == pytest.approx([1.0, 1.0], abs=1e-15)
+    sol = solve_moment_relaxation(relax, sdp)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.bound == pytest.approx(1.8, abs=1e-6)
+    # the optimal Gram matrices leave r = x + 1 against lambda = 1.8: at most
+    # 2 on |x| <= 1, but 1.5 on the |x| <= 0.5 that 0.25 - x^2 y misread gives
+    assert verify_putinar_ray(relax, sol.raw.primal) < 0
+
+
+def test_nonempty_box_bounded_relaxation_is_untouched(monkeypatch):
+    x, y = (parse_polynomial(v, ["x", "y"]) for v in "xy")
+    texts = ("1 - x^2", "1 - y^2", "x*y - 0.25")
+    gens = [parse_polynomial(t, ["x", "y"]) for t in texts]
+    relax, sdp = build_moment_relaxation(x + y, gens, 2)
+    assert box_radii(relax) is not None
+    verdicts = []
+
+    def recording(problem, accept):
+        def judged(primal):
+            verdicts.append(accept(primal))
+            return verdicts[-1]
+
+        return solve(problem, accept=judged)
+
+    monkeypatch.setattr(sos, "solve", recording)
+    sol = solve_moment_relaxation(relax, sdp).raw
+    plain = solve(sdp)
+    assert not any(verdicts)
+    assert sol.status is plain.status is SdpStatus.OPTIMAL
+    assert sol.iterations == plain.iterations
+    assert sol.primal_objective == plain.primal_objective
+    assert np.array_equal(sol.y, plain.y)
 
 
 # ----------------------------------------------------------------------
