@@ -36,12 +36,17 @@ step.  The tau column, whose error every direction inherits, takes one
 step more; an iteration makes three solves (tau column, predictor,
 corrector).  Where forming and factoring G'G costs at least
 CENTRALITY_RATIO times the flops of a centrality corrector (Gondzio 1996),
-a rule read off the problem's sizes alone, each iteration makes a fourth:
-the corrector, which aims the complementarity of a longer trial step at a
-box around sigma mu and is kept if it lengthens the step by 1%.  A
+a rule read off the problem's sizes alone, the Schur complement dominates,
+and two things change.  Each iteration makes a fourth solve: the
+corrector, which aims the complementarity of a longer trial step at a
+box around sigma mu and is kept if it lengthens the step by 1%.  And G
+is not formed: G'G is summed from the sparse rows as <A_k, W A_i W> with
+W = RR' (Fujisawa, Kojima and Nakata 1997; SDPT3), and the solves take
+their products with G as R'(sum_i y_i A_i)R and <A_i, R X~ R'>.  A
 direction stays scaled until it is taken; step bounds read least
 eigenvalues alone.  U is
 the Cholesky factor of G'G; only an iteration whose Cholesky factor fails
+forms G, tries the Cholesky factor of dsyrk's G'G, and, if that fails too,
 takes U from a QR factorization of G.  Neither is shifted: dependent rows
 are settled once, at the start point, where a small pivot of the Gram
 matrix G'G flags them and the elimination of free variables decides them:
@@ -440,10 +445,13 @@ class _PsdStack:
         self.svec_rows, self.cols = member * dim + pos, row
         self.vals = vals * self.weight[pos]
         self.bins = member * m + row  # (member, row) of an entry
+        off = js != ks
+        # each entry's place in a flattened n x n matrix, its value counted
+        # once per triangle (`flat_rows`)
+        self.upper = (member, row, js * n + ks, np.where(off, 2 * vals, vals))
 
         # the entries of both triangles, row-major in each (member, row)
         # pair; pair p, in (member, row) order, is row cons[p] of owner[p]
-        off = js != ks
         both = [np.concatenate([a, b[off]]) for a, b in
                 ((self.bins, self.bins), (js, ks), (ks, js), (vals, vals))]
         order = np.argsort((both[0] * n + both[1]) * n + both[2], kind="stable")
@@ -498,20 +506,51 @@ class _PsdStack:
         v = np.bincount(self.bins, weights=weights, minlength=self.count * self.m)
         return v.astype(float, copy=False).reshape(self.count, self.m)
 
-    def scaled_columns(self, R: np.ndarray):
-        """Yield (member, rows, svec(R'A_iR) of those rows), group by group:
-        R'A_iR = sum_e v_e R[a_e]'R[b_e] over the entries e of row i, both
-        triangles, as one batched product P'Q with P = R[a], Q = v R[b]."""
+    def _congruences(self, V: np.ndarray):
+        """Yield (runs, V'A_iV of each pair flattened to n*n), group by
+        group: V'A_iV = sum_e v_e V[a_e]'V[b_e] over the entries e of row i,
+        both triangles, as one batched product P'Q with P = V[a], Q = v V[b]."""
         n = self.size
-        stacked = R.reshape(-1, n)
+        stacked = V.reshape(-1, n)
         for a, b, v, runs in self.groups:
             Q = stacked[b]
             Q *= v
-            stack = _t(stacked[a]) @ Q
-            part = np.take(stack.reshape(len(a), n * n), self.flat, axis=1)
+            yield runs, (_t(stacked[a]) @ Q).reshape(len(a), n * n)
+
+    def scaled_columns(self, R: np.ndarray):
+        """Yield (member, rows, svec(R'A_iR) of those rows), group by group."""
+        for runs, stack in self._congruences(R):
+            part = np.take(stack, self.flat, axis=1)
             part *= self.weight
             for j, first, last, rows in runs:
                 yield j, rows, part[first:last]
+
+    @functools.cached_property
+    def flat_rows(self):
+        """Per member: the places its entries take in a flattened n x n
+        matrix, and its rows on those places as an m-row sparse matrix, so
+        that row k times a symmetric F's entries at the places is <A_k, F>."""
+        # imported here alone: at module level it would add to the
+        # package's import time, and only this route uses it
+        import scipy.sparse
+
+        member, row, place, value = self.upper
+        out = []
+        for j in range(self.count):
+            mine = member == j
+            places, at = np.unique(place[mine], return_inverse=True)
+            entries = (value[mine], (row[mine], at))
+            out.append((places, scipy.sparse.csr_array(entries, (self.m, len(places)))))
+        return out
+
+    def add_schur(self, W: np.ndarray, M: np.ndarray):
+        """Add <A_k, W_j A_i W_j> to M[i, k] for every member j: each
+        group's products W A_i W read at the places of member j's entries,
+        times its sparse rows, one sparse product per run."""
+        for runs, stack in self._congruences(W):
+            for j, first, last, rows in runs:
+                places, rows_j = self.flat_rows[j]
+                M[rows] += (rows_j @ stack[first:last].T[places]).T
 
 
 class _Cone:
@@ -709,27 +748,53 @@ class _FreeElimination:
         return y
 
 
+class _ScaledOperator:
+    """The scaled constraint matrix G of the scaling points ``Rs`` (one
+    array per stack), never formed: G y = svec(R'(sum_i y_i A_i)R) and
+    G'x = [sum_b <A_ib, R smat(x_b) R'>], read off the stacks' entries."""
+
+    def __init__(self, cone: "_Cone", Rs, adjoint: bool = False):
+        self.cone, self.Rs, self.adjoint = cone, Rs, adjoint
+
+    @property
+    def T(self) -> "_ScaledOperator":
+        return _ScaledOperator(self.cone, self.Rs, not self.adjoint)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        pairs = list(zip(self.cone.stacks, self.Rs))
+        if self.adjoint:
+            return self.cone.apply([R @ s.smat(v[s.rows]) @ _t(R) for s, R in pairs])
+        out = np.empty(self.cone.scaled_size)
+        for s, R in pairs:
+            out[s.rows] = s.svec(_t(R) @ s.combine(v) @ R)
+        return out
+
+
 class _SchurFactor:
     """Upper triangle U with U'U = G'G, the Schur complement of the scaled
     columns, and the one solve of the Newton system through it.
 
     dsyrk forms G'G reading the Fortran-ordered G in place, at half the
-    flops of a general product, and dpotrf factors it.  ``failed`` is set
-    when dpotrf stops at a pivot that is not positive (G'G indefinite in
-    rounding); U is then the QR's triangle R of G, unshifted.  A solve
-    through U'U loses about log10 cond(G'G) digits, so it is refined
-    against G'xh = h (the corrected semi-normal equations, Bjorck 1987)
-    until the residual r = h - G'xh, read as the stopping test reads a
-    primal residual, ||row_scale o r||, is at most ``target``, or until a
-    step fails to halve it.
+    flops of a general product, and dpotrf factors it.  Or G'G comes in as
+    ``schur``, formed from the sparse rows (`_HsdSolver._sparse_schur`),
+    and G is a `_ScaledOperator`.  ``failed`` is set when dpotrf stops at a
+    pivot that is not positive (G'G indefinite in rounding); U is then the
+    QR's triangle R of a formed G, unshifted, and the caller of a failed
+    ``schur`` forms G.  A solve through U'U loses about log10 cond(G'G)
+    digits, so it is refined against G'xh = h (the corrected semi-normal
+    equations, Bjorck 1987) until the residual r = h - G'xh, read as the
+    stopping test reads a primal residual, ||row_scale o r||, is at most
+    ``target``, or until a step fails to halve it.
     """
 
-    def __init__(self, G: np.ndarray, row_scale: np.ndarray, target: float):
+    def __init__(self, G, row_scale: np.ndarray, target: float, schur=None):
         self.G, self.row_scale, self.target = G, row_scale, target
-        M = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
-        self.U, info = sla.lapack.dpotrf(M)
+        formed = schur is None
+        if formed:
+            schur = sla.blas.dsyrk(1.0, G, trans=1) if G.shape[1] else np.zeros((0, 0))
+        self.U, info = sla.lapack.dpotrf(schur)
         self.failed = info != 0
-        if self.failed:
+        if self.failed and formed:
             self.U = np.linalg.qr(G, mode="r")
 
     def solve(self, e: np.ndarray, h: np.ndarray, extra_step: bool = False):
@@ -816,10 +881,12 @@ class _HsdSolver:
         # scaled constraint matrix, refilled in place each iteration; nothing
         # writes the entries of the rows a block misses, which stay zero
         self.G = np.zeros((self.cone.scaled_size, self.cone.m), order="F")
-        self.centring = self._centring_pays()
+        self.schur_dominates = self._schur_dominates()
 
-    def _centring_pays(self) -> bool:
-        """Whether a centrality corrector pays, read off the sizes alone.
+    def _schur_dominates(self) -> bool:
+        """Whether forming and factoring the Schur complement dominates an
+        iteration, read off the sizes alone.  Where it does, each iteration
+        tries a centrality corrector and forms G'G from the sparse rows.
 
         As in Gondzio (1996), the flops of forming and factoring the Schur
         complement (dsyrk of the N x m matrix G, dpotrf of G'G) are weighed
@@ -869,20 +936,41 @@ class _HsdSolver:
     def _factorize(self, st: _State):
         """Scaled constraint data and its factorization, whose solves refine
         until their primal error is a tenth of what the stopping test
-        allows at this iterate."""
+        allows at this iterate.  Where the Schur complement dominates, G'G
+        comes from the sparse rows and G is formed only if its Cholesky
+        factor fails."""
         cone = self.cone
-        G = self.G
         c_hat = np.empty(cone.scaled_size)
         blocks = []
         for s, X, S in zip(cone.stacks, st.X, st.S):
             R, lam = _nt_scaling(X, S)
-            for j, cons, part in s.scaled_columns(R):
-                G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
             c_hat[s.rows] = s.svec(_t(R) @ s.C @ R)
             blocks.append((R, lam, 0.5 * (lam[:, :, None] + lam[:, None, :])))
         target = 0.1 * self.opts.feas_tol * st.tau * (1.0 + cone.b_norm)
-        factor = _SchurFactor(G, cone.row_scale, target)
+        Rs = [R for R, _, _ in blocks]
+        factor = None
+        if self.schur_dominates:
+            G = _ScaledOperator(cone, Rs)
+            factor = _SchurFactor(G, cone.row_scale, target, self._sparse_schur(Rs))
+        if factor is None or factor.failed:
+            factor = _SchurFactor(self._scaled_matrix(Rs), cone.row_scale, target)
         return {"blocks": blocks, "factor": factor, "c_hat": c_hat}
+
+    def _scaled_matrix(self, Rs) -> np.ndarray:
+        """G of the scaling points ``Rs`` (one array per stack), in place."""
+        cone, G = self.cone, self.G
+        for s, R in zip(cone.stacks, Rs):
+            for j, cons, part in s.scaled_columns(R):
+                G[s.offsets[j] : s.offsets[j] + s.dim, cons] = part.T
+        return G
+
+    def _sparse_schur(self, Rs) -> np.ndarray:
+        """G'G as sum_b <A_kb, W_b A_ib W_b> with W = RR' (Fujisawa, Kojima
+        and Nakata 1997; SDPT3), from the stacks' sparse rows, without G."""
+        M = np.zeros((self.cone.m, self.cone.m))
+        for s, R in zip(self.cone.stacks, Rs):
+            s.add_schur(R @ _t(R), M)
+        return M
 
     def _direction(self, st: _State, fact, rhs, Rc, rc_tau):
         """Newton direction for the scaled complementarity targets, in scaled
@@ -971,7 +1059,7 @@ class _HsdSolver:
             out["dual"] = float(np.linalg.norm(ax)) / (-ctx)
         return out
 
-    def _settle_rows(self, st: _State, U: np.ndarray):
+    def _settle_rows(self, st: _State, fact):
         """The solution that dependent rows decide at the start, or None.
 
         At X = S = I, G'G is the well-scaled Gram matrix of the unit rows, so
@@ -979,13 +1067,16 @@ class _HsdSolver:
         the largest, flags the rows.  `_FreeElimination` of G's columns at
         cost b decides them: its ray gives y = -ray, Gy = 0 and b'y = 1, a
         Farkas ray with S = 0; else the rows it keeps are solved alone, and
-        the others get y = 0.
+        the others get y = 0.  G is formed here, as the factor's may be an
+        operator.
         """
+        U = fact["factor"].U
         pivots = np.diag(U) ** 2
         low, top = pivots.min(initial=math.inf), pivots.max(initial=0.0)
         if U.shape[0] >= U.shape[1] and low > math.sqrt(np.finfo(float).eps) * top:
             return None
-        rows = _FreeElimination(self.G, self.cone.b)
+        G = self._scaled_matrix([R for R, _, _ in fact["blocks"]])
+        rows = _FreeElimination(G, self.cone.b)
         if rows.ray is not None:
             ray = copy.copy(st)
             ray.y, ray.tau, ray.S = -rows.ray, 0.0, [0 * S for S in st.S]
@@ -1017,10 +1108,10 @@ class _HsdSolver:
         stall = ""
         best_state = copy.copy(st)
         best_merit = math.inf
+        mu = st.mu(cone)
 
         for iterations in range(MAX_ITERATIONS + 1):
             resid = self._residuals(st)
-            mu = st.mu(cone)
             self.mu_history.append(mu)
             p_res, d_res, gap, _, _ = self._convergence_metrics(st, resid)
 
@@ -1057,7 +1148,7 @@ class _HsdSolver:
 
             try:
                 fact = self._factorize(st)
-                settled = None if iterations else self._settle_rows(st, fact["factor"].U)
+                settled = None if iterations else self._settle_rows(st, fact)
                 if settled is not None:
                     return settled
                 step, alpha = self._search_direction(st, fact, resid, mu)
@@ -1065,7 +1156,8 @@ class _HsdSolver:
                 if not math.isfinite(alpha) or alpha <= 0:
                     raise np.linalg.LinAlgError("no step inside the cone")
                 self._apply_step(st, step, alpha)
-                if not math.isfinite(st.mu(cone)):
+                mu = st.mu(cone)
+                if not math.isfinite(mu):
                     raise np.linalg.LinAlgError("iterate not finite")
             except (np.linalg.LinAlgError, ValueError) as exc:
                 status = SdpStatus.NUMERICAL_TROUBLE
@@ -1090,7 +1182,7 @@ class _HsdSolver:
         the tau column's error, so its solve takes one step more, from the
         residual its last test already formed.
 
-        Where `_centring_pays`, a fourth solve follows: one centrality
+        Where `_schur_dominates`, a fourth solve follows: one centrality
         corrector (Gondzio 1996; Colombo and Gondzio 2008).  At the trial
         step a = min(1, 1.5 alpha + 0.1) the complementarity of each block,
         V = sym((Lam + a dX~)(Lam + a dS~)), and tau kappa have their
@@ -1129,7 +1221,7 @@ class _HsdSolver:
         rc_t = sigma * mu - st.tau * st.kappa - aff["tau"] * aff["kappa"]
         d = self._direction(st, fact, rhs, Rc, rc_t)
         alpha = self._max_step(st, fact, d)
-        if self.centring:  # the centrality corrector
+        if self.schur_dominates:  # the centrality corrector
             a = min(1.0, 1.5 * min(alpha, 1.0) + 0.1)
             low, high = 0.1 * sigma * mu, 10.0 * sigma * mu
 

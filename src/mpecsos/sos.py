@@ -682,10 +682,16 @@ class FeasibilityStatus(enum.Enum):
 
 @dataclass
 class FeasibilityResult:
+    """``certificate_margin`` is the verified margin of an EmptyCertified
+    ray (`verify_putinar_ray`, positive: a proof).  It is NaN where no box
+    multiplier bounds every variable: there the ray passed the solver's
+    floating-point test alone, read in ``certificate_residual``."""
+
     status: FeasibilityStatus
     witness: Optional[np.ndarray] = None
     certificate_residual: float = math.nan
     detail: str = ""
+    certificate_margin: float = math.nan
 
 
 def certify_feasibility(
@@ -701,7 +707,9 @@ def certify_feasibility(
     moments are flat and an actual witness point can be extracted.  This is
     ``minimize_hierarchy`` at the one order t with a linear probe as the
     objective, which pushes the moments to an extreme point of the set,
-    where they extract to an explicit witness when flat.
+    where they extract to an explicit witness when flat.  An EmptyCertified
+    result is proved only where its ``certificate_margin`` is positive; it
+    is NaN for a set without a box multiplier on every variable.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -721,6 +729,7 @@ def certify_feasibility(
         return FeasibilityResult(
             FeasibilityStatus.EMPTY_CERTIFIED,
             certificate_residual=hier.certificate_residual,
+            certificate_margin=hier.certificate_margin,
         )
     if hier.flat:
         return FeasibilityResult(FeasibilityStatus.NONEMPTY, witness=hier.atoms[0])

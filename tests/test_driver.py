@@ -459,3 +459,16 @@ def test_perturbed_set_certified_nonempty_with_witness(p1):
     out = certify_feasibility(gens, 4, scaling=p1.box.halfwidths)
     assert out.status is FeasibilityStatus.NONEMPTY
     assert abs(out.witness[0]) <= 0.1 and abs(out.witness[1] - 1.0) <= 0.1
+
+
+def test_perturbed_set_certified_empty_with_a_verified_margin(p1):
+    """At k = 4 and eps 5e-4, the set `solve-p1-k4` finds empty, the order-4
+    test proves it empty: its ray verifies with a positive margin."""
+    from mpecsos.driver import _perturbed_generators
+    from mpecsos.sos import FeasibilityStatus, certify_feasibility
+    from mpecsos.valuefn import compute_value_approximation
+
+    gens = _perturbed_generators(p1, compute_value_approximation(p1, 4), 0.0005)
+    out = certify_feasibility(gens, 4, scaling=p1.box.halfwidths)
+    assert out.status is FeasibilityStatus.EMPTY_CERTIFIED
+    assert out.certificate_margin == pytest.approx(0.444, abs=1e-3)

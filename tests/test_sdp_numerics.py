@@ -44,7 +44,11 @@ the dual step taken.
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,7 +73,7 @@ from mpecsos.sdp import (
 )
 from mpecsos.sos import RelaxationError, _solve_checked, build_moment_relaxation
 from mpecsos.valuefn import build_value_program, compute_value_approximation
-from test_sdp import make_infeasible_instance
+from test_sdp import _free_variable_problem, make_infeasible_instance
 
 FREE, NONNEG, PSD = BlockKind.FREE, BlockKind.NONNEG, BlockKind.PSD
 
@@ -960,7 +964,7 @@ def test_large_value_fit_takes_a_centrality_corrector(monkeypatch, p1_value_prog
     # the order-5 value fit's Schur complement costs more than
     # CENTRALITY_RATIO correctors, so each iteration makes a fourth solve,
     # the corrector's, and the solve ends in fewer iterations than without it
-    assert sdp._HsdSolver(p1_value_program, SolverOptions()).centring
+    assert sdp._HsdSolver(p1_value_program, SolverOptions()).schur_dominates
     calls = {"solve": 0}
     inner_solve = _SchurFactor.solve
 
@@ -976,6 +980,100 @@ def test_large_value_fit_takes_a_centrality_corrector(monkeypatch, p1_value_prog
     without = solve(p1_value_program)
     assert without.status is SdpStatus.OPTIMAL
     assert sol.iterations < without.iterations
+
+
+def _route_problem(which):
+    if which == "p1 order-5 fit":
+        return build_value_program(bundled_instance("p1_mpec"), 5)[1]
+    if which == "mixed blocks":
+        return _mixed_blocks_problem(range(5))[0]
+    return _free_variable_problem()
+
+
+@pytest.mark.parametrize("which", ["p1 order-5 fit", "mixed blocks", "free variable"])
+def test_sparse_schur_matches_the_formed_products(monkeypatch, which):
+    # at a random interior point, with the sparse-row route forced: G'G from
+    # the sparse rows is dsyrk of the formed G, and the unformed G's
+    # products G y and G'x are the formed ones, each to rounding; a
+    # factorization on the route leaves G unformed
+    monkeypatch.setattr(sdp._HsdSolver, "_schur_dominates", lambda self: True)
+    solver = sdp._HsdSolver(_route_problem(which), SolverOptions())
+    cone = solver.cone
+    rng = np.random.default_rng(17)
+    st = sdp._State(cone)
+    st.X = [_random_pd_stack(rng, s) for s in cone.stacks]
+    st.S = [_random_pd_stack(rng, s) for s in cone.stacks]
+    fact = solver._factorize(st)
+    assert isinstance(fact["factor"].G, sdp._ScaledOperator)
+    assert not fact["factor"].failed and not solver.G.any()
+    Rs = [R for R, _, _ in fact["blocks"]]
+    M = solver._sparse_schur(Rs)
+    G = solver._scaled_matrix(Rs).copy()
+    want = sdp.sla.blas.dsyrk(1.0, G, trans=1)  # its upper triangle
+    assert np.abs(np.triu(M - want)).max() <= 1e-13 * np.abs(want).max()
+    unformed = sdp._ScaledOperator(cone, Rs)
+    y, x = rng.normal(size=cone.m), rng.normal(size=cone.scaled_size)
+    assert _close(unformed @ y, G @ y, 1e-13)
+    assert _close(unformed.T @ x, G.T @ x, 1e-13)
+
+
+def _random_pd_stack(rng, s):
+    return np.array([_random_pd(rng, s.size) for _ in range(s.count)])
+
+
+def test_failed_sparse_schur_forms_g_for_that_iteration(monkeypatch, p1_value_program):
+    # dpotrf of the sparse-row G'G reports failure at iteration 5 of the
+    # order-5 value fit: that iteration forms G and factors it as the
+    # other SDPs do (dsyrk, then dpotrf, the QR only if that fails too),
+    # every other iteration stays on the route, and the solve ends as it
+    # does unforced
+    unforced = solve(p1_value_program)
+    dpotrf, calls, factors = sdp.sla.lapack.dpotrf, [], []
+
+    def fail_at_5(M):
+        U, info = dpotrf(M)
+        calls.append(info)
+        return U, 1 if len(calls) == 6 else info
+
+    class Factor(_SchurFactor):
+        def __init__(self, G, *args):
+            super().__init__(G, *args)
+            factors.append((isinstance(G, np.ndarray), self.failed))
+
+    monkeypatch.setattr(sdp.sla.lapack, "dpotrf", fail_at_5)
+    monkeypatch.setattr(sdp, "_SchurFactor", Factor)
+    sol = solve(p1_value_program)
+    assert (sol.status, sol.iterations) == (unforced.status, unforced.iterations)
+    assert sol.status is SdpStatus.OPTIMAL
+    route = [(False, False)] * sol.iterations
+    assert factors == route[:5] + [(False, True), (True, False)] + route[6:]
+
+
+def test_importing_the_package_leaves_out_the_sparse_module():
+    # scipy.sparse costs set-up time, so only the sparse-row route imports
+    # it, when it is first taken
+    src = Path(sdp.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import mpecsos\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "import mpecsos.sdp as sdp\n"
+        "from test_sdp import _free_variable_problem\n"
+        "sdp.solve(_free_variable_problem())\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "sdp.CENTRALITY_RATIO = 0.0  # every SDP takes the route\n"
+        "sdp.solve(_free_variable_problem())\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("size", [1, 3, 10, 35])
@@ -1002,9 +1100,11 @@ def test_directions_stay_scaled_until_the_step(monkeypatch, order):
     # sum_i y_i A_i is formed once per stack for each residual evaluation and
     # once per stack for the step taken: the predictor, and a corrector that
     # is discarded, never leave scaled coordinates (at order 5 the
-    # centrality corrector runs too)
-    calls = {"combine": 0, "residuals": 0}
+    # centrality corrector runs too, and the products G y of the unformed G
+    # form R'(sum_i y_i A_i)R once per stack each)
+    calls = {"combine": 0, "residuals": 0, "G y": 0}
     combine, residuals_ = sdp._PsdStack.combine, sdp._HsdSolver._residuals
+    product = sdp._ScaledOperator.__matmul__
 
     def counted_combine(self, y):
         calls["combine"] += 1
@@ -1014,13 +1114,20 @@ def test_directions_stay_scaled_until_the_step(monkeypatch, order):
         calls["residuals"] += 1
         return residuals_(self, st)
 
+    def counted_product(self, v):
+        calls["G y"] += not self.adjoint
+        return product(self, v)
+
     monkeypatch.setattr(sdp._PsdStack, "combine", counted_combine)
     monkeypatch.setattr(sdp._HsdSolver, "_residuals", counted_residuals)
+    monkeypatch.setattr(sdp._ScaledOperator, "__matmul__", counted_product)
     _, prob = build_value_program(bundled_instance("p1_mpec"), order)
     stacks = len(_Cone(prob).stacks)
     sol = solve(prob)
     assert sol.status is SdpStatus.OPTIMAL and sol.iterations >= 10
-    assert calls["combine"] == stacks * (calls["residuals"] + sol.iterations)
+    assert (calls["G y"] > 0) == (order == 5)
+    unscaled = calls["residuals"] + sol.iterations + calls["G y"]
+    assert calls["combine"] == stacks * unscaled
 
 
 def test_scaled_dual_step_agrees_with_the_step_taken(monkeypatch):

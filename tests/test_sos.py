@@ -410,6 +410,16 @@ def test_certify_contradictory_halflines():
     assert result.certificate_residual <= 1e-8
 
 
+def test_certified_empty_set_without_a_box_has_no_margin():
+    # {x >= 0, -x - 1 >= 0} has no box multiplier, so its EmptyCertified
+    # rests on the solver's floating-point ray test alone, and its margin
+    # says so
+    x = parse_polynomial("x", ["x"])
+    result = certify_feasibility([x, parse_polynomial("-x - 1", ["x"])], 1)
+    assert result.status is FeasibilityStatus.EMPTY_CERTIFIED
+    assert math.isnan(result.certificate_margin)
+
+
 def test_emptiness_ray_is_putinar_identity():
     # {x >= 0, -x - 1 >= 0} is empty: the ray of the unbounded lambda gives
     # sigma_0 + sigma_1 x + sigma_2 (-x - 1) = -lambda with PSD Gram blocks
